@@ -158,21 +158,51 @@ def bell_input(kind: str, n_max: int = 3) -> FockVector:
     return first.add(second, scale=sign).scaled(1.0 / np.sqrt(2.0))
 
 
+def analyzer_mixture(visibility: float):
+    """The analyzer at finite two-photon visibility, as a weighted mixture of
+    passes: ``(analyzer pass, detector bank, weight)`` for the coherent pass
+    (weight ``visibility``) and the distinguishable one (``1 - visibility``).
+    Parts of zero weight are left out."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
+    parts = (
+        (bisa_apply, DETECTOR_BANK, visibility),
+        (bisa_apply_distinguishable, DETECTOR_BANK_TAGGED, 1.0 - visibility),
+    )
+    return [part for part in parts if part[2] > 0.0]
+
+
+def transfer_map(analyzer, setting: BisaSetting, inputs, n_max: int):
+    """Dense transfer map of one analyzer pass on input occupations.
+
+    ``inputs`` are occupations of (bH, bV, cH, cV).  Each is pushed through
+    ``analyzer`` as a basis state, so truncation at ``n_max`` is the
+    analyzer's own.  Returns ``(modes, outputs, T)``: the output register,
+    the output occupations reached, and ``T[i, j]``, the amplitude of
+    ``outputs[j]`` for ``inputs[i]``.  By linearity, a state
+    sum_i psi_i |inputs[i]> (spectators included) leaves as
+    sum_ij psi_i T[i, j] |outputs[j]>.
+    """
+    register = tuple((s, p) for s in INPUT_SPATIAL for p in ("H", "V"))
+    passed = [
+        analyzer(FockVector(register, n_max, {tuple(occ): 1.0}), setting) for occ in inputs
+    ]
+    outputs = sorted({occ for out in passed for occ in out.amp})
+    column = {occ: j for j, occ in enumerate(outputs)}
+    transfer = np.zeros((len(passed), len(outputs)), dtype=complex)
+    for i, out in enumerate(passed):
+        for occ, a in out.amp.items():
+            transfer[i, column[occ]] = a
+    return passed[0].modes, outputs, transfer
+
+
 def outcome_distribution(state: FockVector, setting: BisaSetting, visibility: float = 1.0,
                          efficiency=1.0) -> dict[BisaOutcome, float]:
     """Outcome-class distribution for a state on the analyzer inputs."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    dist = pattern_distribution(bisa_apply(state, setting), DETECTOR_BANK, efficiency)
-    if visibility < 1.0:
-        dist_inc = pattern_distribution(
-            bisa_apply_distinguishable(state, setting), DETECTOR_BANK_TAGGED, efficiency
-        )
-        merged: dict[frozenset, float] = {}
-        for src, w in ((dist, visibility), (dist_inc, 1.0 - visibility)):
-            for patt, p in src.items():
-                merged[patt] = merged.get(patt, 0.0) + w * p
-        dist = merged
+    dist: dict[frozenset, float] = {}
+    for analyzer, bank, weight in analyzer_mixture(visibility):
+        for patt, p in pattern_distribution(analyzer(state, setting), bank, efficiency).items():
+            dist[patt] = dist.get(patt, 0.0) + weight * p
     out: dict[BisaOutcome, float] = {}
     for patt, p in dist.items():
         cls = classify(patt, setting)

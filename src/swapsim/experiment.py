@@ -15,6 +15,7 @@ so runs are bitwise reproducible independent of the worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass, field, asdict
@@ -23,21 +24,19 @@ import numpy as np
 
 from . import states
 from .bisa import (
+    INPUT_SPATIAL,
     BisaOutcome,
     BisaSetting,
-    DETECTOR_BANK,
-    DETECTOR_BANK_TAGGED,
-    bisa_apply,
-    bisa_apply_distinguishable,
+    analyzer_mixture,
     classify,
+    transfer_map,
 )
 from .fock import (
     FockVector,
     attenuate_ensemble,
-    detector_counts,
+    click_probability,
     polarization_rotation,
     spdc_source,
-    _expand_pattern,
 )
 from .qrng import QrngConfig, QrngSimulator
 from .timeline import DelayBudget, EventTimes, check_delayed_choice, event_times
@@ -211,6 +210,138 @@ class IdealEngine:
         return a_out, b_out, outcome
 
 
+# A party's outcome from its two detectors (H for +1, V for -1): the sign
+# of the one that clicked, 0 when neither or both click.
+_PARTY_OUTCOMES = (+1, -1, 0)
+# A count weight at most this fraction of the sum of the magnitudes of the
+# terms it is summed from is the rounding residue of an exact cancellation,
+# and counts as absent.  Measured on the default, lossless, clean and
+# n_max=4 configs: residues sit below 1e-16 of that sum, true weights
+# above 1e-3 of it.
+CANCELLATION_TOL = 1e-12
+# The engine contracts its (small) arrays with np.einsum, not matmul: the
+# first BLAS call of a process keeps about 0.5 MiB resident for good.
+
+
+def _party_basis(n: int) -> list[tuple[int, int]]:
+    """(H, V) occupations of one photon's two modes with ``n`` photons, H first."""
+    return [(n - k, k) for k in range(n + 1)]
+
+
+def _sector_densities(branches: list[FockVector]) -> dict:
+    """The ensemble's density blocks on each photon-number sector.
+
+    A sector ``(n1, n4, n)`` holds the terms with n1 photons in mode 1, n4
+    in mode 4 and n at the analyzer inputs.  Returns ``{sector: (occs,
+    rho)}`` with ``occs`` the analyzer input occupations (bH, bV, cH, cV)
+    met in the sector and ``rho[a, i, a', i']`` the sum over branches of
+    psi(a, i) psi(a', i')*, where ``a`` indexes the product basis
+    _party_basis(n1) x _party_basis(n4) of (1H, 1V, 4H, 4V) and ``i``
+    indexes ``occs``.  Blocks between sectors are not formed: the basis
+    rotations keep n1 and n4, and the analyzer keeps n, which Victor's
+    count vector reveals.
+    """
+    index = branches[0].mode_index
+    one = [index(("1", p)) for p in "HV"]
+    four = [index(("4", p)) for p in "HV"]
+    ins = [index((s, p)) for s in INPUT_SPATIAL for p in "HV"]
+    terms: dict = {}
+    for k, branch in enumerate(branches):
+        for occ, amp in branch.amp.items():
+            (h1, v1), (h4, v4) = (occ[i] for i in one), (occ[i] for i in four)
+            occ_in = tuple(occ[i] for i in ins)
+            a = v1 * (h4 + v4 + 1) + v4
+            terms.setdefault((h1 + v1, h4 + v4, sum(occ_in)), []).append((k, a, occ_in, amp))
+    out = {}
+    for (n1, n4, n), entries in terms.items():
+        occs = sorted({e[2] for e in entries})
+        col = {occ: i for i, occ in enumerate(occs)}
+        rows = {k: r for r, k in enumerate(sorted({e[0] for e in entries}))}
+        d, m = (n1 + 1) * (n4 + 1), len(occs)
+        psi = np.zeros((len(rows), d * m), dtype=complex)
+        for k, a, occ, amp in entries:
+            psi[rows[k], a * m + col[occ]] = amp
+        out[(n1, n4, n)] = (occs, np.einsum("ki,kj->ij", psi, psi.conj()).reshape(d, m, d, m))
+    return out
+
+
+def _rotation_lift(jones: np.ndarray, n: int, n_max: int) -> np.ndarray:
+    """A polarization rotation on ``n`` photons of one spatial mode, as a
+    matrix on _party_basis(n)."""
+    basis = _party_basis(n)
+    modes = (("p", "H"), ("p", "V"))
+    lift = np.zeros((n + 1, n + 1), dtype=complex)
+    for y, occ in enumerate(basis):
+        out = polarization_rotation(FockVector(modes, n_max, {occ: 1.0}), "p", jones)
+        for x, occ_out in enumerate(basis):
+            lift[x, y] = out.amp.get(occ_out, 0.0)
+    return lift
+
+
+def _victor_counts(modes, outputs, bank) -> tuple[np.ndarray, np.ndarray]:
+    """Victor's distinct count vectors over ``outputs``, and the index of
+    each output occupation's count vector."""
+    watched = [[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS]
+    index: dict = {}
+    cls = [
+        index.setdefault(tuple(sum(occ[i] for i in idx) for idx in watched), len(index))
+        for occ in outputs
+    ]
+    return np.array(list(index)), np.array(cls)
+
+
+def _sector_grams(rho: np.ndarray, transfer: np.ndarray, cls: np.ndarray,
+                  classes: np.ndarray) -> np.ndarray:
+    """Gram matrices on one sector's (photon 1, photon 4) occupations after
+    each Victor count vector in ``classes``:
+    G[k, a, a'] = sum_ii' rho[a, i, a', i'] (T_c T_c^dagger)[i, i'] with
+    c = classes[k] and T_c the columns of ``transfer`` (rows: the sector's
+    input occupations) whose output occupation has count vector c."""
+    m = len(transfer)
+    povm = np.empty((len(classes), m, m), dtype=complex)
+    for k, c in enumerate(classes):
+        t_c = transfer[:, cls == c]
+        povm[k] = np.einsum("ij,kj->ik", t_c, t_c.conj())
+    return np.einsum("aibj,kij->kab", rho, povm)
+
+
+def _count_weights(grams: dict, lift_a: list, lift_b: list, party: int,
+                   n_counts: int) -> np.ndarray:
+    """Count weights W[o1, o4, c] once photons 1 and 4 are rotated into the
+    measurement bases: ``o1`` and ``o4`` index the (H, V) occupations of
+    photons 1 and 4 (_party_basis(0), _party_basis(1), ... in turn), ``c``
+    Victor's count vectors."""
+    size = (party + 1) * (party + 2) // 2
+    w = np.zeros((size, size, n_counts))
+    for (n1, n4, _), (classes, gram) in grams.items():
+        rot = np.kron(lift_a[n1], lift_b[n4])
+        diag = np.einsum("xa,cab,xb->xc", rot, gram, rot.conj()).real
+        scale = np.einsum("xa,cab,xb->xc", abs(rot), abs(gram), abs(rot))
+        diag[diag <= CANCELLATION_TOL * scale] = 0.0
+        w[n1 * (n1 + 1) // 2:(n1 + 1) * (n1 + 2) // 2,
+          n4 * (n4 + 1) // 2:(n4 + 1) * (n4 + 2) // 2, classes] = diag.reshape(n1 + 1, n4 + 1, -1)
+    return w
+
+
+def _party_clicks(party: int, eta: float) -> np.ndarray:
+    """P(outcome) per _PARTY_OUTCOMES for each (H, V) occupation of a party's
+    photon, in the order of _count_weights."""
+    occs = np.array([occ for n in range(party + 1) for occ in _party_basis(n)])
+    (s_h, s_v), (c_h, c_v) = (p.T for p in click_probability(occs, eta))
+    return np.stack([c_h * s_v, s_h * c_v, s_h * s_v + c_h * c_v], axis=-1)
+
+
+def _victor_masks() -> np.ndarray:
+    """Victor's click patterns: which of VICTOR_DETECTORS click, one row each."""
+    return np.array(list(itertools.product((False, True), repeat=len(VICTOR_DETECTORS))))
+
+
+def _victor_clicks(counts: np.ndarray, eta: float) -> np.ndarray:
+    """P(pattern) per _victor_masks() for each row of Victor's photon counts."""
+    silent, click = click_probability(counts, eta)
+    return np.where(_victor_masks(), click[:, None, :], silent[:, None, :]).prod(axis=-1)
+
+
 class FockEngine:
     """Noise-budget engine: per-config joint detector-pattern distributions.
 
@@ -218,29 +349,62 @@ class FockEngine:
     pattern); classification into outcome classes happens at sampling
     time with the commanded setting, since a switching error applies the
     opposite optical setting while the sorting logic keeps the command.
+
+    The tables equal a per-branch enumeration (analyzer pass, Alice/Bob
+    basis rotation and threshold detection of every noise branch) and are
+    built from three exact identities:
+
+    * The analyzer is linear and leaves photons 1 and 4 alone, so each pass
+      is one transfer map on the distinct b/c input occupations.
+    * The basis rotations act on photons 1 and 4 alone and keep their
+      photon numbers n1 and n4, so the ensemble enters only through one
+      Gram matrix per Victor count vector and photon-number sector, and
+      each basis pair reads its count weights off diag(R G R^dagger).
+    * Detectors click independently given their photon counts, so click
+      patterns factorize into Alice, Bob and Victor parts.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        branches = self._noisy_input_ensemble()
-        v = config.visibility
+        eta, n_max = config.detector_efficiency, config.n_max
+        sectors = _sector_densities(self._noisy_input_ensemble())
+        inputs = sorted({occ for occs, _ in sectors.values() for occ in occs})
+        row = {occ: i for i, occ in enumerate(inputs)}
+        party = max(max(n1, n4) for n1, n4, _ in sectors)  # most photons in mode 1 or 4
+        lifts = {
+            axis: [_rotation_lift(_axis_rotation(axis), n, n_max) for n in range(party + 1)]
+            for axis in {*config.alice_bases, *config.bob_bases}
+        }
+        party_clicks = _party_clicks(party, eta)
+        patterns = [
+            tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in _victor_masks()
+        ]
         self._dist: dict = {}
-        per_setting = {}
         for setting in BisaSetting:
-            coherent = [bisa_apply(b, setting) for b in branches]
-            incoherent = (
-                [bisa_apply_distinguishable(b, setting) for b in branches]
-                if v < 1.0
-                else []
-            )
-            per_setting[setting] = (coherent, incoherent)
-        for setting in BisaSetting:
-            coherent, incoherent = per_setting[setting]
+            parts = []
+            for analyzer, bank, weight in analyzer_mixture(config.visibility):
+                modes, outputs, transfer = transfer_map(analyzer, setting, inputs, n_max)
+                counts, cls = _victor_counts(modes, outputs, bank)
+                grams = {}
+                for sector, (occs, rho) in sectors.items():
+                    classes = np.flatnonzero(counts.sum(axis=1) == sector[2])
+                    rows = transfer[[row[occ] for occ in occs]]
+                    grams[sector] = (classes, _sector_grams(rho, rows, cls, classes))
+                parts.append((weight, grams, _victor_clicks(counts, eta)))
             for ab in config.alice_bases:
                 for bb in config.bob_bases:
-                    cat = self._category_distribution(coherent, incoherent, ab, bb)
-                    keys = sorted(cat)
-                    probs = np.array([cat[k] for k in keys])
+                    cat = 0.0
+                    for weight, grams, victor_clicks in parts:
+                        w = _count_weights(grams, lifts[ab], lifts[bb], party, len(victor_clicks))
+                        w = np.einsum("ijc,cv->ijv", w, victor_clicks)
+                        cat = cat + weight * np.einsum("ia,jb,ijv->abv",
+                                                       party_clicks, party_clicks, w)
+                    entries = sorted(
+                        ((_PARTY_OUTCOMES[i], _PARTY_OUTCOMES[j], patterns[k]), cat[i, j, k])
+                        for i, j, k in zip(*np.nonzero(cat > 0.0))
+                    )
+                    keys = [key for key, _ in entries]
+                    probs = np.array([p for _, p in entries])
                     self._dist[(ab, bb, setting)] = (keys, probs, np.cumsum(probs / probs.sum()))
 
     def _noisy_input_ensemble(self) -> list[FockVector]:
@@ -266,51 +430,6 @@ class FockEngine:
         for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
             branches = attenuate_ensemble(branches, mode, cfg.input_transmission)
         return [b for b in branches if b.norm_sq() > 1e-18]
-
-    def _bank(self, tagged: bool):
-        bank = {
-            "aliceP": (("1", "H"),),
-            "aliceM": (("1", "V"),),
-            "bobP": (("4", "H"),),
-            "bobM": (("4", "V"),),
-        }
-        bank.update(DETECTOR_BANK_TAGGED if tagged else DETECTOR_BANK)
-        return bank
-
-    def _category_distribution(self, coherent, incoherent, ab: str, bb: str) -> dict:
-        cfg = self.config
-        v = cfg.visibility
-        rot_a = _axis_rotation(ab)
-        rot_b = _axis_rotation(bb)
-        cat: dict = {}
-        for group, weight, tagged in ((coherent, v, False), (incoherent, 1.0 - v, True)):
-            if not group or weight == 0.0:
-                continue
-            bank = self._bank(tagged)
-            names = list(bank)
-            etas = [cfg.detector_efficiency] * len(names)
-            counts: dict[tuple[int, ...], float] = {}
-            for branch in group:
-                branch = polarization_rotation(branch, "1", rot_a)
-                branch = polarization_rotation(branch, "4", rot_b)
-                for vec, w in detector_counts(branch, bank).items():
-                    counts[vec] = counts.get(vec, 0.0) + w
-            patterns: dict[frozenset, float] = {}
-            for vec, w in counts.items():
-                _expand_pattern(vec, w * weight, names, etas, patterns)
-            for patt, p in patterns.items():
-                key = self._category(patt)
-                cat[key] = cat.get(key, 0.0) + p
-        return cat
-
-    @staticmethod
-    def _category(pattern: frozenset):
-        a_clicks = pattern & {"aliceP", "aliceM"}
-        b_clicks = pattern & {"bobP", "bobM"}
-        a_out = {frozenset({"aliceP"}): +1, frozenset({"aliceM"}): -1}.get(frozenset(a_clicks), 0)
-        b_out = {frozenset({"bobP"}): +1, frozenset({"bobM"}): -1}.get(frozenset(b_clicks), 0)
-        victor = tuple(sorted(d for d in pattern if d in VICTOR_DETECTORS))
-        return (a_out, b_out, victor)
 
     def sample(self, ab: str, bb: str, commanded: BisaSetting, actual: BisaSetting,
                rng: np.random.Generator):
@@ -624,15 +743,20 @@ def ordering_joint(ab: str, bb: str, setting: BisaSetting, order: str) -> dict:
     return joint
 
 
-def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = None) -> dict:
+def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = None, *,
+                    engine: FockEngine | None = None) -> dict:
     """Fast multinomial path for noise-budget statistics.
 
     Draws the per-category counts for ``trials`` iid trials directly from
     the fock-mode category distribution instead of looping.  Returns
     counts keyed (commanded setting, victor outcome class, basis, alice
-    outcome, bob outcome) for basis-matched fourfold events.
+    outcome, bob outcome) for basis-matched fourfold events.  ``engine``
+    reuses an engine built for ``config``; by default one is built.
     """
-    engine = build_engine(config)
+    if engine is None:
+        engine = build_engine(config)
+    elif engine.config != config:
+        raise ValueError("engine was built for a different config")
     if not isinstance(engine, FockEngine):
         raise ValueError("simulate_counts requires fock mode")
     rng = np.random.default_rng(config.master_seed if seed is None else seed)

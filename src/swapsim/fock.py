@@ -374,19 +374,28 @@ def pattern_distribution(state, bank: DetectorBank, efficiency=1.0) -> dict[froz
     branches = state if isinstance(state, list) else [state]
     names = list(bank)
     etas = _efficiencies(bank, efficiency)
-    dist: dict[frozenset, float] = {}
+    # Click patterns depend on the photon counts alone, so the ensemble's
+    # count weights are summed before they are expanded into patterns.
+    counts: dict[tuple[int, ...], float] = {}
     for branch in branches:
         for vec, w in detector_counts(branch, bank).items():
-            _expand_pattern(vec, w, names, etas, dist)
+            counts[vec] = counts.get(vec, 0.0) + w
+    dist: dict[frozenset, float] = {}
+    for vec, w in counts.items():
+        _expand_pattern(vec, w, names, etas, dist)
     return dist
 
 
+def click_probability(n, eta):
+    """(P(silent), P(click)) of a threshold detector that sees ``n`` photons,
+    each detected independently with efficiency ``eta``: silent with
+    (1 - eta)^n.  ``n`` may be a numpy array."""
+    p_silent = (1.0 - eta) ** n
+    return p_silent, 1.0 - p_silent
+
+
 def _expand_pattern(vec, weight, names, etas, dist):
-    # Each detector independently clicks with 1 - (1 - eta)^n.
-    options = []
-    for n, eta in zip(vec, etas):
-        p_silent = (1.0 - eta) ** n
-        options.append((p_silent, 1.0 - p_silent))
+    options = [click_probability(n, eta) for n, eta in zip(vec, etas)]
     patterns = [(frozenset(), weight)]
     for name, (p_silent, p_click) in zip(names, options):
         nxt = []

@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from swapsim import experiment as ex
-from swapsim import states
-from swapsim.bisa import BisaOutcome, BisaSetting
+from swapsim import fock, states
+from swapsim.bisa import (
+    DETECTOR_BANK,
+    DETECTOR_BANK_TAGGED,
+    BisaOutcome,
+    BisaSetting,
+    bisa_apply,
+    bisa_apply_distinguishable,
+)
 
 
 def small_config(**kw):
@@ -243,3 +250,83 @@ def test_simulate_counts_fast_path():
 def test_spdc_pair_ratio_small_tau():
     tau = 0.05
     assert ex.spdc_pair_ratio(tau) == pytest.approx(3 * tau**2 / 4, rel=1e-3)
+
+
+PARTY_BANK = {
+    "aliceP": (("1", "H"),),
+    "aliceM": (("1", "V"),),
+    "bobP": (("4", "H"),),
+    "bobM": (("4", "V"),),
+}
+
+
+def _pattern_category(pattern: frozenset):
+    """(alice outcome, bob outcome, victor clicks) of one click pattern: a
+    party's outcome is the sign of its one clicked detector, else 0."""
+    def party(plus, minus):
+        return {frozenset({plus}): +1, frozenset({minus}): -1}.get(pattern & {plus, minus}, 0)
+
+    victor = tuple(sorted(pattern & set(ex.VICTOR_DETECTORS)))
+    return party("aliceP", "aliceM"), party("bobP", "bobM"), victor
+
+
+def _enumerated_tables(engine, pairs):
+    """Category tables by enumerating every noise branch: analyzer pass,
+    rotation of photons 1 and 4 into the bases, threshold detection."""
+    cfg = engine.config
+    branches = engine._noisy_input_ensemble()
+    v = cfg.visibility
+    tables = {}
+    for setting in BisaSetting:
+        passes = [
+            (weight, [analyzer(b, setting) for b in branches], bank)
+            for analyzer, bank, weight in (
+                (bisa_apply, DETECTOR_BANK, v),
+                (bisa_apply_distinguishable, DETECTOR_BANK_TAGGED, 1.0 - v),
+            )
+            if weight > 0.0
+        ]
+        for ab, bb in pairs:
+            cat = {}
+            for weight, passed, bank in passes:
+                rotated = [
+                    fock.polarization_rotation(
+                        fock.polarization_rotation(b, "1", ex._axis_rotation(ab)),
+                        "4", ex._axis_rotation(bb),
+                    )
+                    for b in passed
+                ]
+                dist = fock.pattern_distribution(rotated, {**PARTY_BANK, **bank},
+                                                 cfg.detector_efficiency)
+                for pattern, p in dist.items():
+                    key = _pattern_category(pattern)
+                    cat[key] = cat.get(key, 0.0) + weight * p
+            tables[(ab, bb, setting)] = cat
+    return tables
+
+
+def _assert_tables_match(engine, pairs):
+    for key, expected in _enumerated_tables(engine, pairs).items():
+        keys, probs, _ = engine._dist[key]
+        got = dict(zip(keys, probs))
+        assert set(got) == set(expected), key
+        assert max(abs(got[k] - expected[k]) for k in expected) <= 1e-12, key
+
+
+def test_fock_engine_equals_branch_enumeration_default():
+    engine = ex.build_engine(ex.ExperimentConfig(mode="fock"))
+    _assert_tables_match(engine, [("x", "y")])
+
+
+def test_fock_engine_equals_branch_enumeration_clean(clean_fock_engine):
+    _assert_tables_match(clean_fock_engine, [(ab, bb) for ab in ex.AXES for bb in ex.AXES])
+
+
+def test_simulate_counts_reuses_engine(clean_fock_engine):
+    cfg = clean_fock_engine.config
+    built = ex.simulate_counts(cfg, trials=100_000, seed=3)
+    reused = ex.simulate_counts(cfg, trials=100_000, seed=3, engine=clean_fock_engine)
+    assert reused == built
+    other = ex.ExperimentConfig(mode="fock", tau=0.1)
+    with pytest.raises(ValueError):
+        ex.simulate_counts(other, trials=100_000, seed=3, engine=clean_fock_engine)
