@@ -214,10 +214,10 @@ class IdealEngine:
 # of the one that clicked, 0 when neither or both click.
 _PARTY_OUTCOMES = (+1, -1, 0)
 # A count weight at most this fraction of the sum of the magnitudes of the
-# terms it is summed from is the rounding residue of an exact cancellation,
-# and counts as absent.  Measured on the default, lossless, clean and
-# n_max=4 configs: residues sit below 1e-16 of that sum, true weights
-# above 1e-3 of it.
+# terms it is summed from (over branches, analyzer outputs and rotation
+# entries alike) is the rounding residue of an exact cancellation, and
+# counts as absent.  Rounding leaves at most a few machine epsilons of that
+# sum, so true weights smaller than 1e-12 of it are the only ones lost.
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with np.einsum, not matmul: the
 # first BLAS call of a process keeps about 0.5 MiB resident for good.
@@ -233,13 +233,13 @@ def _sector_densities(branches: list[FockVector]) -> dict:
 
     A sector ``(n1, n4, n)`` holds the terms with n1 photons in mode 1, n4
     in mode 4 and n at the analyzer inputs.  Returns ``{sector: (occs,
-    rho)}`` with ``occs`` the analyzer input occupations (bH, bV, cH, cV)
-    met in the sector and ``rho[a, i, a', i']`` the sum over branches of
+    rho, mag)}`` with ``occs`` the analyzer input occupations (bH, bV, cH,
+    cV) met in the sector, ``rho[a, i, a', i']`` the sum over branches of
     psi(a, i) psi(a', i')*, where ``a`` indexes the product basis
     _party_basis(n1) x _party_basis(n4) of (1H, 1V, 4H, 4V) and ``i``
-    indexes ``occs``.  Blocks between sectors are not formed: the basis
-    rotations keep n1 and n4, and the analyzer keeps n, which Victor's
-    count vector reveals.
+    indexes ``occs``, and ``mag`` the same sum of |psi(a, i) psi(a', i')|.
+    Blocks between sectors are not formed: the basis rotations keep n1
+    and n4, and the analyzer keeps n, which Victor's count vector reveals.
     """
     index = branches[0].mode_index
     one = [index(("1", p)) for p in "HV"]
@@ -261,7 +261,9 @@ def _sector_densities(branches: list[FockVector]) -> dict:
         psi = np.zeros((len(rows), d * m), dtype=complex)
         for k, a, occ, amp in entries:
             psi[rows[k], a * m + col[occ]] = amp
-        out[(n1, n4, n)] = (occs, np.einsum("ki,kj->ij", psi, psi.conj()).reshape(d, m, d, m))
+        rho = np.einsum("ki,kj->ij", psi, psi.conj()).reshape(d, m, d, m)
+        mag = np.einsum("ki,kj->ij", abs(psi), abs(psi)).reshape(d, m, d, m)
+        out[(n1, n4, n)] = (occs, rho, mag)
     return out
 
 
@@ -290,19 +292,24 @@ def _victor_counts(modes, outputs, bank) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(index)), np.array(cls)
 
 
-def _sector_grams(rho: np.ndarray, transfer: np.ndarray, cls: np.ndarray,
-                  classes: np.ndarray) -> np.ndarray:
+def _sector_grams(rho: np.ndarray, mag: np.ndarray, transfer: np.ndarray,
+                  cls: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrices on one sector's (photon 1, photon 4) occupations after
     each Victor count vector in ``classes``:
     G[k, a, a'] = sum_ii' rho[a, i, a', i'] (T_c T_c^dagger)[i, i'] with
     c = classes[k] and T_c the columns of ``transfer`` (rows: the sector's
-    input occupations) whose output occupation has count vector c."""
+    input occupations) whose output occupation has count vector c.  Also
+    returns the same contraction of the magnitudes ``mag``, |T_c| and
+    |T_c^dagger|: the sum of the magnitudes of the terms of each entry."""
     m = len(transfer)
     povm = np.empty((len(classes), m, m), dtype=complex)
+    povm_mag = np.empty((len(classes), m, m))
     for k, c in enumerate(classes):
         t_c = transfer[:, cls == c]
         povm[k] = np.einsum("ij,kj->ik", t_c, t_c.conj())
-    return np.einsum("aibj,kij->kab", rho, povm)
+        povm_mag[k] = np.einsum("ij,kj->ik", abs(t_c), abs(t_c))
+    return (np.einsum("aibj,kij->kab", rho, povm),
+            np.einsum("aibj,kij->kab", mag, povm_mag))
 
 
 def _count_weights(grams: dict, lift_a: list, lift_b: list, party: int,
@@ -313,10 +320,10 @@ def _count_weights(grams: dict, lift_a: list, lift_b: list, party: int,
     Victor's count vectors."""
     size = (party + 1) * (party + 2) // 2
     w = np.zeros((size, size, n_counts))
-    for (n1, n4, _), (classes, gram) in grams.items():
+    for (n1, n4, _), (classes, gram, gram_mag) in grams.items():
         rot = np.kron(lift_a[n1], lift_b[n4])
         diag = np.einsum("xa,cab,xb->xc", rot, gram, rot.conj()).real
-        scale = np.einsum("xa,cab,xb->xc", abs(rot), abs(gram), abs(rot))
+        scale = np.einsum("xa,cab,xb->xc", abs(rot), gram_mag, abs(rot))
         diag[diag <= CANCELLATION_TOL * scale] = 0.0
         w[n1 * (n1 + 1) // 2:(n1 + 1) * (n1 + 2) // 2,
           n4 * (n4 + 1) // 2:(n4 + 1) * (n4 + 2) // 2, classes] = diag.reshape(n1 + 1, n4 + 1, -1)
@@ -368,7 +375,7 @@ class FockEngine:
         self.config = config
         eta, n_max = config.detector_efficiency, config.n_max
         sectors = _sector_densities(self._noisy_input_ensemble())
-        inputs = sorted({occ for occs, _ in sectors.values() for occ in occs})
+        inputs = sorted({occ for occs, _, _ in sectors.values() for occ in occs})
         row = {occ: i for i, occ in enumerate(inputs)}
         party = max(max(n1, n4) for n1, n4, _ in sectors)  # most photons in mode 1 or 4
         lifts = {
@@ -386,10 +393,10 @@ class FockEngine:
                 modes, outputs, transfer = transfer_map(analyzer, setting, inputs, n_max)
                 counts, cls = _victor_counts(modes, outputs, bank)
                 grams = {}
-                for sector, (occs, rho) in sectors.items():
+                for sector, (occs, rho, mag) in sectors.items():
                     classes = np.flatnonzero(counts.sum(axis=1) == sector[2])
                     rows = transfer[[row[occ] for occ in occs]]
-                    grams[sector] = (classes, _sector_grams(rho, rows, cls, classes))
+                    grams[sector] = (classes, *_sector_grams(rho, mag, rows, cls, classes))
                 parts.append((weight, grams, _victor_clicks(counts, eta)))
             for ab in config.alice_bases:
                 for bb in config.bob_bases:
@@ -743,20 +750,15 @@ def ordering_joint(ab: str, bb: str, setting: BisaSetting, order: str) -> dict:
     return joint
 
 
-def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = None, *,
-                    engine: FockEngine | None = None) -> dict:
+def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = None) -> dict:
     """Fast multinomial path for noise-budget statistics.
 
     Draws the per-category counts for ``trials`` iid trials directly from
     the fock-mode category distribution instead of looping.  Returns
     counts keyed (commanded setting, victor outcome class, basis, alice
-    outcome, bob outcome) for basis-matched fourfold events.  ``engine``
-    reuses an engine built for ``config``; by default one is built.
+    outcome, bob outcome) for basis-matched fourfold events.
     """
-    if engine is None:
-        engine = build_engine(config)
-    elif engine.config != config:
-        raise ValueError("engine was built for a different config")
+    engine = build_engine(config)
     if not isinstance(engine, FockEngine):
         raise ValueError("simulate_counts requires fock mode")
     rng = np.random.default_rng(config.master_seed if seed is None else seed)

@@ -180,8 +180,7 @@ def test_criterion_9_monogamy_and_noise_budget(fock_engine):
     budget_ok = all(abs(m - 0.605) <= 0.05 for m in mags)
 
     cfg = ExperimentConfig(mode="fock")
-    counts = experiment.simulate_counts(cfg, trials=2_000_000_000, seed=20123,
-                                        engine=fock_engine)
+    counts = experiment.simulate_counts(cfg, trials=2_000_000_000, seed=20123)
     pooled = analysis.correlation_results_from_counts(counts)["bsm_pooled"]
     z = pooled["z"]
     pattern_ok = (

@@ -321,12 +321,3 @@ def test_fock_engine_equals_branch_enumeration_default():
 def test_fock_engine_equals_branch_enumeration_clean(clean_fock_engine):
     _assert_tables_match(clean_fock_engine, [(ab, bb) for ab in ex.AXES for bb in ex.AXES])
 
-
-def test_simulate_counts_reuses_engine(clean_fock_engine):
-    cfg = clean_fock_engine.config
-    built = ex.simulate_counts(cfg, trials=100_000, seed=3)
-    reused = ex.simulate_counts(cfg, trials=100_000, seed=3, engine=clean_fock_engine)
-    assert reused == built
-    other = ex.ExperimentConfig(mode="fock", tau=0.1)
-    with pytest.raises(ValueError):
-        ex.simulate_counts(other, trials=100_000, seed=3, engine=clean_fock_engine)
