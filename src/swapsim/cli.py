@@ -1,8 +1,10 @@
 """Command-line surface: simulate, analyze, verify, reproduce.
 
 Configuration files are flat key-value text with dotted section names,
-one ``section.key = value`` assignment per line; unknown keys are hard
-errors so a typo cannot silently change the physics.
+one ``section.key = value`` assignment per line.  Each value is read as its
+config field's type (``experiment.config_from_dict``); unknown keys and
+ill-typed values are hard errors so a typo cannot silently change the
+physics.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from . import __version__, analysis, states
 from .bisa import BisaSetting, verify_evolution
 from .experiment import (
     ExperimentConfig,
-    config_to_dict,
+    config_from_dict,
     imperfection_product,
     rate_budget,
     read_log,
@@ -30,39 +32,15 @@ from .experiment import (
 )
 from .timeline import DelayBudget, check_delayed_choice, event_times
 
-_CONFIG_SECTIONS = {"experiment": ExperimentConfig, "budget": DelayBudget}
-
-_SCALAR_FIELDS = {
-    section: {f.name: f.type for f in fields(cls)}
-    for section, cls in _CONFIG_SECTIONS.items()
-}
-
-
 class ConfigError(ValueError):
     pass
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    if "," in raw:
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    return raw
-
-
 def parse_config_text(text: str) -> ExperimentConfig:
-    experiment_kv: dict = {}
-    budget_kv: dict = {}
+    """Config from ``section.key = value`` lines: ``experiment`` keys name
+    the config's own fields, any other section one of its nested fields
+    (``budget``).  The values stay strings for ``config_from_dict``."""
+    values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -74,23 +52,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "." not in key:
             raise ConfigError(f"line {lineno}: key {key!r} has no section prefix")
         section, _, name = key.partition(".")
-        if section not in _SCALAR_FIELDS:
-            raise ConfigError(f"line {lineno}: unknown section {section!r}")
-        if name not in _SCALAR_FIELDS[section] or name == "budget":
-            raise ConfigError(f"line {lineno}: unknown key {section}.{name}")
-        value = _parse_value(raw)
-        if section == "experiment":
-            experiment_kv[name] = value
-        else:
-            budget_kv[name] = value
-    if "alice_bases" in experiment_kv and isinstance(experiment_kv["alice_bases"], str):
-        experiment_kv["alice_bases"] = (experiment_kv["alice_bases"],)
-    if "bob_bases" in experiment_kv and isinstance(experiment_kv["bob_bases"], str):
-        experiment_kv["bob_bases"] = (experiment_kv["bob_bases"],)
+        target = values if section == "experiment" else values.setdefault(section, {})
+        if not isinstance(target, dict) or isinstance(target.get(name), dict):
+            raise ConfigError(f"line {lineno}: {key} mixes a section and a value")
+        target[name] = raw.strip()
     try:
-        budget = DelayBudget(**budget_kv)
-        return ExperimentConfig(budget=budget, **experiment_kv)
-    except (TypeError, ValueError) as exc:
+        return config_from_dict(values)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -102,7 +70,7 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, outputs: list[str])
     manifest = {
         "kind": "swapsim-run-manifest",
         "version": __version__,
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "master_seed": config.master_seed,
         "outputs": outputs,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -114,20 +82,8 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, outputs: list[str])
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if overrides:
-        kv = config_to_dict(config)
-        kv.update(overrides)
-        kv["budget"] = config.budget
-        kv["alice_bases"] = tuple(kv["alice_bases"])
-        kv["bob_bases"] = tuple(kv["bob_bases"])
-        config = ExperimentConfig(**kv)
+    overrides = {"master_seed": args.seed, "mode": args.mode, "trials": args.trials}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = run_trials(config, workers=args.workers)
@@ -273,12 +229,7 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(mode="ideal", trials=args.trials)
     if args.seed is not None:
-        kv = config_to_dict(config)
-        kv["master_seed"] = args.seed
-        kv["budget"] = config.budget
-        kv["alice_bases"] = tuple(kv["alice_bases"])
-        kv["bob_bases"] = tuple(kv["bob_bases"])
-        config = ExperimentConfig(**kv)
+        config = replace(config, master_seed=args.seed)
     log = run_trials(config, workers=args.workers)
     log_path = out_dir / "trials.jsonl"
     write_log(log_path, log)

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("ideal", "fock"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.trials < 0:
-            raise ValueError("trials must be non-negative")
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
         if self.qrng_source not in ("deterministic", "physical"):
             raise ValueError(f"unknown qrng source {self.qrng_source!r}")
         for name in (
@@ -116,9 +117,7 @@ class TrialRecord:
     kept: bool
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["event_times"] = asdict(self.event_times)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
@@ -141,18 +140,6 @@ class SubensembleSet:
     phi_minus: list[TrialRecord]
     hh: list[TrialRecord]
     vv: list[TrialRecord]
-
-    def by_outcome(self, outcome: BisaOutcome) -> list[TrialRecord]:
-        return {
-            BisaOutcome.PHI_PLUS_23: self.phi_plus,
-            BisaOutcome.PHI_MINUS_23: self.phi_minus,
-            BisaOutcome.HH_23: self.hh,
-            BisaOutcome.VV_23: self.vv,
-        }[outcome]
-
-
-def axis_eigenvectors(axis: str):
-    return states.AXIS_EIGENVECTORS[axis]
 
 
 def _axis_rotation(axis: str) -> np.ndarray:
@@ -182,25 +169,14 @@ class IdealEngine:
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        psi = states.source_state().amplitudes
         self._dist = {}
         for setting in BisaSetting:
-            projections = _victor_projections(setting)
+            outcomes = [outcome for outcome, _ in _victor_projections(setting)]
             for ab in config.alice_bases:
-                ea = states.AXIS_EIGENVECTORS[ab]
                 for bb in config.bob_bases:
-                    eb = states.AXIS_EIGENVECTORS[bb]
-                    cats, probs = [], []
-                    for ia, a_out in ((0, +1), (1, -1)):
-                        for ib, b_out in ((0, +1), (1, -1)):
-                            for outcome, vec in projections:
-                                bra = np.kron(
-                                    ea[ia], np.kron(vec.amplitudes, eb[ib])
-                                ).conj()
-                                p = abs(bra @ psi) ** 2
-                                cats.append((a_out, b_out, outcome))
-                                probs.append(p)
-                    probs = np.array(probs)
+                    joint = ordering_joint(ab, bb, setting, "alice_bob_first")
+                    cats = [(a_out, b_out, outcomes[label]) for a_out, b_out, label in joint]
+                    probs = np.array(list(joint.values()))
                     self._dist[(ab, bb, setting)] = (cats, np.cumsum(probs / probs.sum()))
 
     def sample(self, ab: str, bb: str, commanded: BisaSetting, actual: BisaSetting,
@@ -537,8 +513,6 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
     because every trial has its own counter-derived substream, the log is
     identical for any worker count.
     """
-    if config.trials <= 0:
-        raise ValueError("trials must be positive")
     times = event_times(config.budget)
     if workers <= 1:
         engine = build_engine(config)
@@ -599,49 +573,23 @@ def conditional_state(choice: BisaSetting, outcome: BisaOutcome | None,
         if outcome not in kept:
             raise ValueError(f"outcome {outcome} inconsistent with choice {choice}")
     psi = states.source_state()
-    idx = _PAIR_INDICES[pair]
-
-    if pair in ((1, 4), (2, 3)):
-        outcomes = [outcome] if outcome is not None else list(KEPT_OUTCOMES[choice])
-        mats, weights = [], []
-        for o in outcomes:
-            vec = _outcome_vector(o)
-            remaining, prob = states.project(psi, (1, 2), vec)
-            if prob == 0.0:
-                continue
-            if pair == (1, 4):
-                mats.append(remaining.density_matrix().matrix)
-            else:
-                mats.append(vec.density_matrix().matrix)
-            weights.append(prob)
-        total = sum(weights)
-        mixed = sum(w / total * m for w, m in zip(weights, mats))
-        return states.DensityMatrix(mixed)
-
-    # Pairs (1,2) and (3,4).
-    if choice is BisaSetting.SSM:
-        return states.partial_trace(psi.density_matrix(), idx)
-    outcomes = [outcome] if outcome is not None else list(KEPT_OUTCOMES[choice])
-    mats, weights = [], []
-    for o in outcomes:
+    keep = _PAIR_INDICES[pair]
+    if choice is BisaSetting.SSM and pair in ((1, 2), (3, 4)):
+        return states.partial_trace(psi.density_matrix(), keep)
+    mixed, total = 0.0, 0.0
+    for o in [outcome] if outcome is not None else KEPT_OUTCOMES[choice]:
         vec = _outcome_vector(o)
         remaining, prob = states.project(psi, (1, 2), vec)
         if prob == 0.0:
             continue
-        # Rebuild the full post-measurement 4-qubit state: the remaining
-        # state lives on photons (1,4), the projector on photons (2,3).
+        # The full post-measurement 4-qubit state: the remaining state lives
+        # on photons (1,4), the projector on photons (2,3).
         rem = remaining.amplitudes.reshape(2, 2)
         v23 = vec.amplitudes.reshape(2, 2)
-        full = np.einsum("ad,bc->abcd", rem, v23).reshape(-1)
-        mats.append(
-            states.partial_trace(
-                states.QubitRegisterState(full).density_matrix(), idx
-            ).matrix
-        )
-        weights.append(prob)
-    total = sum(weights)
-    mixed = sum(w / total * m for w, m in zip(weights, mats))
-    return states.DensityMatrix(mixed)
+        full = states.QubitRegisterState(np.einsum("ad,bc->abcd", rem, v23).reshape(-1))
+        mixed = mixed + prob * states.partial_trace(full.density_matrix(), keep).matrix
+        total += prob
+    return states.DensityMatrix(mixed / total)
 
 
 @dataclass(frozen=True)
@@ -792,9 +740,12 @@ def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = No
 # --- trial log persistence -------------------------------------------------
 
 
+LOG_VERSION = 1
+
+
 def write_log(path, log: TrialLog) -> None:
     """Line-delimited JSON: a header object, then one object per trial."""
-    header = {"kind": "swapsim-trial-log", "version": 1, "config": config_to_dict(log.config)}
+    header = {"kind": "swapsim-trial-log", "version": LOG_VERSION, "config": asdict(log.config)}
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in log.records:
@@ -804,27 +755,60 @@ def write_log(path, log: TrialLog) -> None:
 def read_log(path) -> TrialLog:
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("kind") != "swapsim-trial-log":
+        if not isinstance(header, dict) or header.get("kind") != "swapsim-trial-log":
             raise ValueError("not a swapsim trial log")
-        config = config_from_dict(header["config"])
+        if header.get("version") != LOG_VERSION:
+            raise ValueError(f"unsupported trial log version {header.get('version')!r}")
+        config = config_from_dict(header.get("config"))
         records = [TrialRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
     return TrialLog(config, records)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    d = asdict(config)
-    d["alice_bases"] = list(config.alice_bases)
-    d["bob_bases"] = list(config.bob_bases)
-    return d
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    d["alice_bases"] = tuple(d.get("alice_bases", AXES))
-    d["bob_bases"] = tuple(d.get("bob_bases", AXES))
-    if isinstance(d.get("budget"), dict):
-        d["budget"] = DelayBudget(**d["budget"])
-    return ExperimentConfig(**d)
+    """The config from field values typed as in a log header (numbers,
+    strings, lists) or as raw strings from a config file.
+
+    Each value is converted to its dataclass field's type; the ``budget``
+    field takes a dict of DelayBudget fields.  Unknown keys, bools in
+    numeric fields and non-integral values of integer fields raise
+    ValueError.
+    """
+    return _from_fields(ExperimentConfig, d, "experiment")
+
+
+def _from_fields(cls, values, section: str):
+    if not isinstance(values, dict):
+        raise ValueError(f"{section} must map keys to values, got {values!r}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(values) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown config key {section}.{unknown[0]}")
+    return cls(**{key: _coerce(section, key, hints[key], v) for key, v in values.items()})
+
+
+def _coerce(section: str, key: str, kind, value):
+    if is_dataclass(kind):
+        return _from_fields(kind, value, key)
+    name = f"{section}.{key}"
+    if kind == tuple[str, ...]:
+        if isinstance(value, str):
+            value = [part.strip() for part in value.split(",") if part.strip()]
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{name} must be a list of strings, got {value!r}")
+        return tuple(value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+        return value
+    expected = "an integer" if kind is int else "a number"
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ValueError(f"{name} must be {expected}, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return kind(value)
 
 
 def run_summary(config: ExperimentConfig, log: TrialLog | None = None) -> dict:

@@ -27,21 +27,6 @@ JONES_QWP_M45 = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / sqrt(2.0
 JONES_IDENTITY = np.eye(2, dtype=complex)
 
 
-def jones_waveplate(retardance: float, angle: float) -> np.ndarray:
-    """General waveplate: retardance between fast/slow axes, fast axis at ``angle``.
-
-    Convention chosen so that ``jones_waveplate(pi/2, pi/4)`` equals
-    ``JONES_QWP_P45`` exactly (including global phase).
-    """
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]], dtype=complex)
-    core = np.array(
-        [[np.exp(0.5j * retardance), 0.0], [0.0, np.exp(-0.5j * retardance)]],
-        dtype=complex,
-    )
-    return rot @ core @ rot.conj().T
-
-
 class FockVector:
     """Sparse amplitude map over occupation tuples of an ordered mode register."""
 
@@ -97,17 +82,6 @@ class FockVector:
         out = FockVector(self.modes, self.n_max, truncation_loss=self.truncation_loss)
         out.amp = {occ: a for occ, a in amp.items() if abs(a) > PRUNE_TOL}
         return out
-
-    def inner(self, other: "FockVector") -> complex:
-        """<self|other>."""
-        if other.modes != self.modes:
-            raise ValueError("mode registers differ")
-        total = 0.0 + 0.0j
-        for occ, a in self.amp.items():
-            b = other.amp.get(occ)
-            if b is not None:
-                total += np.conj(a) * b
-        return complex(total)
 
     def create(self, mode: Mode) -> "FockVector":
         """Apply the creation operator; occupations at ``n_max`` are truncated."""
@@ -245,7 +219,7 @@ def wave_plate(state: FockVector, spatial: str, element) -> FockVector:
     """Apply a polarization Jones unitary to the H/V pair of a spatial mode.
 
     ``element`` is one of the named plates in ``WAVE_PLATE_ELEMENTS`` or an
-    explicit 2x2 Jones matrix (e.g. from :func:`jones_waveplate`).
+    explicit 2x2 Jones matrix.
     """
     if isinstance(element, str):
         try:
@@ -408,11 +382,3 @@ def _expand_pattern(vec, weight, names, etas, dist):
     for clicked, w in patterns:
         dist[clicked] = dist.get(clicked, 0.0) + w
 
-
-def pattern_probability(state, bank: DetectorBank, clicked, efficiency=1.0) -> float:
-    """Probability that exactly the named detectors click and all others stay silent."""
-    clicked = frozenset(clicked)
-    unknown = clicked - set(bank)
-    if unknown:
-        raise ValueError(f"pattern names detectors outside the bank: {sorted(unknown)}")
-    return pattern_distribution(state, bank, efficiency).get(clicked, 0.0)

@@ -9,8 +9,7 @@ equal to the per-detector rate).  The bit is sampled at a fixed clock.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,27 +106,6 @@ class QrngSimulator:
         return np.concatenate([head, self._buf_bits[:need]])
 
 
-class PseudorandomBitSource:
-    """Deterministic PRNG-backed source with the QRNG sampling interface.
-
-    Used for reproducible experiment runs where the physical timing model
-    is irrelevant; bits are iid fair coin flips.
-    """
-
-    def __init__(self, seed: int, sample_period: float = 500.0):
-        self._rng = np.random.default_rng(seed)
-        self._time = 0.0
-        self.sample_period = sample_period
-
-    def next_bit(self) -> BitSample:
-        self._time += self.sample_period
-        return BitSample(int(self._rng.integers(0, 2)), self._time, self._time)
-
-    def bits(self, n: int) -> np.ndarray:
-        self._time += n * self.sample_period
-        return self._rng.integers(0, 2, size=n, dtype=np.uint8)
-
-
 def bias(stream) -> tuple[float, float]:
     """Fraction of ones and its binomial standard error."""
     bits_arr = np.asarray(stream)
@@ -208,26 +186,3 @@ def calibrate_rate(
             rate_hi = mid
     return float(np.sqrt(rate_lo * rate_hi))
 
-
-def export_bits(path, stream, config: QrngConfig) -> None:
-    """Write a packed-bit file plus a JSON sidecar with config and seed."""
-    bits_arr = np.asarray(stream, dtype=np.uint8)
-    packed = np.packbits(bits_arr)
-    with open(path, "wb") as fh:
-        fh.write(packed.tobytes())
-    sidecar = {
-        "config": asdict(config),
-        "n_bits": int(bits_arr.size),
-        "format": "packed bits, MSB first",
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-
-
-def import_bits(path) -> tuple[np.ndarray, dict]:
-    with open(str(path) + ".json") as fh:
-        sidecar = json.load(fh)
-    with open(path, "rb") as fh:
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    bits_arr = np.unpackbits(packed)[: sidecar["n_bits"]]
-    return bits_arr, sidecar

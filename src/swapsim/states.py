@@ -72,20 +72,6 @@ class QubitRegisterState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "QubitRegisterState") -> complex:
-        """<self|other>."""
-        if self.n != other.n:
-            raise ValueError("qubit counts differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def canonical_phase(self) -> "QubitRegisterState":
-        """Rotate the global phase so the first nonzero amplitude is real positive."""
-        amp = self.amplitudes
-        for a in amp:
-            if abs(a) > 1e-12:
-                return QubitRegisterState(amp * (abs(a) / a))
-        return QubitRegisterState(amp.copy())
-
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -225,11 +211,6 @@ def fidelity(rho: DensityMatrix, target: QubitRegisterState) -> float:
     return float(val.real)
 
 
-def witness_value(rho: DensityMatrix, target: QubitRegisterState) -> float:
-    """Expectation of the witness (1/2)I - |target><target|; negative certifies entanglement."""
-    return 0.5 - fidelity(rho, target)
-
-
 def _bell_basis_element(kind14: str, kind23: str) -> np.ndarray:
     """Four-qubit basis vector: Bell(kind14) on qubits (1,4), Bell(kind23) on (2,3)."""
     b14 = bell_state(kind14).amplitudes.reshape(2, 2)
@@ -252,15 +233,6 @@ def bell_decompose_14_23(state: QubitRegisterState) -> np.ndarray:
             basis = _bell_basis_element(k14, k23)
             coeffs[i, j] = np.vdot(basis, state.amplitudes)
     return coeffs
-
-
-def bell_recompose_14_23(coeffs: np.ndarray) -> QubitRegisterState:
-    """Inverse of :func:`bell_decompose_14_23` (used by the unitarity checks)."""
-    amp = np.zeros(16, dtype=complex)
-    for i, k14 in enumerate(BELL_KINDS):
-        for j, k23 in enumerate(BELL_KINDS):
-            amp += coeffs[i, j] * _bell_basis_element(k14, k23)
-    return QubitRegisterState(amp)
 
 
 def source_state() -> QubitRegisterState:

@@ -21,6 +21,8 @@ def test_parse_config_text():
     assert cfg.master_seed == 99
     assert cfg.alice_bases == ("z", "x")
     assert cfg.budget.eom_on_time == 200
+    assert isinstance(cfg.budget.eom_on_time, float)
+    assert cli.parse_config_text("experiment.alice_bases = z").alice_bases == ("z",)
 
 
 def test_unknown_key_is_hard_error():
@@ -32,11 +34,33 @@ def test_unknown_key_is_hard_error():
         cli.parse_config_text("trials = 10")
     with pytest.raises(ConfigError):
         cli.parse_config_text("experiment.trials 10")
+    with pytest.raises(ConfigError):
+        cli.parse_config_text("experiment.budget = 3")
+    with pytest.raises(ConfigError):
+        cli.parse_config_text("experiment.budget = 3\nbudget.eom_on_time = 200")
+    with pytest.raises(ConfigError):
+        cli.parse_config_text("budget.eom_on_time = 200\nexperiment.budget = 3")
 
 
 def test_invalid_value_is_config_error():
-    with pytest.raises(ConfigError):
-        cli.parse_config_text("experiment.duty_cycle = 1.7")
+    for line in (
+        "experiment.duty_cycle = 1.7",
+        "experiment.trials = 1.5",
+        "experiment.master_seed = 1e3",
+        "experiment.tau = true",
+        "experiment.n_max = 2.5",
+        "experiment.bogus = 1",
+    ):
+        with pytest.raises(ConfigError):
+            cli.parse_config_text(line)
+
+
+def test_simulate_rejects_ill_typed_config(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text("experiment.mode = ideal\nexperiment.trials = 1.5\n")
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: experiment.trials must be an integer" in capsys.readouterr().err
 
 
 def test_verify_all_passes(capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ def test_log_roundtrip(tmp_path):
     back = ex.read_log(path)
     assert back.config == cfg
     assert [r.to_dict() for r in back.records] == [r.to_dict() for r in log.records]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda header: header.update(version=99),
+    lambda header: header["config"].update(bogus=1),
+    lambda header: header["config"].update(trials=1.5),
+    lambda header: header["config"]["budget"].update(eom_on_time=True),
+], ids=["version_99", "unknown_key", "float_trials", "bool_budget_value"])
+def test_read_log_rejects_bad_header(tmp_path, edit):
+    path = tmp_path / "log.jsonl"
+    ex.write_log(path, ex.run_trials(small_config(trials=10)))
+    header, *records = path.read_text().splitlines()
+    header = json.loads(header)
+    edit(header)
+    path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+    with pytest.raises(ValueError):
+        ex.read_log(path)
 
 
 def test_run_summary_contents():

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
 from swapsim import fock
@@ -63,11 +62,6 @@ def test_mz_closure_is_mirror_up_to_sign():
         amps = dict(out.amp)
         assert abs(amps.pop(target) - sign) < 1e-12
         assert all(abs(a) < 1e-12 for a in amps.values())
-
-
-def test_jones_waveplate_matches_qwp_constants():
-    assert np.allclose(fock.jones_waveplate(np.pi / 2, np.pi / 4), fock.JONES_QWP_P45, atol=1e-14)
-    assert np.allclose(fock.jones_waveplate(np.pi / 2, -np.pi / 4), fock.JONES_QWP_M45, atol=1e-14)
 
 
 def test_wave_plate_acts_as_single_photon_jones():
@@ -180,14 +174,8 @@ def test_threshold_efficiency():
     s = fock.FockVector.vacuum(modes, 3).create(("a", "H")).create(("a", "H")).normalized()
     eta = 0.3
     bank = {"d": (("a", "H"),)}
-    p = fock.pattern_probability(s, bank, {"d"}, efficiency=eta)
+    p = fock.pattern_distribution(s, bank, efficiency=eta)[frozenset({"d"})]
     assert abs(p - (1 - (1 - eta) ** 2)) < 1e-12
-
-
-def test_pattern_probability_unknown_detector():
-    s = fock.FockVector.vacuum((("a", "H"),), 3)
-    with pytest.raises(ValueError):
-        fock.pattern_probability(s, {"d": (("a", "H"),)}, {"nope"})
 
 
 def test_relabel_and_tensor():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -80,23 +78,3 @@ def test_calibrate_rate_bad_bracket():
     with pytest.raises(ValueError):
         qrng.calibrate_rate(10.7, rate_lo=1.0, rate_hi=2.0)
 
-
-def test_pseudorandom_source_interface():
-    src = qrng.PseudorandomBitSource(seed=11)
-    bits = src.bits(100_000)
-    p, sigma = qrng.bias(bits)
-    assert abs(p - 0.5) < 5 * sigma
-    sample = src.next_bit()
-    assert sample.bit in (0, 1)
-
-
-def test_export_import_roundtrip(tmp_path):
-    cfg = qrng.QrngConfig(seed=13)
-    stream = qrng.QrngSimulator(cfg).bits(1001)
-    path = tmp_path / "bits.bin"
-    qrng.export_bits(path, stream, cfg)
-    back, sidecar = qrng.import_bits(path)
-    assert np.array_equal(back, stream)
-    assert sidecar["n_bits"] == 1001
-    with open(str(path) + ".json") as fh:
-        assert json.load(fh)["config"]["seed"] == 13
