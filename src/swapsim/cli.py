@@ -93,7 +93,7 @@ def cmd_simulate(args) -> int:
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(out_dir, config, [log_path.name, summary_path.name])
-    print(f"wrote {log_path} ({len(log.records)} trials)")
+    print(f"wrote {log_path} ({len(log)} trials)")
     print(f"wrote {summary_path}")
     return 0
 

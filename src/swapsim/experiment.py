@@ -1,6 +1,6 @@
 """Protocol orchestrator for the delayed-choice entanglement swapping runs.
 
-Two engines drive the per-trial sampling:
+Two engines supply the category tables the trials are sampled from:
 
 * ideal mode: the four-photon state psi-(1,2) x psi-(3,4) as an exact
   4-qubit vector; Alice/Bob projective measurements, Victor's projections
@@ -9,16 +9,22 @@ Two engines drive the per-trial sampling:
   depolarization, input loss, the analyzer at finite visibility, and
   threshold detector patterns.
 
-Each trial draws from a counter-derived substream seed(master_seed, i),
-so runs are bitwise reproducible independent of the worker count.
+Trial i reads the fixed block of _UNIFORMS_PER_TRIAL uniforms at offset
+i * _UNIFORMS_PER_TRIAL of one Philox stream keyed by the master seed, and
+the trials are sampled a chunk at a time with numpy, so runs are bitwise
+reproducible independent of the worker count and the chunk size.  Runs
+hold their trials as columns (``TrialLog``) and write them as one compact
+row per trial under a header (log version 2).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import multiprocessing
 from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cached_property
 from typing import get_type_hints
 
 import numpy as np
@@ -74,6 +80,9 @@ class ExperimentConfig:
     budget: DelayBudget = field(default_factory=DelayBudget)
 
     def __post_init__(self):
+        for name, kind in get_type_hints(type(self)).items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode not in ("ideal", "fock"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
@@ -104,7 +113,7 @@ class ExperimentConfig:
         return self.mzi_visibility * self.gvm_overlap
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     trial_index: int
     alice_basis: str | None
@@ -119,17 +128,47 @@ class TrialRecord:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        d = dict(d)
-        d["event_times"] = EventTimes(**d["event_times"])
-        return cls(**d)
+
+# The trial columns, in the order of a log row, and their dtypes.
+COLUMNS = {
+    "trial_index": np.int64,
+    "alice_basis": np.int8,
+    "alice_outcome": np.int8,
+    "bob_basis": np.int8,
+    "bob_outcome": np.int8,
+    "victor_choice": np.uint8,
+    "victor_outcome": np.int8,
+    "kept": np.bool_,
+}
+# Victor's outcome column holds the index of the outcome here; 0 means his
+# stage was void (duty cycle).
+VICTOR_OUTCOMES = (None, *BisaOutcome)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialLog:
+    """One run's trials as numpy columns, named by COLUMNS.
+
+    ``trial_index`` counts trials; ``alice_basis`` and ``bob_basis`` index
+    the config's bases; the outcome columns hold +1, -1 or 0 for no
+    definite outcome; ``victor_choice`` is the choice bit (1 for BSM,
+    ``BisaSetting.from_bit``); ``victor_outcome`` indexes VICTOR_OUTCOMES;
+    ``kept`` is a bool.
+    """
+
     config: ExperimentConfig
-    records: list[TrialRecord]
+    event_times: EventTimes
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(self.columns["kept"])
+
+    @cached_property
+    def records(self) -> list[TrialRecord]:
+        """The trials as TrialRecords, built on first access."""
+        rows = zip(*_column_values(self.config, self.columns, 0, len(self)))
+        return [TrialRecord(i, ab, ao, bb, bo, vc, vo, self.event_times, kept)
+                for i, ab, ao, bb, bo, vc, vo, kept in rows]
 
 
 @dataclass
@@ -179,11 +218,16 @@ class IdealEngine:
                     probs = np.array(list(joint.values()))
                     self._dist[(ab, bb, setting)] = (cats, np.cumsum(probs / probs.sum()))
 
-    def sample(self, ab: str, bb: str, commanded: BisaSetting, actual: BisaSetting,
-               rng: np.random.Generator):
+    def category_table(self, ab: str, bb: str, actual: BisaSetting):
+        """The cumulative category table of (ab, bb, actual), and per category
+        Alice's and Bob's outcomes and, for each choice bit, the index of
+        Victor's outcome in VICTOR_OUTCOMES (the same for both here: ideal
+        mode has no switching error, so the commanded setting is ``actual``)."""
         cats, cum = self._dist[(ab, bb, actual)]
-        a_out, b_out, outcome = cats[int(np.searchsorted(cum, rng.random()))]
-        return a_out, b_out, outcome
+        a_out, b_out, outcome = zip(*cats)
+        victor = [VICTOR_OUTCOMES.index(o) for o in outcome]
+        return (cum, np.array(a_out, np.int8), np.array(b_out, np.int8),
+                np.array([victor] * 2, np.int8))
 
 
 # A party's outcome from its two detectors (H for +1, V for -1): the sign
@@ -329,9 +373,9 @@ class FockEngine:
     """Noise-budget engine: per-config joint detector-pattern distributions.
 
     The category space is (alice outcome, bob outcome, victor click
-    pattern); classification into outcome classes happens at sampling
-    time with the commanded setting, since a switching error applies the
-    opposite optical setting while the sorting logic keeps the command.
+    pattern); ``category_table`` classifies each pattern under both
+    commanded settings, since a switching error applies the opposite
+    optical setting while the sorting logic keeps the command.
 
     The tables equal a per-branch enumeration (analyzer pass, Alice/Bob
     basis rotation and threshold detection of every noise branch) and are
@@ -414,13 +458,16 @@ class FockEngine:
             branches = attenuate_ensemble(branches, mode, cfg.input_transmission)
         return [b for b in branches if b.norm_sq() > 1e-18]
 
-    def sample(self, ab: str, bb: str, commanded: BisaSetting, actual: BisaSetting,
-               rng: np.random.Generator):
+    def category_table(self, ab: str, bb: str, actual: BisaSetting):
+        """The cumulative category table of (ab, bb, actual), and per category
+        Alice's and Bob's outcomes (0: no click) and, for each choice bit,
+        the index in VICTOR_OUTCOMES of the class of Victor's pattern under
+        the commanded setting ``BisaSetting.from_bit(bit)``."""
         keys, _, cum = self._dist[(ab, bb, actual)]
-        a_out, b_out, victor = keys[int(np.searchsorted(cum, rng.random()))]
-        outcome = classify(victor, commanded)
-        # Zero means the party registered no click; not a fourfold event.
-        return a_out or None, b_out or None, outcome
+        a_out, b_out, victor = zip(*keys)
+        classes = [[VICTOR_OUTCOMES.index(classify(v, BisaSetting.from_bit(bit))) for v in victor]
+                   for bit in (0, 1)]
+        return cum, np.array(a_out, np.int8), np.array(b_out, np.int8), np.array(classes, np.int8)
 
     def joint_distribution(self, ab: str, bb: str, commanded: BisaSetting):
         """Category distribution with the switching error folded in."""
@@ -454,40 +501,57 @@ def build_engine(config: ExperimentConfig):
     return IdealEngine(config) if config.mode == "ideal" else FockEngine(config)
 
 
-def _trial_rng(config: ExperimentConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng([config.master_seed, index])
+# Trials are sampled, and logs written and read, this many at a time.
+CHUNK_TRIALS = 1 << 16
+# Uniforms per trial, in this order: Alice's basis, Bob's basis, choice
+# bit, duty cycle, switching error, category, and two spare.
+_UNIFORMS_PER_TRIAL = 8
+_DISCARD = VICTOR_OUTCOMES.index(BisaOutcome.DISCARD)
 
 
-def _choice_bit(config: ExperimentConfig, index: int, rng: np.random.Generator) -> int:
-    if config.qrng_source == "physical":
-        # A fresh telegraph simulator per trial, on its own substream.
-        seed = np.random.SeedSequence([config.master_seed, index, 0x51])
-        sim = QrngSimulator(QrngConfig(seed=seed))
-        return sim.next_bit().bit
-    return int(rng.integers(0, 2))
+def _sampling_tables(engine, config: ExperimentConfig) -> list:
+    """The engine's category table of every sampling group, numbered
+    (Alice's basis index * len(bob_bases) + Bob's) * 2 + actual choice bit."""
+    return [engine.category_table(ab, bb, BisaSetting.from_bit(bit))
+            for ab in config.alice_bases for bb in config.bob_bases for bit in (0, 1)]
 
 
-def simulate_trial(engine, config: ExperimentConfig, index: int,
-                   times: EventTimes) -> TrialRecord:
-    rng = _trial_rng(config, index)
-    ab = config.alice_bases[int(rng.integers(len(config.alice_bases)))]
-    bb = config.bob_bases[int(rng.integers(len(config.bob_bases)))]
-    commanded = BisaSetting.from_bit(_choice_bit(config, index, rng))
-    duty_pass = rng.random() < config.duty_cycle
-    if config.mode == "fock" and rng.random() >= config.switching_fidelity:
-        actual = BisaSetting.SSM if commanded is BisaSetting.BSM else BisaSetting.BSM
-    else:
-        actual = commanded
-    a_out, b_out, outcome = engine.sample(ab, bb, commanded, actual, rng)
-    if not duty_pass:
-        # Analyzer not settled: Alice and Bob measured, Victor's stage is void.
-        return TrialRecord(index, ab, a_out, bb, b_out, commanded.value, None, times, False)
-    kept = a_out is not None and b_out is not None and a_out != 0 and b_out != 0 \
-        and outcome is not BisaOutcome.DISCARD
-    return TrialRecord(
-        index, ab, a_out, bb, b_out, commanded.value,
-        outcome.value if outcome is not None else None, times, kept,
-    )
+def _sample_chunk(config: ExperimentConfig, tables: list, lo: int, hi: int,
+                  choice_bits: np.ndarray | None) -> dict:
+    """Columns of trials lo..hi-1; ``choice_bits`` are the physical QRNG's
+    bits for them, or None to take the choice bit from the stream."""
+    bitgen = np.random.Philox(key=config.master_seed)
+    bitgen.advance(lo * _UNIFORMS_PER_TRIAL // 4)  # counts blocks of four draws
+    u = np.random.Generator(bitgen).random((hi - lo, _UNIFORMS_PER_TRIAL))
+    na, nb = len(config.alice_bases), len(config.bob_bases)
+    alice_basis = np.minimum(u[:, 0] * na, na - 1).astype(np.int8)
+    bob_basis = np.minimum(u[:, 1] * nb, nb - 1).astype(np.int8)
+    choice = (u[:, 2] >= 0.5).astype(np.uint8) if choice_bits is None else choice_bits
+    duty = u[:, 3] < config.duty_cycle
+    actual = choice
+    if config.mode == "fock":
+        actual = choice ^ (u[:, 4] >= config.switching_fidelity)
+    group = (alice_basis.astype(np.intp) * nb + bob_basis) * 2 + actual
+    alice, bob, victor = (np.zeros(hi - lo, np.int8) for _ in range(3))
+    for g, (cum, a_out, b_out, outcome) in enumerate(tables):
+        rows = np.flatnonzero(group == g)
+        # Rounding can leave the last cumulative entry just below 1.
+        k = np.minimum(np.searchsorted(cum, u[rows, 5]), len(cum) - 1)
+        alice[rows], bob[rows] = a_out[k], b_out[k]
+        victor[rows] = outcome[choice[rows], k]
+    # Analyzer not settled: Alice and Bob measured, Victor's stage is void.
+    victor[~duty] = 0
+    kept = duty & (alice != 0) & (bob != 0) & (victor != _DISCARD)
+    return {
+        "trial_index": np.arange(lo, hi, dtype=np.int64),
+        "alice_basis": alice_basis,
+        "alice_outcome": alice,
+        "bob_basis": bob_basis,
+        "bob_outcome": bob,
+        "victor_choice": choice,
+        "victor_outcome": victor,
+        "kept": kept,
+    }
 
 
 _WORKER_STATE: dict = {}
@@ -495,35 +559,38 @@ _WORKER_STATE: dict = {}
 
 def _init_worker(config: ExperimentConfig):
     _WORKER_STATE["config"] = config
-    _WORKER_STATE["engine"] = build_engine(config)
-    _WORKER_STATE["times"] = event_times(config.budget)
+    _WORKER_STATE["tables"] = _sampling_tables(build_engine(config), config)
 
 
-def _run_chunk(bounds: tuple[int, int]) -> list[TrialRecord]:
-    config = _WORKER_STATE["config"]
-    engine = _WORKER_STATE["engine"]
-    times = _WORKER_STATE["times"]
-    return [simulate_trial(engine, config, i, times) for i in range(*bounds)]
+def _run_chunk(lo: int, hi: int, choice_bits: np.ndarray | None) -> dict:
+    return _sample_chunk(_WORKER_STATE["config"], _WORKER_STATE["tables"], lo, hi, choice_bits)
 
 
 def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
     """Simulate the configured number of trials, reproducibly.
 
-    ``workers > 1`` distributes contiguous index chunks over processes;
-    because every trial has its own counter-derived substream, the log is
-    identical for any worker count.
+    Trials are sampled in chunks of CHUNK_TRIALS, and ``workers > 1``
+    spreads the chunks over processes.  Each trial's uniforms sit at a
+    fixed offset of the master seed's Philox stream, and the physical
+    QRNG's bits are one stream drawn here for the whole run, so the log
+    is identical for any worker count and chunk size.
     """
-    times = event_times(config.budget)
+    bits = None
+    if config.qrng_source == "physical":
+        # One telegraph stream, sampled once per trial at the QRNG clock.
+        seed = np.random.SeedSequence([config.master_seed, 0x51])
+        bits = QrngSimulator(QrngConfig(seed=seed)).bits(config.trials)
+    bounds = [(lo, min(lo + CHUNK_TRIALS, config.trials))
+              for lo in range(0, config.trials, CHUNK_TRIALS)]
+    chunks = [(lo, hi, None if bits is None else bits[lo:hi]) for lo, hi in bounds]
     if workers <= 1:
-        engine = build_engine(config)
-        records = [simulate_trial(engine, config, i, times) for i in range(config.trials)]
-        return TrialLog(config, records)
-    chunk = (config.trials + workers - 1) // workers
-    bounds = [(lo, min(lo + chunk, config.trials)) for lo in range(0, config.trials, chunk)]
-    with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(config,)) as pool:
-        parts = pool.map(_run_chunk, bounds)
-    records = [rec for part in parts for rec in part]
-    return TrialLog(config, records)
+        tables = _sampling_tables(build_engine(config), config)
+        parts = [_sample_chunk(config, tables, *chunk) for chunk in chunks]
+    else:
+        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(config,)) as pool:
+            parts = pool.starmap(_run_chunk, chunks)
+    columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
+    return TrialLog(config, event_times(config.budget), columns)
 
 
 def sort_subensembles(records) -> SubensembleSet:
@@ -740,16 +807,57 @@ def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = No
 # --- trial log persistence -------------------------------------------------
 
 
-LOG_VERSION = 1
+LOG_VERSION = 2
+
+
+def _column_codes(config: ExperimentConfig) -> dict:
+    """Log value -> column code, for every column but ``trial_index``."""
+    outcome = {1: 1, -1: -1, None: 0}
+    return {
+        "alice_basis": {b: i for i, b in enumerate(config.alice_bases)},
+        "alice_outcome": outcome,
+        "bob_basis": {b: i for i, b in enumerate(config.bob_bases)},
+        "bob_outcome": outcome,
+        "victor_choice": {BisaSetting.from_bit(bit).value: bit for bit in (0, 1)},
+        "victor_outcome": {None if o is None else o.value: k
+                           for k, o in enumerate(VICTOR_OUTCOMES)},
+        "kept": {False: 0, True: 1},
+    }
+
+
+def _column_values(config: ExperimentConfig, columns: dict, lo: int, hi: int) -> list[list]:
+    """Log values of trials lo..hi-1, one list per column."""
+    codes = _column_codes(config)
+    out = []
+    for name in COLUMNS:
+        col = columns[name][lo:hi]
+        if name in codes:
+            # Each code indexes its value; the outcome code -1 the last one.
+            values = np.empty(len(codes[name]), dtype=object)
+            for value, code in codes[name].items():
+                values[code] = value
+            col = values[col.astype(np.intp)]
+        out.append(col.tolist())
+    return out
 
 
 def write_log(path, log: TrialLog) -> None:
-    """Line-delimited JSON: a header object, then one object per trial."""
-    header = {"kind": "swapsim-trial-log", "version": LOG_VERSION, "config": asdict(log.config)}
+    """Line-delimited JSON: a header object (log version, config, event
+    times, column names), then one array of the COLUMNS values per trial."""
+    header = {
+        "kind": "swapsim-trial-log",
+        "version": LOG_VERSION,
+        "config": asdict(log.config),
+        "event_times": asdict(log.event_times),
+        "columns": list(COLUMNS),
+    }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in log.records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        for lo in range(0, len(log), CHUNK_TRIALS):
+            rows = list(zip(*_column_values(log.config, log.columns, lo, lo + CHUNK_TRIALS)))
+            # One encode per chunk; no log value contains "],[".
+            text = json.dumps(rows, separators=(",", ":"))
+            fh.write(text[1:-1].replace("],[", "]\n[") + "\n")
 
 
 def read_log(path) -> TrialLog:
@@ -758,10 +866,55 @@ def read_log(path) -> TrialLog:
         if not isinstance(header, dict) or header.get("kind") != "swapsim-trial-log":
             raise ValueError("not a swapsim trial log")
         if header.get("version") != LOG_VERSION:
-            raise ValueError(f"unsupported trial log version {header.get('version')!r}")
+            raise ValueError(f"unsupported trial log version {header.get('version')!r}; "
+                             f"this swapsim reads version {LOG_VERSION} only, rerun the simulation")
         config = config_from_dict(header.get("config"))
-        records = [TrialRecord.from_dict(json.loads(line)) for line in fh if line.strip()]
-    return TrialLog(config, records)
+        times = _from_fields(EventTimes, header.get("event_times"), "event_times")
+        if header.get("columns") != list(COLUMNS):
+            raise ValueError(f"unsupported trial log columns {header.get('columns')!r}")
+        codes = _column_codes(config)
+        parts = []
+        for first_line in itertools.count(2, CHUNK_TRIALS):
+            lines = list(itertools.islice(fh, CHUNK_TRIALS))
+            parts.append(_decode_rows(lines, first_line, codes))
+            if len(lines) < CHUNK_TRIALS:
+                break
+    columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
+    return TrialLog(config, times, columns)
+
+
+def _decode_rows(lines: list[str], first_line: int, codes: dict) -> dict:
+    """Columns of the log rows ``lines``, the first of them line
+    ``first_line`` of the file, with one JSON decode for all of them.
+    Raises ValueError naming the first line that is not a valid row."""
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")
+    except ValueError:
+        rows = None
+    if (rows is None or len(rows) != len(lines) or not set(map(type, rows)) <= {list}
+            or not set(map(len, rows)) <= {len(COLUMNS)}):
+        rows = []
+        for n, line in enumerate(lines, first_line):
+            try:
+                rows.append(json.loads(line))
+            except ValueError:
+                rows.append(None)
+            if type(rows[-1]) is not list or len(rows[-1]) != len(COLUMNS):
+                raise ValueError(f"line {n}: expected an array of the {len(COLUMNS)} "
+                                 f"values {', '.join(COLUMNS)}")
+    columns = {}
+    for (name, dtype), values in zip(COLUMNS.items(), list(zip(*rows)) or [()] * len(COLUMNS)):
+        lut = codes.get(name)
+        types, allowed = ({int}, range(2**63)) if lut is None else ({type(v) for v in lut}, lut)
+        if not (set(map(type, values)) <= types and all(map(allowed.__contains__, values))):
+            n, v = next((n, v) for n, v in enumerate(values, first_line)
+                        if type(v) not in types or v not in allowed)
+            expected = ("a trial index" if lut is None
+                        else f"one of {', '.join(map(json.dumps, lut))}")
+            raise ValueError(f"line {n}: {name} {json.dumps(v)} is not {expected}")
+        columns[name] = np.array(values if lut is None else list(map(lut.__getitem__, values)),
+                                 dtype=dtype)
+    return columns
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -829,13 +982,12 @@ def run_summary(config: ExperimentConfig, log: TrialLog | None = None) -> dict:
         },
     }
     if log is not None:
-        subs = sort_subensembles(log.records)
-        summary["counts"] = {
-            "trials": len(log.records),
-            "kept": sum(r.kept for r in log.records),
-            "phi_plus": len(subs.phi_plus),
-            "phi_minus": len(subs.phi_minus),
-            "hh": len(subs.hh),
-            "vv": len(subs.vv),
-        }
+        kept = log.columns["kept"]
+        victor = log.columns["victor_outcome"][kept]
+        counts = {"trials": len(log), "kept": int(kept.sum())}
+        for name, outcome in (("phi_plus", BisaOutcome.PHI_PLUS_23),
+                              ("phi_minus", BisaOutcome.PHI_MINUS_23),
+                              ("hh", BisaOutcome.HH_23), ("vv", BisaOutcome.VV_23)):
+            counts[name] = int(np.count_nonzero(victor == VICTOR_OUTCOMES.index(outcome)))
+        summary["counts"] = counts
     return summary

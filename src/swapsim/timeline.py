@@ -9,7 +9,8 @@ allowance, and its width equals the modulator on-time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,9 @@ class DelayBudget:
     pair2_generation_offset: float = 1.6  # ns
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.fiber_speed <= 0:
             raise ValueError("fiber_speed must be positive")
         for name in (

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from swapsim import cli
+from swapsim import cli, experiment
 from swapsim.cli import ConfigError
 
 
@@ -63,6 +63,19 @@ def test_simulate_rejects_ill_typed_config(tmp_path, capsys):
     assert "error: experiment.trials must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "experiment.mode = fock\nexperiment.tau = nan\n",
+    "budget.fiber_length_ab = inf\n",
+], ids=["nan_tau", "inf_fiber_length"])
+def test_simulate_rejects_non_finite_config(tmp_path, capsys, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + "experiment.trials = 20\n")
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trials.jsonl").exists()
+
+
 def test_verify_all_passes(capsys):
     assert cli.main(["verify", "all"]) == 0
     out = capsys.readouterr().out
@@ -104,6 +117,31 @@ def test_simulate_byte_identical_reruns(tmp_path):
     assert (a / "trials.jsonl").read_bytes() == (b / "trials.jsonl").read_bytes()
 
 
+def test_log_identical_for_any_workers_and_chunk_size(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.txt"
+    path.write_text(
+        "experiment.mode = fock\n"
+        "experiment.qrng_source = physical\n"
+        "experiment.fiber_polarization_fidelity = 1.0\n"
+        "experiment.trials = 2500\n"
+    )
+    logs = set()
+    for chunk in (1000, 700):
+        monkeypatch.setattr(experiment, "CHUNK_TRIALS", chunk)
+        for workers in (1, 2, 3):
+            out = tmp_path / f"chunk{chunk}-workers{workers}"
+            rc = cli.main(["simulate", "--config", str(path), "--workers", str(workers),
+                           "--out", str(out)])
+            assert rc == 0
+            logs.add((out / "trials.jsonl").read_bytes())
+    assert len(logs) == 1
+    # Reading and writing back, a chunk at a time, changes no byte.
+    log = experiment.read_log(out / "trials.jsonl")
+    assert len(log) == 2500
+    experiment.write_log(tmp_path / "again.jsonl", log)
+    assert (tmp_path / "again.jsonl").read_bytes() in logs
+
+
 def test_simulate_zero_trials_fails(tmp_path, capsys):
     rc = cli.main([
         "simulate", "--mode", "ideal", "--trials", "0", "--out", str(tmp_path / "x"),
@@ -122,13 +160,30 @@ def test_analyze_pooled_on_ssm_only_log_fails(tmp_path, capsys):
     # Strip the Bell-measurement records from the log to force the error.
     log_path = out / "trials.jsonl"
     lines = log_path.read_text().splitlines()
-    kept = [lines[0]] + [
-        ln for ln in lines[1:] if json.loads(ln)["victor_choice"] != "BSM"
-    ]
+    choice = json.loads(lines[0])["columns"].index("victor_choice")
+    kept = [lines[0]] + [ln for ln in lines[1:] if json.loads(ln)[choice] != "BSM"]
     ssm_log = tmp_path / "ssm.jsonl"
     ssm_log.write_text("\n".join(kept) + "\n")
     rc = cli.main(["analyze", str(ssm_log), "--report", "pooled", "--out", str(out)])
     assert rc != 0
+
+
+@pytest.mark.parametrize("row, error", [
+    ('[1,"z",1,"x",-1,"BSM"]', "error: line 3: expected an array of the 8 values"),
+    ('[1,"q",1,"x",-1,"BSM","phi-23",true]', 'error: line 3: alice_basis "q" is not one of'),
+    ('[1,"z",1,"x",true,"BSM","phi-23",true]', "error: line 3: bob_outcome true is not one of"),
+], ids=["short_row", "bad_basis", "bad_outcome"])
+def test_analyze_rejects_bad_row(tmp_path, capsys, row, error):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--mode", "ideal", "--trials", "20", "--out", str(out)]) == 0
+    log_path = out / "trials.jsonl"
+    lines = log_path.read_text().splitlines()
+    lines[2] = row
+    log_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(log_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(error)
 
 
 def test_analyze_missing_log_fails(tmp_path, capsys):

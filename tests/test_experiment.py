@@ -13,6 +13,7 @@ from swapsim.bisa import (
     bisa_apply,
     bisa_apply_distinguishable,
 )
+from swapsim.qrng import QrngConfig, QrngSimulator
 
 
 def small_config(**kw):
@@ -70,10 +71,15 @@ def test_determinism_across_workers():
 
 
 def test_physical_qrng_choice_source():
-    log = ex.run_trials(small_config(trials=2000, qrng_source="physical"))
+    cfg = small_config(trials=2000, qrng_source="physical")
+    log = ex.run_trials(cfg)
     n_bsm = sum(r.victor_choice == "BSM" for r in log.records)
     sigma = np.sqrt(len(log.records) * 0.25)
     assert abs(n_bsm - 0.5 * len(log.records)) < 5 * sigma
+    # The choice bits are one telegraph stream, sampled once per trial.
+    seed = np.random.SeedSequence([cfg.master_seed, 0x51])
+    bits = QrngSimulator(QrngConfig(seed=seed)).bits(cfg.trials)
+    assert [r.victor_choice for r in log.records] == ["BSM" if b else "SSM" for b in bits]
 
 
 def test_sort_subensembles():
@@ -176,11 +182,12 @@ def test_log_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [
+    lambda header: header.update(version=1),
     lambda header: header.update(version=99),
     lambda header: header["config"].update(bogus=1),
     lambda header: header["config"].update(trials=1.5),
     lambda header: header["config"]["budget"].update(eom_on_time=True),
-], ids=["version_99", "unknown_key", "float_trials", "bool_budget_value"])
+], ids=["version_1", "version_99", "unknown_key", "float_trials", "bool_budget_value"])
 def test_read_log_rejects_bad_header(tmp_path, edit):
     path = tmp_path / "log.jsonl"
     ex.write_log(path, ex.run_trials(small_config(trials=10)))
@@ -238,10 +245,7 @@ def test_fock_trial_sampler_consistent_with_distribution():
         gvm_overlap=1.0, switching_fidelity=1.0, fiber_polarization_fidelity=1.0,
         alice_bases=("z",), bob_bases=("z",),
     )
-    engine = ex.build_engine(cfg)
-    times = ex.event_times(cfg.budget)
-    recs = [ex.simulate_trial(engine, cfg, i, times) for i in range(cfg.trials)]
-    kept = [r for r in recs if r.kept]
+    kept = [r for r in ex.run_trials(cfg).records if r.kept]
     # Conditioned on the phi- outcome, photons 1 and 4 agree in the z basis.
     bsm = [r for r in kept if r.victor_outcome == "phi-23"]
     agree = sum(r.alice_outcome == r.bob_outcome for r in bsm)
