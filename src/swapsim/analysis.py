@@ -9,6 +9,7 @@ fidelity/witness table, and the pooled Bell-outcome control analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import states
 from .bisa import BisaOutcome, BisaSetting
-from .experiment import KEPT_OUTCOMES, conditional_state, sort_subensembles
+from .experiment import KEPT_OUTCOMES, VICTOR_OUTCOMES, conditional_state
 
 LOW_STATISTICS_TOTAL = 20
 
@@ -103,58 +104,79 @@ def witness_from_fidelity(fidelity: float) -> float:
     return 0.5 - fidelity
 
 
-def counts_from_records(records, basis: str) -> CoincidenceCounts:
-    """Coincidence counts of photons 1 and 4 in a shared basis.
+def coincidence_counts(log) -> dict:
+    """Coincidence counts of photons 1 and 4 from a trial log's columns.
 
-    Only records where both parties measured the requested basis and both
-    registered a definite outcome contribute.
+    Counts the kept trials where both parties registered a definite
+    outcome in bases of the same name, keyed (commanded setting, Victor's
+    outcome class, basis, Alice's outcome, Bob's outcome) like the map of
+    ``experiment.simulate_counts``.
     """
-    c = {(+1, +1): 0, (-1, -1): 0, (+1, -1): 0, (-1, +1): 0}
-    for rec in records:
-        if rec.alice_basis != basis or rec.bob_basis != basis:
-            continue
-        if rec.alice_outcome is None or rec.bob_outcome is None:
-            continue
-        c[(rec.alice_outcome, rec.bob_outcome)] += 1
-    return CoincidenceCounts(basis, c[(+1, +1)], c[(-1, -1)], c[(+1, -1)], c[(-1, +1)])
+    config, cols = log.config, log.columns
+    names = list(dict.fromkeys((*config.alice_bases, *config.bob_bases)))
+    alice_basis = np.array([names.index(b) for b in config.alice_bases])[cols["alice_basis"]]
+    bob_basis = np.array([names.index(b) for b in config.bob_bases])[cols["bob_basis"]]
+    alice, bob = cols["alice_outcome"], cols["bob_outcome"]
+    rows = cols["kept"] & (alice != 0) & (bob != 0) & (alice_basis == bob_basis)
+    shape = (2, len(VICTOR_OUTCOMES), len(names), 2, 2)
+    cells = np.bincount(
+        np.ravel_multi_index((cols["victor_choice"][rows], cols["victor_outcome"][rows],
+                              alice_basis[rows], alice[rows] < 0, bob[rows] < 0), shape),
+        minlength=math.prod(shape),
+    )
+    return {
+        (BisaSetting.from_bit(bit), VICTOR_OUTCOMES[o], names[k], 1 - 2 * a, 1 - 2 * b): int(n)
+        for (bit, o, k, a, b), n in zip(np.ndindex(*shape), cells.tolist())
+        if n
+    }
 
 
-def correlations_by_basis(records, bases=states.PAULI_AXES) -> dict[str, CorrelationResult]:
-    return {b: correlation(counts_from_records(records, b)) for b in bases}
+# Report groups: (commanded setting, Victor's outcome classes pooled).
+_GROUPS = {
+    "bsm_phi_minus": (BisaSetting.BSM, (BisaOutcome.PHI_MINUS_23,)),
+    "bsm_phi_plus": (BisaSetting.BSM, (BisaOutcome.PHI_PLUS_23,)),
+    "bsm_pooled": (BisaSetting.BSM, KEPT_OUTCOMES[BisaSetting.BSM]),
+    "ssm_pooled": (BisaSetting.SSM, KEPT_OUTCOMES[BisaSetting.SSM]),
+}
+
+# (Alice, Bob) outcomes in the order of CoincidenceCounts' cells.
+_CELLS = ((+1, +1), (-1, -1), (+1, -1), (-1, +1))
 
 
-def report_fig3(records) -> dict[str, dict[str, CorrelationResult]]:
+def _correlations(counts_map: dict, label: str) -> dict[str, CorrelationResult]:
+    """Per-basis correlations of one report group of a count map."""
+    setting, outcomes = _GROUPS[label]
+    cells: dict = {}
+    for (s, o, basis, a_out, b_out), n in counts_map.items():
+        if s is setting and o in outcomes:
+            cells[basis, a_out, b_out] = cells.get((basis, a_out, b_out), 0) + n
+    if not any(cells.values()):
+        raise ValueError(f"no coincidences in the {label} group")
+    return {
+        b: correlation(CoincidenceCounts(b, *(cells.get((b, *ab), 0) for ab in _CELLS)))
+        for b in states.PAULI_AXES
+    }
+
+
+def report_fig3(counts_map: dict) -> dict[str, dict[str, CorrelationResult]]:
     """Per-basis correlations of photons 1 and 4, split by outcome class.
 
     Bell-measurement trials are reported separately for the phi- and phi+
     outcomes; separable-measurement trials pool the HH and VV outcomes.
+    ``counts_map`` is a ``coincidence_counts`` map.
     """
-    subs = sort_subensembles(records)
-    groups = {
-        "bsm_phi_minus": subs.phi_minus,
-        "bsm_phi_plus": subs.phi_plus,
-        "ssm_pooled": subs.hh + subs.vv,
-    }
-    report = {}
-    for label, recs in groups.items():
-        if not recs:
-            raise ValueError(f"subensemble {label} is empty")
-        report[label] = correlations_by_basis(recs)
-    return report
+    return {label: _correlations(counts_map, label)
+            for label in ("bsm_phi_minus", "bsm_phi_plus", "ssm_pooled")}
 
 
-def pooled_bsm_analysis(records) -> dict[str, CorrelationResult]:
+def pooled_bsm_analysis(counts_map: dict) -> dict[str, CorrelationResult]:
     """Correlations without discriminating between the two Bell outcomes.
 
     Pooling phi- with phi+ destroys the swapped entanglement signature:
     only the H/V correlation survives, the +/- and R/L correlations
     average to zero.
     """
-    subs = sort_subensembles(records)
-    pooled = subs.phi_minus + subs.phi_plus
-    if not pooled:
-        raise ValueError("no Bell-measurement records to pool")
-    return correlations_by_basis(pooled)
+    return _correlations(counts_map, "bsm_pooled")
 
 
 def absolute_sum(results: dict[str, CorrelationResult]) -> float:
@@ -186,15 +208,14 @@ def _state_row(pair, target, choice: BisaSetting, outcome) -> tuple[float, float
     return f, witness_from_fidelity(f)
 
 
-def report_table1(records) -> list[Table1Row]:
+def report_table1(counts_map: dict) -> list[Table1Row]:
     """Fidelity and witness of the four photon pairs under both choices.
 
-    The (1,4) rows come from the logged coincidence counts.  The other
-    pairs are not directly measured by the logged apparatus, so their
-    rows are computed from the exact conditional states and flagged
-    "state-derived".
+    The (1,4) rows come from the coincidence counts (a
+    ``coincidence_counts`` map).  The other pairs are not directly
+    measured by the logged apparatus, so their rows are computed from the
+    exact conditional states and flagged "state-derived".
     """
-    subs = sort_subensembles(records)
     rows = []
     for pair, target in _TABLE1_PAIRS:
         for choice, outcome in (
@@ -202,12 +223,8 @@ def report_table1(records) -> list[Table1Row]:
             (BisaSetting.SSM, None),
         ):
             if pair == (1, 4):
-                recs = (
-                    subs.phi_minus if choice is BisaSetting.BSM else subs.hh + subs.vv
-                )
-                if not recs:
-                    raise ValueError(f"no records for the {choice.value} column")
-                corr = correlations_by_basis(recs)
+                label = "bsm_phi_minus" if choice is BisaSetting.BSM else "ssm_pooled"
+                corr = _correlations(counts_map, label)
                 f = fidelity_from_correlations(
                     corr["z"].value, corr["x"].value, corr["y"].value, target
                 )
@@ -219,7 +236,7 @@ def report_table1(records) -> list[Table1Row]:
                     )
                 )
             else:
-                f, w = _state_row(pair, target, choice, outcome if choice is BisaSetting.BSM else None)
+                f, w = _state_row(pair, target, choice, outcome)
                 rows.append(Table1Row(pair, target, choice.value, f, w, "state-derived", 0))
     return rows
 
@@ -249,29 +266,7 @@ def correlations_to_csv(report: dict) -> str:
 
 
 def correlation_results_from_counts(counts_map: dict) -> dict[str, dict[str, CorrelationResult]]:
-    """Correlation report from the aggregate-count fast path.
-
-    ``counts_map`` is keyed (setting, outcome, basis, alice, bob) as
-    produced by the experiment module's count-level simulator.
-    """
-    groups = {
-        "bsm_phi_minus": (BisaSetting.BSM, {BisaOutcome.PHI_MINUS_23}),
-        "bsm_phi_plus": (BisaSetting.BSM, {BisaOutcome.PHI_PLUS_23}),
-        "bsm_pooled": (BisaSetting.BSM, set(KEPT_OUTCOMES[BisaSetting.BSM])),
-        "ssm_pooled": (BisaSetting.SSM, set(KEPT_OUTCOMES[BisaSetting.SSM])),
-    }
-    report = {}
-    for label, (setting, outcomes) in groups.items():
-        by_basis = {}
-        for basis in states.PAULI_AXES:
-            cells = {(+1, +1): 0, (-1, -1): 0, (+1, -1): 0, (-1, +1): 0}
-            for (s, o, b, a_out, b_out), n in counts_map.items():
-                if s is setting and o in outcomes and b == basis:
-                    cells[(a_out, b_out)] += n
-            by_basis[basis] = correlation(
-                CoincidenceCounts(
-                    basis, cells[(+1, +1)], cells[(-1, -1)], cells[(+1, -1)], cells[(-1, +1)]
-                )
-            )
-        report[label] = by_basis
-    return report
+    """Correlation report of every group, from a count map keyed
+    (setting, outcome, basis, alice, bob) as ``coincidence_counts`` and
+    ``experiment.simulate_counts`` produce it."""
+    return {label: _correlations(counts_map, label) for label in _GROUPS}

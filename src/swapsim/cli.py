@@ -98,24 +98,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# Report name -> (output file, CSV text of the report of a coincidence_counts
+# map).  The analysis functions are looked up per call, so wrappers installed
+# on the analysis module (perfbench's tracer) see them.
+_REPORTS = {
+    "fig3": ("fig3.csv", lambda c: analysis.correlations_to_csv(analysis.report_fig3(c))),
+    "table1": ("table1.csv", lambda c: analysis.rows_to_csv(analysis.report_table1(c))),
+    "pooled": ("pooled.csv",
+               lambda c: analysis.correlations_to_csv(analysis.pooled_bsm_analysis(c))),
+}
+
+
 def cmd_analyze(args) -> int:
     log = read_log(args.log)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.report == "fig3":
-        report = analysis.report_fig3(log.records)
-        text = analysis.correlations_to_csv(report)
-        name = "fig3.csv"
-    elif args.report == "table1":
-        rows = analysis.report_table1(log.records)
-        text = analysis.rows_to_csv(rows)
-        name = "table1.csv"
-    elif args.report == "pooled":
-        report = analysis.pooled_bsm_analysis(log.records)
-        text = analysis.correlations_to_csv(report)
-        name = "pooled.csv"
-    else:
-        raise ValueError(f"unknown report kind {args.report!r}")
+    name, report_csv = _REPORTS[args.report]
+    text = report_csv(analysis.coincidence_counts(log))
     path = out_dir / name
     path.write_text(text)
     _write_manifest(out_dir, log.config, [name])
@@ -234,12 +233,9 @@ def cmd_reproduce(args) -> int:
     log_path = out_dir / "trials.jsonl"
     write_log(log_path, log)
     outputs = [log_path.name]
-    for name, text in (
-        ("fig3.csv", analysis.correlations_to_csv(analysis.report_fig3(log.records))),
-        ("table1.csv", analysis.rows_to_csv(analysis.report_table1(log.records))),
-        ("pooled.csv", analysis.correlations_to_csv(analysis.pooled_bsm_analysis(log.records))),
-    ):
-        (out_dir / name).write_text(text)
+    counts = analysis.coincidence_counts(log)
+    for name, report_csv in _REPORTS.values():
+        (out_dir / name).write_text(report_csv(counts))
         outputs.append(name)
     summary = run_summary(config, log)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -268,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="compute a report from a trial log")
     p.add_argument("log")
-    p.add_argument("--report", choices=("fig3", "table1", "pooled"), default="fig3")
+    p.add_argument("--report", choices=tuple(_REPORTS), default="fig3")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_analyze)
 

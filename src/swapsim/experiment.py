@@ -24,7 +24,6 @@ import json
 import math
 import multiprocessing
 from dataclasses import asdict, dataclass, field, is_dataclass
-from functools import cached_property
 from typing import get_type_hints
 
 import numpy as np
@@ -113,22 +112,6 @@ class ExperimentConfig:
         return self.mzi_visibility * self.gvm_overlap
 
 
-@dataclass(slots=True)
-class TrialRecord:
-    trial_index: int
-    alice_basis: str | None
-    alice_outcome: int | None
-    bob_basis: str | None
-    bob_outcome: int | None
-    victor_choice: str | None
-    victor_outcome: str | None
-    event_times: EventTimes
-    kept: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 # The trial columns, in the order of a log row, and their dtypes.
 COLUMNS = {
     "trial_index": np.int64,
@@ -162,23 +145,6 @@ class TrialLog:
 
     def __len__(self) -> int:
         return len(self.columns["kept"])
-
-    @cached_property
-    def records(self) -> list[TrialRecord]:
-        """The trials as TrialRecords, built on first access."""
-        rows = zip(*_column_values(self.config, self.columns, 0, len(self)))
-        return [TrialRecord(i, ab, ao, bb, bo, vc, vo, self.event_times, kept)
-                for i, ab, ao, bb, bo, vc, vo, kept in rows]
-
-
-@dataclass
-class SubensembleSet:
-    """Kept trials keyed by Victor's outcome class; discards are excluded."""
-
-    phi_plus: list[TrialRecord]
-    phi_minus: list[TrialRecord]
-    hh: list[TrialRecord]
-    vv: list[TrialRecord]
 
 
 def _axis_rotation(axis: str) -> np.ndarray:
@@ -591,20 +557,6 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
             parts = pool.starmap(_run_chunk, chunks)
     columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
     return TrialLog(config, event_times(config.budget), columns)
-
-
-def sort_subensembles(records) -> SubensembleSet:
-    subs = SubensembleSet([], [], [], [])
-    mapping = {
-        BisaOutcome.PHI_PLUS_23.value: subs.phi_plus,
-        BisaOutcome.PHI_MINUS_23.value: subs.phi_minus,
-        BisaOutcome.HH_23.value: subs.hh,
-        BisaOutcome.VV_23.value: subs.vv,
-    }
-    for rec in records:
-        if rec.kept and rec.victor_outcome in mapping:
-            mapping[rec.victor_outcome].append(rec)
-    return subs
 
 
 _PAIR_INDICES = {(1, 4): (0, 3), (2, 3): (1, 2), (1, 2): (0, 1), (3, 4): (2, 3)}

@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CHUNK = 4096
-
 
 @dataclass
 class QrngConfig:
     detection_rate: float = 1.0 / (2 * 10.7)  # events/ns per detector
     sample_period: float = 500.0  # ns (2 MHz sampling clock)
-    autocorrelation_target: float = 10.7  # ns
     seed: object = 0  # anything np.random.default_rng accepts
 
     def __post_init__(self):
@@ -28,13 +25,6 @@ class QrngConfig:
             raise ValueError("detection_rate must be positive")
         if self.sample_period <= 0:
             raise ValueError("sample_period must be positive")
-
-
-@dataclass
-class BitSample:
-    bit: int
-    sample_time: float
-    last_toggle_time: float
 
 
 class QrngSimulator:
@@ -49,61 +39,19 @@ class QrngSimulator:
         self._rng = np.random.default_rng(config.seed)
         # Initial bit is drawn uniformly (the toggle has been running forever).
         self._bit = int(self._rng.integers(0, 2))
-        self._time = 0.0
-        self._last_toggle = 0.0
-        self._buf_bits = np.empty(0, dtype=np.uint8)
-        self._buf_times = np.empty(0)
-        self._buf_toggles = np.empty(0)
-        self._cursor = 0
-
-    def _fill(self, n: int) -> None:
-        r = self.config.detection_rate
-        period = self.config.sample_period
-        rng = self._rng
-        counts = rng.poisson(2.0 * r * period, size=n)
-        detectors = rng.integers(0, 2, size=n).astype(np.uint8)
-        # Offset of the latest of k uniform event times within the window.
-        u = rng.random(size=n)
-        offsets = period * u ** (1.0 / np.maximum(counts, 1))
-        times = self._time + period * np.arange(1, n + 1)
-        has = counts > 0
-        # The last event pins the bit value; hold windows carry it forward.
-        last = np.maximum.accumulate(np.where(has, np.arange(n), -1))
-        bits_out = np.where(last >= 0, detectors[np.maximum(last, 0)], self._bit)
-        event_times = times - period + offsets
-        toggles = np.where(
-            last >= 0, event_times[np.maximum(last, 0)], self._last_toggle
-        )
-        self._buf_bits = bits_out.astype(np.uint8)
-        self._buf_times = times
-        self._buf_toggles = toggles
-        self._cursor = 0
-        self._bit = int(bits_out[-1])
-        self._last_toggle = float(toggles[-1])
-        self._time = float(times[-1])
-
-    def next_bit(self) -> BitSample:
-        if self._cursor >= self._buf_bits.size:
-            self._fill(1)
-        i = self._cursor
-        self._cursor += 1
-        return BitSample(
-            int(self._buf_bits[i]),
-            float(self._buf_times[i]),
-            float(self._buf_toggles[i]),
-        )
 
     def bits(self, n: int) -> np.ndarray:
         """The next ``n`` sampled bit values as a uint8 array."""
-        leftover = self._buf_bits[self._cursor :]
-        if leftover.size >= n:
-            self._cursor += n
-            return leftover[:n].copy()
-        need = n - leftover.size
-        head = leftover.copy()
-        self._fill(need)
-        self._cursor = need
-        return np.concatenate([head, self._buf_bits[:need]])
+        rng = self._rng
+        counts = rng.poisson(2.0 * self.config.detection_rate * self.config.sample_period, size=n)
+        detectors = rng.integers(0, 2, size=n).astype(np.uint8)
+        # The last detection up to each sample pins the bit; windows without
+        # one hold the previous value.
+        last = np.maximum.accumulate(np.where(counts > 0, np.arange(n), -1))
+        out = np.where(last >= 0, detectors[np.maximum(last, 0)], self._bit).astype(np.uint8)
+        if n:
+            self._bit = int(out[-1])
+        return out
 
 
 def bias(stream) -> tuple[float, float]:

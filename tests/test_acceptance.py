@@ -119,7 +119,7 @@ def test_criterion_6_rate_budget():
 
 def test_criterion_7_ideal_end_to_end(ideal_log):
     log, elapsed = ideal_log
-    fig3 = analysis.report_fig3(log.records)
+    fig3 = analysis.report_fig3(analysis.coincidence_counts(log))
     phi_minus = fig3["bsm_phi_minus"]
     ssm = fig3["ssm_pooled"]
     checks = []
@@ -195,7 +195,7 @@ def test_criterion_9_monogamy_and_noise_budget(fock_engine):
                   f"x={pooled['x'].value:+.3f}, y={pooled['y'].value:+.3f} ~ 0")
 
 
-def test_criterion_10_property_suites():
+def test_criterion_10_property_suites(tmp_path):
     # Unitarity and normalization of the linear optics pipeline.
     rng = np.random.default_rng(1)
     modes = (("a", "H"), ("a", "V"), ("b", "H"), ("b", "V"))
@@ -234,11 +234,10 @@ def test_criterion_10_property_suites():
     cfg = ExperimentConfig(mode="ideal", trials=1500, master_seed=31)
     log1 = experiment.run_trials(cfg, workers=1)
     log3 = experiment.run_trials(cfg, workers=3)
-    import json
-
-    bytes1 = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in log1.records)
-    bytes3 = "\n".join(json.dumps(r.to_dict(), sort_keys=True) for r in log3.records)
-    replay_ok = bytes1 == bytes3
+    path1, path3 = tmp_path / "workers1.jsonl", tmp_path / "workers3.jsonl"
+    experiment.write_log(path1, log1)
+    experiment.write_log(path3, log3)
+    replay_ok = path1.read_bytes() == path3.read_bytes()
 
     ok = unitary_ok and hom_ok and atten_ok and qrng_ok and replay_ok
     report(10, ok, f"unitarity {unitary_ok}, HOM null {hom_ok}, attenuation 3sigma {atten_ok}, "

@@ -1,3 +1,5 @@
+import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from swapsim import analysis, experiment, states
 from swapsim.analysis import CoincidenceCounts
+from swapsim.bisa import BisaOutcome, BisaSetting
 
 
 def test_perfect_correlation():
@@ -101,13 +104,45 @@ def test_decomposition_consistent_with_direct_trace():
 
 
 @pytest.fixture(scope="module")
-def ideal_log():
+def ideal_counts():
     cfg = experiment.ExperimentConfig(mode="ideal", trials=100_000, master_seed=2012)
-    return experiment.run_trials(cfg)
+    return analysis.coincidence_counts(experiment.run_trials(cfg))
 
 
-def test_report_fig3_ideal(ideal_log):
-    report = analysis.report_fig3(ideal_log.records)
+def test_coincidence_counts_match_log_rows(tmp_path):
+    # Bob's bases in another order than Alice's: only equal basis names,
+    # not equal basis indices, make a coincidence.
+    cfg = experiment.ExperimentConfig(mode="ideal", trials=20_000, master_seed=7,
+                                      bob_bases=("y", "z", "x"))
+    log = experiment.run_trials(cfg)
+    path = tmp_path / "trials.jsonl"
+    experiment.write_log(path, log)
+    header, *lines = path.read_text().splitlines()
+    columns = json.loads(header)["columns"]
+    expected = Counter()
+    for line in lines:
+        row = dict(zip(columns, json.loads(line)))
+        if (row["kept"] and row["alice_outcome"] is not None and row["bob_outcome"] is not None
+                and row["alice_basis"] == row["bob_basis"]):
+            expected[(BisaSetting(row["victor_choice"]), BisaOutcome(row["victor_outcome"]),
+                      row["alice_basis"], row["alice_outcome"], row["bob_outcome"])] += 1
+    counts = analysis.coincidence_counts(log)
+    assert counts == dict(expected)
+    assert len(counts) > 20
+
+    # The same key and value types as the count-level simulator's map.
+    fock_cfg = experiment.ExperimentConfig(mode="fock")
+    simulated = experiment.simulate_counts(fock_cfg, 10**8, seed=1)
+    assert simulated
+
+    def types(count_map):
+        return {(tuple(map(type, key)), type(n)) for key, n in count_map.items()}
+
+    assert types(counts) == types(simulated) == {((BisaSetting, BisaOutcome, str, int, int), int)}
+
+
+def test_report_fig3_ideal(ideal_counts):
+    report = analysis.report_fig3(ideal_counts)
     phi_minus = report["bsm_phi_minus"]
     for basis, expect in (("z", 1.0), ("x", -1.0), ("y", 1.0)):
         r = phi_minus[basis]
@@ -118,36 +153,38 @@ def test_report_fig3_ideal(ideal_log):
         assert abs(ssm[basis].value) <= 5 * ssm[basis].sigma
 
 
-def test_absolute_sum_signature(ideal_log):
-    report = analysis.report_fig3(ideal_log.records)
+def test_absolute_sum_signature(ideal_counts):
+    report = analysis.report_fig3(ideal_counts)
     assert analysis.absolute_sum(report["bsm_phi_minus"]) > 1.0
     ssm = report["ssm_pooled"]
     sigma = np.sqrt(sum(r.sigma**2 for r in ssm.values()))
     assert analysis.absolute_sum(ssm) <= 1.0 + 3 * sigma
 
 
-def test_pooled_bsm_ideal(ideal_log):
-    pooled = analysis.pooled_bsm_analysis(ideal_log.records)
+def test_pooled_bsm_ideal(ideal_counts):
+    pooled = analysis.pooled_bsm_analysis(ideal_counts)
     assert abs(pooled["z"].value - 1.0) <= 5 * max(pooled["z"].sigma, 1e-9)
     for basis in ("x", "y"):
         assert abs(pooled[basis].value) <= 5 * pooled[basis].sigma
 
 
-def test_pooled_equals_unpooled_when_single_outcome(ideal_log):
-    subs = experiment.sort_subensembles(ideal_log.records)
-    pooled = analysis.pooled_bsm_analysis(subs.phi_minus)
-    direct = analysis.correlations_by_basis(subs.phi_minus)
+def test_pooled_equals_unpooled_when_single_outcome(ideal_counts):
+    phi_minus = {k: n for k, n in ideal_counts.items() if k[1] is BisaOutcome.PHI_MINUS_23}
+    pooled = analysis.pooled_bsm_analysis(phi_minus)
+    direct = analysis.report_fig3(ideal_counts)["bsm_phi_minus"]
     assert pooled == direct
 
 
-def test_pooled_requires_bsm_records(ideal_log):
-    subs = experiment.sort_subensembles(ideal_log.records)
+def test_pooled_requires_bsm_records(ideal_counts):
+    ssm = {k: n for k, n in ideal_counts.items()
+           if k[1] in (BisaOutcome.HH_23, BisaOutcome.VV_23)}
+    assert ssm
     with pytest.raises(ValueError):
-        analysis.pooled_bsm_analysis(subs.hh + subs.vv)
+        analysis.pooled_bsm_analysis(ssm)
 
 
-def test_report_table1_ideal(ideal_log):
-    rows = analysis.report_table1(ideal_log.records)
+def test_report_table1_ideal(ideal_counts):
+    rows = analysis.report_table1(ideal_counts)
     by_key = {(r.pair, r.choice): r for r in rows}
     assert len(rows) == 8
 
@@ -174,16 +211,16 @@ def test_report_table1_ideal(ideal_log):
 
 def test_empty_subensemble_errors():
     with pytest.raises(ValueError):
-        analysis.report_fig3([])
+        analysis.report_fig3({})
     with pytest.raises(ValueError):
-        analysis.pooled_bsm_analysis([])
+        analysis.pooled_bsm_analysis({})
 
 
-def test_csv_emission(ideal_log):
-    rows = analysis.report_table1(ideal_log.records)
+def test_csv_emission(ideal_counts):
+    rows = analysis.report_table1(ideal_counts)
     text = analysis.rows_to_csv(rows)
     assert text.startswith("pair,target,choice")
     assert len(text.strip().splitlines()) == 9
-    report = analysis.report_fig3(ideal_log.records)
+    report = analysis.report_fig3(ideal_counts)
     text = analysis.correlations_to_csv(report)
     assert "bsm_phi_minus,z" in text

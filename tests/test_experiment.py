@@ -5,6 +5,7 @@ import pytest
 
 from swapsim import experiment as ex
 from swapsim import fock, states
+from swapsim.analysis import coincidence_counts
 from swapsim.bisa import (
     DETECTOR_BANK,
     DETECTOR_BANK_TAGGED,
@@ -20,6 +21,13 @@ def small_config(**kw):
     base = dict(mode="ideal", trials=4000, master_seed=101, duty_cycle=1.0)
     base.update(kw)
     return ex.ExperimentConfig(**base)
+
+
+def assert_same_trials(a, b):
+    assert a.event_times == b.event_times
+    for name in ex.COLUMNS:
+        assert a.columns[name].dtype == b.columns[name].dtype
+        assert np.array_equal(a.columns[name], b.columns[name])
 
 
 def test_config_validation():
@@ -43,53 +51,60 @@ def test_kept_fractions_ideal():
     # half of the separable-measurement trials land on HV/VH. Either way the
     # kept fraction is 1/2 at full duty cycle.
     log = ex.run_trials(small_config(trials=20_000))
-    bsm = [r for r in log.records if r.victor_choice == "BSM"]
-    ssm = [r for r in log.records if r.victor_choice == "SSM"]
-    for group in (bsm, ssm):
-        n = len(group)
-        kept = sum(r.kept for r in group)
+    choice, kept_col = log.columns["victor_choice"], log.columns["kept"]
+    for bit in (1, 0):  # BSM, SSM
+        group = choice == bit
+        n = np.count_nonzero(group)
+        kept = np.count_nonzero(kept_col & group)
         sigma = np.sqrt(n * 0.25)
         assert abs(kept - 0.5 * n) < 5 * sigma
 
 
 def test_duty_cycle_drops_victor_stage():
     log = ex.run_trials(small_config(duty_cycle=0.4, trials=10_000))
-    dropped = [r for r in log.records if r.victor_outcome is None]
-    n = len(log.records)
+    cols = log.columns
+    dropped = cols["victor_outcome"] == ex.VICTOR_OUTCOMES.index(None)
+    n = len(log)
     sigma = np.sqrt(n * 0.4 * 0.6)
-    assert abs(len(dropped) - 0.6 * n) < 5 * sigma
+    assert abs(np.count_nonzero(dropped) - 0.6 * n) < 5 * sigma
     # Alice and Bob still measured on dropped trials.
-    assert all(r.alice_outcome in (-1, 1) and r.bob_outcome in (-1, 1) for r in dropped)
-    assert all(not r.kept for r in dropped)
+    assert np.all(np.abs(cols["alice_outcome"][dropped]) == 1)
+    assert np.all(np.abs(cols["bob_outcome"][dropped]) == 1)
+    assert not np.any(cols["kept"][dropped])
 
 
 def test_determinism_across_workers():
     cfg = small_config(trials=2000)
     serial = ex.run_trials(cfg, workers=1)
     parallel = ex.run_trials(cfg, workers=4)
-    assert [r.to_dict() for r in serial.records] == [r.to_dict() for r in parallel.records]
+    assert_same_trials(serial, parallel)
 
 
 def test_physical_qrng_choice_source():
     cfg = small_config(trials=2000, qrng_source="physical")
     log = ex.run_trials(cfg)
-    n_bsm = sum(r.victor_choice == "BSM" for r in log.records)
-    sigma = np.sqrt(len(log.records) * 0.25)
-    assert abs(n_bsm - 0.5 * len(log.records)) < 5 * sigma
+    choice = log.columns["victor_choice"]
+    n_bsm = np.count_nonzero(choice == 1)
+    sigma = np.sqrt(len(log) * 0.25)
+    assert abs(n_bsm - 0.5 * len(log)) < 5 * sigma
     # The choice bits are one telegraph stream, sampled once per trial.
     seed = np.random.SeedSequence([cfg.master_seed, 0x51])
     bits = QrngSimulator(QrngConfig(seed=seed)).bits(cfg.trials)
-    assert [r.victor_choice for r in log.records] == ["BSM" if b else "SSM" for b in bits]
+    assert np.array_equal(choice, bits)
 
 
-def test_sort_subensembles():
-    log = ex.run_trials(small_config(trials=5000))
-    subs = ex.sort_subensembles(log.records)
-    groups = [subs.phi_plus, subs.phi_minus, subs.hh, subs.vv]
-    total = sum(len(g) for g in groups)
-    assert total == sum(r.kept for r in log.records)
-    ids = [r.trial_index for g in groups for r in g]
-    assert len(ids) == len(set(ids))
+def test_coincidence_counts_sort_kept_trials():
+    # The coincidence map sorts every kept, basis-matched fourfold trial
+    # into exactly one of the four outcome classes of its commanded setting.
+    cfg = small_config(trials=5000)
+    log = ex.run_trials(cfg)
+    cols = log.columns
+    counts = coincidence_counts(log)
+    matched = (np.array(cfg.alice_bases)[cols["alice_basis"]]
+               == np.array(cfg.bob_bases)[cols["bob_basis"]])
+    fourfold = (cols["alice_outcome"] != 0) & (cols["bob_outcome"] != 0)
+    assert sum(counts.values()) == np.count_nonzero(cols["kept"] & matched & fourfold)
+    assert all(outcome in ex.KEPT_OUTCOMES[setting] for setting, outcome, *_ in counts)
 
 
 def test_conditional_states_bsm():
@@ -178,7 +193,7 @@ def test_log_roundtrip(tmp_path):
     ex.write_log(path, log)
     back = ex.read_log(path)
     assert back.config == cfg
-    assert [r.to_dict() for r in back.records] == [r.to_dict() for r in log.records]
+    assert_same_trials(back, log)
 
 
 @pytest.mark.parametrize("edit", [
@@ -245,12 +260,13 @@ def test_fock_trial_sampler_consistent_with_distribution():
         gvm_overlap=1.0, switching_fidelity=1.0, fiber_polarization_fidelity=1.0,
         alice_bases=("z",), bob_bases=("z",),
     )
-    kept = [r for r in ex.run_trials(cfg).records if r.kept]
+    cols = ex.run_trials(cfg).columns
     # Conditioned on the phi- outcome, photons 1 and 4 agree in the z basis.
-    bsm = [r for r in kept if r.victor_outcome == "phi-23"]
-    agree = sum(r.alice_outcome == r.bob_outcome for r in bsm)
-    assert len(bsm) > 20
-    assert agree / len(bsm) > 0.97
+    phi_minus = ex.VICTOR_OUTCOMES.index(BisaOutcome.PHI_MINUS_23)
+    bsm = cols["kept"] & (cols["victor_outcome"] == phi_minus)
+    agree = np.count_nonzero((cols["alice_outcome"] == cols["bob_outcome"])[bsm])
+    assert np.count_nonzero(bsm) > 20
+    assert agree / np.count_nonzero(bsm) > 0.97
 
 
 def test_simulate_counts_fast_path():
