@@ -9,6 +9,7 @@ fidelity/witness table, and the pooled Bell-outcome control analysis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -202,6 +203,7 @@ _TABLE1_PAIRS = (((2, 3), "phi-"), ((1, 4), "phi-"), ((1, 2), "psi-"), ((3, 4), 
 _TARGET_STATES = {k: states.bell_state(k) for k in BELL_TARGETS}
 
 
+@functools.cache  # the rows depend on no counts; computed once per process
 def _state_row(pair, target, choice: BisaSetting, outcome) -> tuple[float, float]:
     rho = conditional_state(choice, outcome, pair)
     f = states.fidelity(rho, _TARGET_STATES[target])
@@ -252,12 +254,9 @@ def rows_to_csv(rows: list[Table1Row]) -> str:
 
 
 def correlations_to_csv(report: dict) -> str:
-    """Flatten a fig3-style (or single pooled) correlation report to CSV."""
+    """Flatten a correlation report, {group: {basis: result}}, to CSV."""
     lines = ["group,basis,value,sigma,total,low_statistics"]
-    flat = report
-    if report and isinstance(next(iter(report.values())), CorrelationResult):
-        flat = {"pooled_bsm": report}
-    for group, by_basis in flat.items():
+    for group, by_basis in report.items():
         for basis, r in by_basis.items():
             lines.append(
                 f"{group},{basis},{r.value:.6f},{r.sigma:.6f},{r.total},{int(r.low_statistics)}"

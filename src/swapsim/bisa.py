@@ -59,16 +59,18 @@ class BisaOutcome(enum.Enum):
     DISCARD = "discard"
 
 
-def _interferometer(state: FockVector, setting: BisaSetting) -> FockVector:
-    state = beam_splitter(state, "b", "c", 0.5)
+def _interferometer(state: FockVector, setting: BisaSetting, arms=("b", "c")) -> FockVector:
+    """The optics between the input labels ``arms``; the outputs keep the labels."""
+    b, c = arms
+    state = beam_splitter(state, b, c, 0.5)
     if setting is BisaSetting.BSM:
         # +EV/-EV drive collapses to quarter-wave plates at +-45 degrees.
-        state = wave_plate(state, "b", "qwp+45")
-        state = wave_plate(state, "c", "qwp-45")
+        state = wave_plate(state, b, "qwp+45")
+        state = wave_plate(state, c, "qwp-45")
     # Locking phase: with symmetric splitters an internal pi on one arm
     # closes the interferometer into the b -> b'' mirror at setting SSM.
-    state = phase_shift(state, "b", np.pi)
-    return beam_splitter(state, "b", "c", 0.5)
+    state = phase_shift(state, b, np.pi)
+    return beam_splitter(state, b, c, 0.5)
 
 
 def bisa_apply(state: FockVector, setting: BisaSetting) -> FockVector:
@@ -95,12 +97,7 @@ def bisa_apply_distinguishable(state: FockVector, setting: BisaSetting) -> FockV
     tagged = state.relabel({"c": "c~"})
     tagged = tagged.extended((("c", "H"), ("c", "V"), ("b~", "H"), ("b~", "V")))
     out = _interferometer(tagged, setting)
-    out = beam_splitter(out, "b~", "c~", 0.5)
-    if setting is BisaSetting.BSM:
-        out = wave_plate(out, "b~", "qwp+45")
-        out = wave_plate(out, "c~", "qwp-45")
-    out = phase_shift(out, "b~", np.pi)
-    out = beam_splitter(out, "b~", "c~", 0.5)
+    out = _interferometer(out, setting, ("b~", "c~"))
     return out.relabel({"b": "b2", "c": "c2", "b~": "b2~", "c~": "c2~"})
 
 
@@ -196,12 +193,12 @@ def transfer_map(analyzer, setting: BisaSetting, inputs, n_max: int):
     return passed[0].modes, outputs, transfer
 
 
-def outcome_distribution(state: FockVector, setting: BisaSetting, visibility: float = 1.0,
-                         efficiency=1.0) -> dict[BisaOutcome, float]:
+def outcome_distribution(state: FockVector, setting: BisaSetting,
+                         visibility: float = 1.0) -> dict[BisaOutcome, float]:
     """Outcome-class distribution for a state on the analyzer inputs."""
     dist: dict[frozenset, float] = {}
     for analyzer, bank, weight in analyzer_mixture(visibility):
-        for patt, p in pattern_distribution(analyzer(state, setting), bank, efficiency).items():
+        for patt, p in pattern_distribution(analyzer(state, setting), bank).items():
             dist[patt] = dist.get(patt, 0.0) + weight * p
     out: dict[BisaOutcome, float] = {}
     for patt, p in dist.items():

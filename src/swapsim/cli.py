@@ -105,7 +105,8 @@ _REPORTS = {
     "fig3": ("fig3.csv", lambda c: analysis.correlations_to_csv(analysis.report_fig3(c))),
     "table1": ("table1.csv", lambda c: analysis.rows_to_csv(analysis.report_table1(c))),
     "pooled": ("pooled.csv",
-               lambda c: analysis.correlations_to_csv(analysis.pooled_bsm_analysis(c))),
+               lambda c: analysis.correlations_to_csv(
+                   {"pooled_bsm": analysis.pooled_bsm_analysis(c)})),
 }
 
 

@@ -360,7 +360,12 @@ class FockEngine:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         eta, n_max = config.detector_efficiency, config.n_max
-        sectors = _sector_densities(self._noisy_input_ensemble())
+        src1 = spdc_source(config.tau, config.spdc_order, ("1", "b"), n_max)
+        src2 = spdc_source(config.tau, config.spdc_order, ("c", "4"), n_max)
+        branches = [src1.tensor(src2)]
+        for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
+            branches = attenuate_ensemble(branches, mode, config.input_transmission)
+        sectors = _sector_densities([b for b in branches if b.norm_sq() > 1e-18])
         inputs = sorted({occ for occs, _, _ in sectors.values() for occ in occs})
         row = {occ: i for i, occ in enumerate(inputs)}
         party = max(max(n1, n4) for n1, n4, _ in sectors)  # most photons in mode 1 or 4
@@ -368,7 +373,20 @@ class FockEngine:
             axis: [_rotation_lift(_axis_rotation(axis), n, n_max) for n in range(party + 1)]
             for axis in {*config.alice_bases, *config.bob_bases}
         }
-        party_clicks = _party_clicks(party, eta)
+        # Fiber depolarization on Victor's delay fibers b and c (each of the
+        # three Paulis with probability p/3 on each fiber) is an exact flip of
+        # Alice's and Bob's +1/-1 outcomes.  It needs two conditions: the
+        # sources emit only singlet pairs, and a party's two detectors have
+        # equal efficiency.  Every pair term is unchanged by iP x iP (iP in
+        # SU(2)), so P on photon b equals -P on photon 1 up to a phase per
+        # photon, which nothing later sees (likewise c and 4).  Photon 1
+        # meets only Alice's basis rotation: the Pauli along her axis leaves
+        # her counts alone, and the other two swap her H and V detectors.
+        # So each outcome flips with probability q = 2p/3, independently,
+        # and 0 stays 0; flip[i, j] is P(j | i) over _PARTY_OUTCOMES.
+        q = 2.0 * (1.0 - config.fiber_polarization_fidelity) / 3.0
+        flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
+        party_clicks = np.einsum("io,op->ip", _party_clicks(party, eta), flip)
         patterns = [
             tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in _victor_masks()
         ]
@@ -399,30 +417,6 @@ class FockEngine:
                     keys = [key for key, _ in entries]
                     probs = np.array([p for _, p in entries])
                     self._dist[(ab, bb, setting)] = (keys, probs, np.cumsum(probs / probs.sum()))
-
-    def _noisy_input_ensemble(self) -> list[FockVector]:
-        cfg = self.config
-        src1 = spdc_source(cfg.tau, cfg.spdc_order, ("1", "b"), cfg.n_max)
-        src2 = spdc_source(cfg.tau, cfg.spdc_order, ("c", "4"), cfg.n_max)
-        branches = [src1.tensor(src2)]
-        # Fiber polarization misalignment on Victor's two delay fibers,
-        # as a depolarizing channel with the configured transmission fidelity.
-        p = 1.0 - cfg.fiber_polarization_fidelity
-        if p > 0.0:
-            for spatial in ("b", "c"):
-                nxt = []
-                for b in branches:
-                    nxt.append(b.scaled(np.sqrt(1.0 - p)))
-                    for pauli in ("x", "y", "z"):
-                        nxt.append(
-                            polarization_rotation(b, spatial, states.PAULI[pauli]).scaled(
-                                np.sqrt(p / 3.0)
-                            )
-                        )
-                branches = nxt
-        for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
-            branches = attenuate_ensemble(branches, mode, cfg.input_transmission)
-        return [b for b in branches if b.norm_sq() > 1e-18]
 
     def category_table(self, ab: str, bb: str, actual: BisaSetting):
         """The cumulative category table of (ab, bb, actual), and per category
@@ -561,18 +555,6 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
 
 _PAIR_INDICES = {(1, 4): (0, 3), (2, 3): (1, 2), (1, 2): (0, 1), (3, 4): (2, 3)}
 
-_OUTCOME_PROJECTORS = {
-    BisaOutcome.PHI_PLUS_23: ("phi+", None),
-    BisaOutcome.PHI_MINUS_23: ("phi-", None),
-    BisaOutcome.HH_23: (None, "HH"),
-    BisaOutcome.VV_23: (None, "VV"),
-}
-
-
-def _outcome_vector(outcome: BisaOutcome) -> states.QubitRegisterState:
-    bell, prod = _OUTCOME_PROJECTORS[outcome]
-    return states.bell_state(bell) if bell else states.ket(prod)
-
 
 def conditional_state(choice: BisaSetting, outcome: BisaOutcome | None,
                       pair: tuple[int, int]) -> states.DensityMatrix:
@@ -595,9 +577,10 @@ def conditional_state(choice: BisaSetting, outcome: BisaOutcome | None,
     keep = _PAIR_INDICES[pair]
     if choice is BisaSetting.SSM and pair in ((1, 2), (3, 4)):
         return states.partial_trace(psi.density_matrix(), keep)
+    vectors = dict(_victor_projections(choice))
     mixed, total = 0.0, 0.0
     for o in [outcome] if outcome is not None else KEPT_OUTCOMES[choice]:
-        vec = _outcome_vector(o)
+        vec = vectors[o]
         remaining, prob = states.project(psi, (1, 2), vec)
         if prob == 0.0:
             continue

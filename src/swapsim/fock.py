@@ -24,7 +24,6 @@ PRUNE_TOL = 1e-14
 # to phase), qwp at -45 deg sends |H> to (|H> - i|V>)/sqrt2.
 JONES_QWP_P45 = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / sqrt(2.0)
 JONES_QWP_M45 = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / sqrt(2.0)
-JONES_IDENTITY = np.eye(2, dtype=complex)
 
 
 class FockVector:
@@ -172,12 +171,11 @@ def apply_pair_matrix(state: FockVector, i1: int, i2: int, mat: np.ndarray) -> F
     return out
 
 
-def beam_splitter(state: FockVector, m1, m2, transmissivity: float, phase: float = 0.0) -> FockVector:
+def beam_splitter(state: FockVector, m1, m2, transmissivity: float) -> FockVector:
     """Symmetric beam splitter (factor i on reflection) between two modes.
 
     ``m1``/``m2`` may be ModeLabels or bare spatial labels; spatial labels
-    act pairwise on the H and V components.  ``phase`` is an extra phase
-    applied to ``m2`` before the splitter (the interferometer arm phase).
+    act pairwise on the H and V components.
     """
     if m1 == m2:
         raise ValueError("beam splitter needs two distinct modes")
@@ -185,8 +183,7 @@ def beam_splitter(state: FockVector, m1, m2, transmissivity: float, phase: float
         raise ValueError("transmissivity must lie in [0, 1]")
     t = sqrt(transmissivity)
     r = sqrt(1.0 - transmissivity)
-    ph = np.exp(1.0j * phase)
-    mat = np.array([[t, 1.0j * r * ph], [1.0j * r, t * ph]], dtype=complex)
+    mat = np.array([[t, 1.0j * r], [1.0j * r, t]], dtype=complex)
     for i1, i2 in _pair_indices(state, m1, m2):
         state = apply_pair_matrix(state, i1, i2, mat)
     return state
@@ -211,7 +208,6 @@ def phase_shift(state: FockVector, target, phi: float) -> FockVector:
 WAVE_PLATE_ELEMENTS = {
     "qwp+45": JONES_QWP_P45,
     "qwp-45": JONES_QWP_M45,
-    "identity": JONES_IDENTITY,
 }
 
 
@@ -332,22 +328,16 @@ def detector_counts(state: FockVector, bank: DetectorBank) -> dict[tuple[int, ..
     return counts
 
 
-def _efficiencies(bank: DetectorBank, efficiency) -> list[float]:
-    if isinstance(efficiency, dict):
-        return [float(efficiency.get(name, 1.0)) for name in bank]
-    return [float(efficiency)] * len(bank)
-
-
 def pattern_distribution(state, bank: DetectorBank, efficiency=1.0) -> dict[frozenset, float]:
     """Probability of every click pattern under threshold detection.
 
     ``state`` may be a FockVector or an ensemble (list of unnormalized
-    FockVectors).  Each photon is independently detected with the
-    detector's efficiency; a detector clicks when it sees >= 1 photon.
+    FockVectors).  Each photon is independently detected with probability
+    ``efficiency``, the same for every detector; a detector clicks when it
+    sees >= 1 photon.
     """
     branches = state if isinstance(state, list) else [state]
     names = list(bank)
-    etas = _efficiencies(bank, efficiency)
     # Click patterns depend on the photon counts alone, so the ensemble's
     # count weights are summed before they are expanded into patterns.
     counts: dict[tuple[int, ...], float] = {}
@@ -356,7 +346,7 @@ def pattern_distribution(state, bank: DetectorBank, efficiency=1.0) -> dict[froz
             counts[vec] = counts.get(vec, 0.0) + w
     dist: dict[frozenset, float] = {}
     for vec, w in counts.items():
-        _expand_pattern(vec, w, names, etas, dist)
+        _expand_pattern(vec, w, names, float(efficiency), dist)
     return dist
 
 
@@ -368,8 +358,8 @@ def click_probability(n, eta):
     return p_silent, 1.0 - p_silent
 
 
-def _expand_pattern(vec, weight, names, etas, dist):
-    options = [click_probability(n, eta) for n, eta in zip(vec, etas)]
+def _expand_pattern(vec, weight, names, eta, dist):
+    options = [click_probability(n, eta) for n in vec]
     patterns = [(frozenset(), weight)]
     for name, (p_silent, p_click) in zip(names, options):
         nxt = []

@@ -309,11 +309,32 @@ def _pattern_category(pattern: frozenset):
     return party("aliceP", "aliceM"), party("bobP", "bobM"), victor
 
 
+def _noise_branches(cfg):
+    """The two sources' ensemble after fiber depolarization, as all 16 Pauli
+    branches on the delay fibers b and c, and input loss."""
+    src1 = fock.spdc_source(cfg.tau, cfg.spdc_order, ("1", "b"), cfg.n_max)
+    src2 = fock.spdc_source(cfg.tau, cfg.spdc_order, ("c", "4"), cfg.n_max)
+    branches = [src1.tensor(src2)]
+    p = 1.0 - cfg.fiber_polarization_fidelity
+    if p > 0.0:
+        for spatial in ("b", "c"):
+            nxt = []
+            for b in branches:
+                nxt.append(b.scaled(np.sqrt(1.0 - p)))
+                for pauli in ("x", "y", "z"):
+                    flipped = fock.polarization_rotation(b, spatial, states.PAULI[pauli])
+                    nxt.append(flipped.scaled(np.sqrt(p / 3.0)))
+            branches = nxt
+    for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
+        branches = fock.attenuate_ensemble(branches, mode, cfg.input_transmission)
+    return [b for b in branches if b.norm_sq() > 1e-18]
+
+
 def _enumerated_tables(engine, pairs):
     """Category tables by enumerating every noise branch: analyzer pass,
     rotation of photons 1 and 4 into the bases, threshold detection."""
     cfg = engine.config
-    branches = engine._noisy_input_ensemble()
+    branches = _noise_branches(cfg)
     v = cfg.visibility
     tables = {}
     for setting in BisaSetting:
@@ -360,3 +381,9 @@ def test_fock_engine_equals_branch_enumeration_default():
 def test_fock_engine_equals_branch_enumeration_clean(clean_fock_engine):
     _assert_tables_match(clean_fock_engine, [(ab, bb) for ab in ex.AXES for bb in ex.AXES])
 
+
+def test_fock_engine_depolarization_equals_pauli_branches():
+    # Every basis pair: at (x, y) alone Alice's marginal is symmetric, so a
+    # wrong outcome-flip probability would go unseen.
+    cfg = ex.ExperimentConfig(mode="fock", spdc_order=1, n_max=2, fiber_polarization_fidelity=0.7)
+    _assert_tables_match(ex.build_engine(cfg), [(ab, bb) for ab in ex.AXES for bb in ex.AXES])
