@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -61,7 +60,7 @@ class CorrelationResult:
 def correlation(counts: CoincidenceCounts) -> CorrelationResult:
     """Normalized correlation E = (c_jj + c_pp - c_jp - c_pj) / total.
 
-    The value is computed in exact rational arithmetic (it is invariant
+    The value is one correctly rounded integer division (it is invariant
     under uniform scaling of the counts).  The uncertainty is first-order
     propagation of sigma_C = sqrt(C): with A = c_jj + c_pp and
     B = c_jp + c_pj, sigma = 2 sqrt(A B / (A + B)) / (A + B); a zero cell
@@ -72,10 +71,9 @@ def correlation(counts: CoincidenceCounts) -> CorrelationResult:
         raise ValueError("correlation is undefined for zero total counts")
     a = counts.c_jj + counts.c_pp
     b = counts.c_jp + counts.c_pj
-    value = Fraction(a - b, total)
     sigma = 2.0 * np.sqrt(a * b / total) / total
     return CorrelationResult(
-        counts.basis, float(value), float(sigma), total, total < LOW_STATISTICS_TOTAL
+        counts.basis, (a - b) / total, float(sigma), total, total < LOW_STATISTICS_TOTAL
     )
 
 

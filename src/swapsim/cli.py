@@ -22,6 +22,7 @@ from . import __version__, analysis, states
 from .bisa import BisaSetting, verify_evolution
 from .experiment import (
     ExperimentConfig,
+    TrialLog,
     config_from_dict,
     imperfection_product,
     rate_budget,
@@ -80,21 +81,29 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, outputs: list[str])
     return path
 
 
+LOG_NAME, SUMMARY_NAME = "trials.jsonl", "summary.json"
+
+
+def _run(config: ExperimentConfig, workers: int, out_dir: Path) -> TrialLog:
+    """Run the trials of ``config`` and write their log and summary, under
+    LOG_NAME and SUMMARY_NAME, into ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    log = run_trials(config, workers=workers)
+    write_log(out_dir / LOG_NAME, log)
+    summary = run_summary(log)
+    (out_dir / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return log
+
+
 def cmd_simulate(args) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
     overrides = {"master_seed": args.seed, "mode": args.mode, "trials": args.trials}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = run_trials(config, workers=args.workers)
-    log_path = out_dir / "trials.jsonl"
-    write_log(log_path, log)
-    summary = run_summary(config, log)
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out_dir, config, [log_path.name, summary_path.name])
-    print(f"wrote {log_path} ({len(log)} trials)")
-    print(f"wrote {summary_path}")
+    log = _run(config, args.workers, out_dir)
+    _write_manifest(out_dir, config, [LOG_NAME, SUMMARY_NAME])
+    print(f"wrote {out_dir / LOG_NAME} ({len(log)} trials)")
+    print(f"wrote {out_dir / SUMMARY_NAME}")
     return 0
 
 
@@ -225,22 +234,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = ExperimentConfig(mode="ideal", trials=args.trials)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    log = run_trials(config, workers=args.workers)
-    log_path = out_dir / "trials.jsonl"
-    write_log(log_path, log)
-    outputs = [log_path.name]
+    out_dir = Path(args.out)
+    log = _run(config, args.workers, out_dir)
     counts = analysis.coincidence_counts(log)
     for name, report_csv in _REPORTS.values():
         (out_dir / name).write_text(report_csv(counts))
-        outputs.append(name)
-    summary = run_summary(config, log)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    outputs.append("summary.json")
+    outputs = [LOG_NAME, *(name for name, _ in _REPORTS.values()), SUMMARY_NAME]
     _write_manifest(out_dir, config, outputs)
     print(f"wrote {len(outputs)} files to {out_dir}")
     ok = verify_timing() and verify_budget()

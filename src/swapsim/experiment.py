@@ -47,8 +47,6 @@ from .fock import (
 from .qrng import QrngConfig, QrngSimulator
 from .timeline import DelayBudget, EventTimes, check_delayed_choice, event_times
 
-AXES = ("z", "x", "y")
-
 KEPT_OUTCOMES = {
     BisaSetting.BSM: (BisaOutcome.PHI_PLUS_23, BisaOutcome.PHI_MINUS_23),
     BisaSetting.SSM: (BisaOutcome.HH_23, BisaOutcome.VV_23),
@@ -62,8 +60,8 @@ class ExperimentConfig:
     mode: str = "ideal"  # "ideal" or "fock"
     trials: int = 10_000
     master_seed: int = 20120501
-    alice_bases: tuple[str, ...] = AXES
-    bob_bases: tuple[str, ...] = AXES
+    alice_bases: tuple[str, ...] = states.PAULI_AXES
+    bob_bases: tuple[str, ...] = states.PAULI_AXES
     duty_cycle: float = 0.6
     qrng_source: str = "deterministic"  # or "physical"
     # Fock-mode noise budget.
@@ -102,9 +100,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
-        bad = [b for b in (*self.alice_bases, *self.bob_bases) if b not in AXES]
+        bad = [b for b in (*self.alice_bases, *self.bob_bases) if b not in states.PAULI_AXES]
         if bad:
             raise ValueError(f"unknown measurement bases {bad}")
+        for name in ("alice_bases", "bob_bases"):
+            bases = getattr(self, name)
+            if not bases or len(set(bases)) != len(bases):
+                raise ValueError(f"{name} must name at least one basis, each once, "
+                                 f"got {list(bases)}")
 
     @property
     def visibility(self) -> float:
@@ -140,7 +143,6 @@ class TrialLog:
     """
 
     config: ExperimentConfig
-    event_times: EventTimes
     columns: dict
 
     def __len__(self) -> int:
@@ -298,16 +300,16 @@ def _sector_grams(rho: np.ndarray, mag: np.ndarray, transfer: np.ndarray,
             np.einsum("aibj,kij->kab", mag, povm_mag))
 
 
-def _count_weights(grams: dict, lift_a: list, lift_b: list, party: int,
-                   n_counts: int) -> np.ndarray:
+def _count_weights(grams: dict, rotations: dict, party: int, n_counts: int) -> np.ndarray:
     """Count weights W[o1, o4, c] once photons 1 and 4 are rotated into the
-    measurement bases: ``o1`` and ``o4`` index the (H, V) occupations of
+    measurement bases by ``rotations[(n1, n4)]``, the basis pair's rotation
+    of n1 and n4 photons: ``o1`` and ``o4`` index the (H, V) occupations of
     photons 1 and 4 (_party_basis(0), _party_basis(1), ... in turn), ``c``
     Victor's count vectors."""
     size = (party + 1) * (party + 2) // 2
     w = np.zeros((size, size, n_counts))
     for (n1, n4, _), (classes, gram, gram_mag) in grams.items():
-        rot = np.kron(lift_a[n1], lift_b[n4])
+        rot = rotations[(n1, n4)]
         diag = np.einsum("xa,cab,xb->xc", rot, gram, rot.conj()).real
         scale = np.einsum("xa,cab,xb->xc", abs(rot), gram_mag, abs(rot))
         diag[diag <= CANCELLATION_TOL * scale] = 0.0
@@ -373,6 +375,11 @@ class FockEngine:
             axis: [_rotation_lift(_axis_rotation(axis), n, n_max) for n in range(party + 1)]
             for axis in {*config.alice_bases, *config.bob_bases}
         }
+        photon_pairs = {(n1, n4) for n1, n4, _ in sectors}
+        rotations = {
+            (ab, bb): {(n1, n4): np.kron(lifts[ab][n1], lifts[bb][n4]) for n1, n4 in photon_pairs}
+            for ab in config.alice_bases for bb in config.bob_bases
+        }
         # Fiber depolarization on Victor's delay fibers b and c (each of the
         # three Paulis with probability p/3 on each fiber) is an exact flip of
         # Alice's and Bob's +1/-1 outcomes.  It needs two conditions: the
@@ -406,7 +413,7 @@ class FockEngine:
                 for bb in config.bob_bases:
                     cat = 0.0
                     for weight, grams, victor_clicks in parts:
-                        w = _count_weights(grams, lifts[ab], lifts[bb], party, len(victor_clicks))
+                        w = _count_weights(grams, rotations[(ab, bb)], party, len(victor_clicks))
                         w = np.einsum("ijc,cv->ijv", w, victor_clicks)
                         cat = cat + weight * np.einsum("ia,jb,ijv->abv",
                                                        party_clicks, party_clicks, w)
@@ -514,27 +521,17 @@ def _sample_chunk(config: ExperimentConfig, tables: list, lo: int, hi: int,
     }
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(config: ExperimentConfig):
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["tables"] = _sampling_tables(build_engine(config), config)
-
-
-def _run_chunk(lo: int, hi: int, choice_bits: np.ndarray | None) -> dict:
-    return _sample_chunk(_WORKER_STATE["config"], _WORKER_STATE["tables"], lo, hi, choice_bits)
-
-
 def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
     """Simulate the configured number of trials, reproducibly.
 
-    Trials are sampled in chunks of CHUNK_TRIALS, and ``workers > 1``
-    spreads the chunks over processes.  Each trial's uniforms sit at a
-    fixed offset of the master seed's Philox stream, and the physical
-    QRNG's bits are one stream drawn here for the whole run, so the log
-    is identical for any worker count and chunk size.
+    The engine is built once, here, and trials are sampled from its tables
+    in chunks of CHUNK_TRIALS; ``workers > 1`` spreads the same chunk
+    arguments over processes.  Each trial's uniforms sit at a fixed offset
+    of the master seed's Philox stream, and the physical QRNG's bits are one
+    stream drawn here for the whole run, so the log is identical for any
+    worker count and chunk size.
     """
+    tables = _sampling_tables(build_engine(config), config)
     bits = None
     if config.qrng_source == "physical":
         # One telegraph stream, sampled once per trial at the QRNG clock.
@@ -542,15 +539,14 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
         bits = QrngSimulator(QrngConfig(seed=seed)).bits(config.trials)
     bounds = [(lo, min(lo + CHUNK_TRIALS, config.trials))
               for lo in range(0, config.trials, CHUNK_TRIALS)]
-    chunks = [(lo, hi, None if bits is None else bits[lo:hi]) for lo, hi in bounds]
+    chunks = [(config, tables, lo, hi, None if bits is None else bits[lo:hi]) for lo, hi in bounds]
     if workers <= 1:
-        tables = _sampling_tables(build_engine(config), config)
-        parts = [_sample_chunk(config, tables, *chunk) for chunk in chunks]
+        parts = [_sample_chunk(*chunk) for chunk in chunks]
     else:
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(config,)) as pool:
-            parts = pool.starmap(_run_chunk, chunks)
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.starmap(_sample_chunk, chunks)
     columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
-    return TrialLog(config, event_times(config.budget), columns)
+    return TrialLog(config, columns)
 
 
 _PAIR_INDICES = {(1, 4): (0, 3), (2, 3): (1, 2), (1, 2): (0, 1), (3, 4): (2, 3)}
@@ -601,14 +597,15 @@ class RateBudget:
     factors: dict
 
 
-def rate_budget(config: ExperimentConfig, base_rate: float = 4.9) -> RateBudget:
-    """Analytic count-rate budget for one measurement choice.
+# The rate (Hz) that rate_budget's fraction scales to the fourfold rate.
+BASE_RATE = 4.9
 
+
+def rate_budget(config: ExperimentConfig) -> RateBudget:
+    """Analytic count-rate budget for one measurement choice: BASE_RATE x
     transmission^2 (both analyzer inputs) x 1/4 (probabilistic Bell
     projection) x 1/2 (random choice split) x duty cycle.
     """
-    if base_rate <= 0:
-        raise ValueError("base rate must be positive")
     factors = {
         "input_transmission_squared": config.input_transmission**2,
         "bell_projection": 0.25,
@@ -616,7 +613,7 @@ def rate_budget(config: ExperimentConfig, base_rate: float = 4.9) -> RateBudget:
         "duty_cycle": config.duty_cycle,
     }
     fraction = float(np.prod(list(factors.values())))
-    return RateBudget(fraction, base_rate * fraction, factors)
+    return RateBudget(fraction, BASE_RATE * fraction, factors)
 
 
 def imperfection_product(factors) -> float:
@@ -700,7 +697,7 @@ def ordering_joint(ab: str, bb: str, setting: BisaSetting, order: str) -> dict:
     return joint
 
 
-def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = None) -> dict:
+def simulate_counts(config: ExperimentConfig, trials: int, seed: int) -> dict:
     """Fast multinomial path for noise-budget statistics.
 
     Draws the per-category counts for ``trials`` iid trials directly from
@@ -708,10 +705,10 @@ def simulate_counts(config: ExperimentConfig, trials: int, seed: int | None = No
     counts keyed (commanded setting, victor outcome class, basis, alice
     outcome, bob outcome) for basis-matched fourfold events.
     """
-    engine = build_engine(config)
-    if not isinstance(engine, FockEngine):
+    if config.mode != "fock":
         raise ValueError("simulate_counts requires fock mode")
-    rng = np.random.default_rng(config.master_seed if seed is None else seed)
+    engine = build_engine(config)
+    rng = np.random.default_rng(seed)
     n_basis = len(config.alice_bases) * len(config.bob_bases)
     counts: dict = {}
     for commanded in BisaSetting:
@@ -777,13 +774,14 @@ def _column_values(config: ExperimentConfig, columns: dict, lo: int, hi: int) ->
 
 
 def write_log(path, log: TrialLog) -> None:
-    """Line-delimited JSON: a header object (log version, config, event
-    times, column names), then one array of the COLUMNS values per trial."""
+    """Line-delimited JSON: a header object (log version, config, the event
+    times of its delay budget, column names), then one array of the COLUMNS
+    values per trial."""
     header = {
         "kind": "swapsim-trial-log",
         "version": LOG_VERSION,
         "config": asdict(log.config),
-        "event_times": asdict(log.event_times),
+        "event_times": asdict(event_times(log.config.budget)),
         "columns": list(COLUMNS),
     }
     with open(path, "w") as fh:
@@ -805,6 +803,8 @@ def read_log(path) -> TrialLog:
                              f"this swapsim reads version {LOG_VERSION} only, rerun the simulation")
         config = config_from_dict(header.get("config"))
         times = _from_fields(EventTimes, header.get("event_times"), "event_times")
+        if times != event_times(config.budget):
+            raise ValueError("event_times differ from the event times of the config's budget")
         if header.get("columns") != list(COLUMNS):
             raise ValueError(f"unsupported trial log columns {header.get('columns')!r}")
         codes = _column_codes(config)
@@ -815,7 +815,7 @@ def read_log(path) -> TrialLog:
             if len(lines) < CHUNK_TRIALS:
                 break
     columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
-    return TrialLog(config, times, columns)
+    return TrialLog(config, columns)
 
 
 def _decode_rows(lines: list[str], first_line: int, codes: dict) -> dict:
@@ -899,11 +899,19 @@ def _coerce(section: str, key: str, kind, value):
     return kind(value)
 
 
-def run_summary(config: ExperimentConfig, log: TrialLog | None = None) -> dict:
-    times = event_times(config.budget)
+def run_summary(log: TrialLog) -> dict:
+    """The run's timeline check, rate budget and outcome counts."""
+    times = event_times(log.config.budget)
     report = check_delayed_choice(times)
-    budget = rate_budget(config)
-    summary = {
+    budget = rate_budget(log.config)
+    kept = log.columns["kept"]
+    victor = log.columns["victor_outcome"][kept]
+    counts = {"trials": len(log), "kept": int(kept.sum())}
+    for name, outcome in (("phi_plus", BisaOutcome.PHI_PLUS_23),
+                          ("phi_minus", BisaOutcome.PHI_MINUS_23),
+                          ("hh", BisaOutcome.HH_23), ("vv", BisaOutcome.VV_23)):
+        counts[name] = int(np.count_nonzero(victor == VICTOR_OUTCOMES.index(outcome)))
+    return {
         "timeline": {
             "event_times": asdict(times),
             "satisfied": report.satisfied,
@@ -915,14 +923,5 @@ def run_summary(config: ExperimentConfig, log: TrialLog | None = None) -> dict:
             "fourfold_rate_hz": budget.fourfold_rate,
             "factors": budget.factors,
         },
+        "counts": counts,
     }
-    if log is not None:
-        kept = log.columns["kept"]
-        victor = log.columns["victor_outcome"][kept]
-        counts = {"trials": len(log), "kept": int(kept.sum())}
-        for name, outcome in (("phi_plus", BisaOutcome.PHI_PLUS_23),
-                              ("phi_minus", BisaOutcome.PHI_MINUS_23),
-                              ("hh", BisaOutcome.HH_23), ("vv", BisaOutcome.VV_23)):
-            counts[name] = int(np.count_nonzero(victor == VICTOR_OUTCOMES.index(outcome)))
-        summary["counts"] = counts
-    return summary

@@ -12,8 +12,6 @@ import numpy as np
 
 MAX_QUBITS = 4
 
-NORM_TOL = 1e-12
-
 # Single-qubit kets in the H/V basis.
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -54,18 +52,13 @@ class QubitRegisterState:
 
     __slots__ = ("amplitudes", "n")
 
-    def __init__(self, amplitudes, normalize: bool = False):
+    def __init__(self, amplitudes):
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         n = int(np.log2(amp.size))
         if 2**n != amp.size:
             raise ValueError(f"amplitude length {amp.size} is not a power of 2")
         if n > MAX_QUBITS:
             raise ValueError(f"qubit count {n} exceeds cap {MAX_QUBITS}")
-        if normalize:
-            norm = np.linalg.norm(amp)
-            if norm == 0:
-                raise ValueError("cannot normalize the zero vector")
-            amp = amp / norm
         self.amplitudes = amp
         self.n = n
 
@@ -84,20 +77,19 @@ class DensityMatrix:
 
     __slots__ = ("matrix", "n")
 
-    def __init__(self, matrix, check: bool = True):
+    def __init__(self, matrix):
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         n = int(np.log2(mat.shape[0]))
         if 2**n != mat.shape[0]:
             raise ValueError("dimension is not a power of 2")
-        if check:
-            if not np.allclose(mat, mat.conj().T, atol=1e-12):
-                raise ValueError("matrix is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > 1e-12:
-                raise ValueError("trace is not 1")
-            if np.linalg.eigvalsh(mat).min() < -1e-10:
-                raise ValueError("matrix has a significantly negative eigenvalue")
+        if not np.allclose(mat, mat.conj().T, atol=1e-12):
+            raise ValueError("matrix is not Hermitian")
+        if abs(np.trace(mat).real - 1.0) > 1e-12:
+            raise ValueError("trace is not 1")
+        if np.linalg.eigvalsh(mat).min() < -1e-10:
+            raise ValueError("matrix has a significantly negative eigenvalue")
         self.matrix = mat
         self.n = n
 

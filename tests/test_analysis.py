@@ -95,7 +95,7 @@ def test_witness_identity_exact():
 def test_decomposition_consistent_with_direct_trace():
     rng = np.random.default_rng(3)
     amp = rng.normal(size=4) + 1j * rng.normal(size=4)
-    rho = states.QubitRegisterState(amp, normalize=True).density_matrix()
+    rho = states.QubitRegisterState(amp / np.linalg.norm(amp)).density_matrix()
     e = {a: states.pauli_correlation(rho, a) for a in ("z", "x", "y")}
     for target in analysis.BELL_TARGETS:
         f1 = analysis.fidelity_from_correlations(e["z"], e["x"], e["y"], target)

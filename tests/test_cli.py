@@ -76,6 +76,17 @@ def test_simulate_rejects_non_finite_config(tmp_path, capsys, text):
     assert not (tmp_path / "out" / "trials.jsonl").exists()
 
 
+@pytest.mark.parametrize("bases", [",", "x,x"], ids=["empty", "repeated"])
+@pytest.mark.parametrize("party", ["alice", "bob"])
+def test_simulate_rejects_bad_basis_list(tmp_path, capsys, party, bases):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"experiment.{party}_bases = {bases}\nexperiment.trials = 20\n")
+    rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"error: {party}_bases must name at least one basis" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trials.jsonl").exists()
+
+
 def test_verify_all_passes(capsys):
     assert cli.main(["verify", "all"]) == 0
     out = capsys.readouterr().out

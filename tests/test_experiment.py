@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ def small_config(**kw):
 
 
 def assert_same_trials(a, b):
-    assert a.event_times == b.event_times
     for name in ex.COLUMNS:
         assert a.columns[name].dtype == b.columns[name].dtype
         assert np.array_equal(a.columns[name], b.columns[name])
@@ -78,6 +78,27 @@ def test_determinism_across_workers():
     serial = ex.run_trials(cfg, workers=1)
     parallel = ex.run_trials(cfg, workers=4)
     assert_same_trials(serial, parallel)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_engine_built_once_for_any_workers(tmp_path, monkeypatch, workers):
+    """The engine is built in the calling process only, whatever the worker
+    count; the workers sample the tables built there.  A worker that built
+    its own engine would append its pid to the file: this relies on the
+    fork start method, under which the workers inherit the patched
+    ``build_engine``."""
+    pids = tmp_path / "pids"
+    build = ex.build_engine
+
+    def recording_build(config):
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build(config)
+
+    monkeypatch.setattr(ex, "build_engine", recording_build)
+    monkeypatch.setattr(ex, "CHUNK_TRIALS", 500)
+    ex.run_trials(small_config(trials=2000), workers=workers)
+    assert pids.read_text().splitlines() == [str(os.getpid())]
 
 
 def test_physical_qrng_choice_source():
@@ -158,8 +179,6 @@ def test_rate_budget():
     assert budget.fraction == pytest.approx(0.21**2 * 0.25 * 0.5 * 0.6)
     assert abs(budget.fraction - 0.0033) < 1e-4
     assert abs(budget.fourfold_rate - 0.016) < 1e-3
-    with pytest.raises(ValueError):
-        ex.rate_budget(ex.ExperimentConfig(), base_rate=0.0)
 
 
 def test_rate_budget_degenerate_factors():
@@ -196,28 +215,30 @@ def test_log_roundtrip(tmp_path):
     assert_same_trials(back, log)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda header: header.update(version=1),
-    lambda header: header.update(version=99),
-    lambda header: header["config"].update(bogus=1),
-    lambda header: header["config"].update(trials=1.5),
-    lambda header: header["config"]["budget"].update(eom_on_time=True),
-], ids=["version_1", "version_99", "unknown_key", "float_trials", "bool_budget_value"])
-def test_read_log_rejects_bad_header(tmp_path, edit):
+@pytest.mark.parametrize("edit, message", [
+    (lambda header: header.update(version=1), "version 1"),
+    (lambda header: header.update(version=99), "version 99"),
+    (lambda header: header["config"].update(bogus=1), "experiment.bogus"),
+    (lambda header: header["config"].update(trials=1.5), "experiment.trials"),
+    (lambda header: header["config"]["budget"].update(eom_on_time=True), "budget.eom_on_time"),
+    (lambda header: header["event_times"].update(m_alice=40.0), "event_times"),
+], ids=["version_1", "version_99", "unknown_key", "float_trials", "bool_budget_value",
+        "event_times_off_budget"])
+def test_read_log_rejects_bad_header(tmp_path, edit, message):
     path = tmp_path / "log.jsonl"
     ex.write_log(path, ex.run_trials(small_config(trials=10)))
     header, *records = path.read_text().splitlines()
     header = json.loads(header)
     edit(header)
     path.write_text("\n".join([json.dumps(header), *records]) + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         ex.read_log(path)
 
 
 def test_run_summary_contents():
     cfg = small_config(trials=500)
     log = ex.run_trials(cfg)
-    summary = ex.run_summary(cfg, log)
+    summary = ex.run_summary(log)
     assert summary["timeline"]["satisfied"]
     assert summary["counts"]["trials"] == 500
     assert summary["rate_budget"]["fraction"] > 0
@@ -284,6 +305,15 @@ def test_simulate_counts_fast_path():
     diff = sum(v for k, v in zz.items() if k[3] != k[4])
     assert same + diff > 100
     assert same / (same + diff) > 0.97
+
+
+def test_simulate_counts_rejects_ideal_mode_before_building(monkeypatch):
+    def no_build(config):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(ex, "build_engine", no_build)
+    with pytest.raises(ValueError, match="requires fock mode"):
+        ex.simulate_counts(ex.ExperimentConfig(mode="ideal"), trials=1000, seed=1)
 
 
 def test_spdc_pair_ratio_small_tau():
@@ -365,6 +395,9 @@ def _enumerated_tables(engine, pairs):
     return tables
 
 
+ALL_BASIS_PAIRS = [(ab, bb) for ab in states.PAULI_AXES for bb in states.PAULI_AXES]
+
+
 def _assert_tables_match(engine, pairs):
     for key, expected in _enumerated_tables(engine, pairs).items():
         keys, probs, _ = engine._dist[key]
@@ -379,11 +412,11 @@ def test_fock_engine_equals_branch_enumeration_default():
 
 
 def test_fock_engine_equals_branch_enumeration_clean(clean_fock_engine):
-    _assert_tables_match(clean_fock_engine, [(ab, bb) for ab in ex.AXES for bb in ex.AXES])
+    _assert_tables_match(clean_fock_engine, ALL_BASIS_PAIRS)
 
 
 def test_fock_engine_depolarization_equals_pauli_branches():
     # Every basis pair: at (x, y) alone Alice's marginal is symmetric, so a
     # wrong outcome-flip probability would go unseen.
     cfg = ex.ExperimentConfig(mode="fock", spdc_order=1, n_max=2, fiber_polarization_fidelity=0.7)
-    _assert_tables_match(ex.build_engine(cfg), [(ab, bb) for ab in ex.AXES for bb in ex.AXES])
+    _assert_tables_match(ex.build_engine(cfg), ALL_BASIS_PAIRS)

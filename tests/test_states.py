@@ -9,7 +9,7 @@ from swapsim import states
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     amp = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return states.QubitRegisterState(amp, normalize=True)
+    return states.QubitRegisterState(amp / np.linalg.norm(amp))
 
 
 def test_ket_labels():
