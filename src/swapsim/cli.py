@@ -3,8 +3,8 @@
 Configuration files are flat key-value text with dotted section names,
 one ``section.key = value`` assignment per line.  Each value is read as its
 config field's type (``experiment.config_from_dict``); unknown keys and
-ill-typed values are hard errors so a typo cannot silently change the
-physics.
+ill-typed values and repeated keys are hard errors so a typo cannot
+silently change the physics.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         target = values if section == "experiment" else values.setdefault(section, {})
         if not isinstance(target, dict) or isinstance(target.get(name), dict):
             raise ConfigError(f"line {lineno}: {key} mixes a section and a value")
+        if name in target:
+            raise ConfigError(f"line {lineno}: {key} is set twice")
         target[name] = raw.strip()
     try:
         return config_from_dict(values)

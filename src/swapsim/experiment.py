@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.spdc_order < 1:
+            raise ValueError(f"spdc_order must be at least 1, got {self.spdc_order}")
         if self.qrng_source not in ("deterministic", "physical"):
             raise ValueError(f"unknown qrng source {self.qrng_source!r}")
         for name in (
@@ -201,11 +203,14 @@ class IdealEngine:
 # A party's outcome from its two detectors (H for +1, V for -1): the sign
 # of the one that clicked, 0 when neither or both click.
 _PARTY_OUTCOMES = (+1, -1, 0)
-# A count weight at most this fraction of the sum of the magnitudes of the
+# A table entry at most this fraction of the sum of the magnitudes of the
 # terms it is summed from (over branches, analyzer outputs and rotation
-# entries alike) is the rounding residue of an exact cancellation, and
-# counts as absent.  Rounding leaves at most a few machine epsilons of that
-# sum, so true weights smaller than 1e-12 of it are the only ones lost.
+# entries alike, each times its click probabilities) is the rounding residue
+# of an exact cancellation, and counts as absent.  In exact arithmetic an
+# entry is a sum of nonnegative probabilities, one per photon-number sector
+# and analyzer part, so no cancellation happens between them and one test
+# per entry suffices.  Rounding leaves at most a few machine epsilons of
+# that sum, so true entries smaller than 1e-12 of it are the only ones lost.
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with np.einsum, not matmul: the
 # first BLAS call of a process keeps about 0.5 MiB resident for good.
@@ -268,73 +273,30 @@ def _rotation_lift(jones: np.ndarray, n: int, n_max: int) -> np.ndarray:
     return lift
 
 
-def _victor_counts(modes, outputs, bank) -> tuple[np.ndarray, np.ndarray]:
-    """Victor's distinct count vectors over ``outputs``, and the index of
-    each output occupation's count vector."""
+def _victor_counts(modes, outputs, bank) -> np.ndarray:
+    """Victor's photon count on each of VICTOR_DETECTORS, one row per
+    output occupation in ``outputs``."""
     watched = [[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS]
-    index: dict = {}
-    cls = [
-        index.setdefault(tuple(sum(occ[i] for i in idx) for idx in watched), len(index))
-        for occ in outputs
-    ]
-    return np.array(list(index)), np.array(cls)
+    return np.array([[sum(occ[i] for i in idx) for idx in watched] for occ in outputs])
 
 
-def _sector_grams(rho: np.ndarray, mag: np.ndarray, transfer: np.ndarray,
-                  cls: np.ndarray, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices on one sector's (photon 1, photon 4) occupations after
-    each Victor count vector in ``classes``:
-    G[k, a, a'] = sum_ii' rho[a, i, a', i'] (T_c T_c^dagger)[i, i'] with
-    c = classes[k] and T_c the columns of ``transfer`` (rows: the sector's
-    input occupations) whose output occupation has count vector c.  Also
-    returns the same contraction of the magnitudes ``mag``, |T_c| and
-    |T_c^dagger|: the sum of the magnitudes of the terms of each entry."""
-    m = len(transfer)
-    povm = np.empty((len(classes), m, m), dtype=complex)
-    povm_mag = np.empty((len(classes), m, m))
-    for k, c in enumerate(classes):
-        t_c = transfer[:, cls == c]
-        povm[k] = np.einsum("ij,kj->ik", t_c, t_c.conj())
-        povm_mag[k] = np.einsum("ij,kj->ik", abs(t_c), abs(t_c))
-    return (np.einsum("aibj,kij->kab", rho, povm),
-            np.einsum("aibj,kij->kab", mag, povm_mag))
+def _povm(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """POVM elements E[k, i, i'] = sum_j left[j, i] weights[j, k] right[j, i']:
+    detection weights on the outputs ``j`` pulled back through a linear
+    map, one element per outcome ``k``."""
+    return np.einsum("ji,jk,jl->kil", left, weights, right)
 
 
-def _count_weights(grams: dict, rotations: dict, party: int, n_counts: int) -> np.ndarray:
-    """Count weights W[o1, o4, c] once photons 1 and 4 are rotated into the
-    measurement bases by ``rotations[(n1, n4)]``, the basis pair's rotation
-    of n1 and n4 photons: ``o1`` and ``o4`` index the (H, V) occupations of
-    photons 1 and 4 (_party_basis(0), _party_basis(1), ... in turn), ``c``
-    Victor's count vectors."""
-    size = (party + 1) * (party + 2) // 2
-    w = np.zeros((size, size, n_counts))
-    for (n1, n4, _), (classes, gram, gram_mag) in grams.items():
-        rot = rotations[(n1, n4)]
-        diag = np.einsum("xa,cab,xb->xc", rot, gram, rot.conj()).real
-        scale = np.einsum("xa,cab,xb->xc", abs(rot), gram_mag, abs(rot))
-        diag[diag <= CANCELLATION_TOL * scale] = 0.0
-        w[n1 * (n1 + 1) // 2:(n1 + 1) * (n1 + 2) // 2,
-          n4 * (n4 + 1) // 2:(n4 + 1) * (n4 + 2) // 2, classes] = diag.reshape(n1 + 1, n4 + 1, -1)
-    return w
-
-
-def _party_clicks(party: int, eta: float) -> np.ndarray:
+def _party_clicks(n: int, eta: float) -> np.ndarray:
     """P(outcome) per _PARTY_OUTCOMES for each (H, V) occupation of a party's
-    photon, in the order of _count_weights."""
-    occs = np.array([occ for n in range(party + 1) for occ in _party_basis(n)])
-    (s_h, s_v), (c_h, c_v) = (p.T for p in click_probability(occs, eta))
+    photon in _party_basis(n)."""
+    (s_h, s_v), (c_h, c_v) = (p.T for p in click_probability(np.array(_party_basis(n)), eta))
     return np.stack([c_h * s_v, s_h * c_v, s_h * s_v + c_h * c_v], axis=-1)
 
 
 def _victor_masks() -> np.ndarray:
     """Victor's click patterns: which of VICTOR_DETECTORS click, one row each."""
     return np.array(list(itertools.product((False, True), repeat=len(VICTOR_DETECTORS))))
-
-
-def _victor_clicks(counts: np.ndarray, eta: float) -> np.ndarray:
-    """P(pattern) per _victor_masks() for each row of Victor's photon counts."""
-    silent, click = click_probability(counts, eta)
-    return np.where(_victor_masks(), click[:, None, :], silent[:, None, :]).prod(axis=-1)
 
 
 class FockEngine:
@@ -345,18 +307,21 @@ class FockEngine:
     commanded settings, since a switching error applies the opposite
     optical setting while the sorting logic keeps the command.
 
-    The tables equal a per-branch enumeration (analyzer pass, Alice/Bob
-    basis rotation and threshold detection of every noise branch) and are
-    built from three exact identities:
+    Each entry is one trace, P(a, b, p) = Tr[rho (F_a x F_b x E_p)], of the
+    source ensemble after input loss against three measurements, each a
+    POVM built from threshold click probabilities (detectors click
+    independently given their photon counts):
 
-    * The analyzer is linear and leaves photons 1 and 4 alone, so each pass
-      is one transfer map on the distinct b/c input occupations.
-    * The basis rotations act on photons 1 and 4 alone and keep their
-      photon numbers n1 and n4, so the ensemble enters only through one
-      Gram matrix per Victor count vector and photon-number sector, and
-      each basis pair reads its count weights off diag(R G R^dagger).
-    * Detectors click independently given their photon counts, so click
-      patterns factorize into Alice, Bob and Victor parts.
+    * Alice's and Bob's F_o = R^dagger diag(P(o | H, V counts)) R on the n
+      photons of mode 1 or 4, R the lift of the axis rotation to them;
+      fiber depolarization folds into P as a flip of +1/-1.
+    * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
+      transfer map on the b/c input occupations, summed over the analyzer
+      parts with their weights.
+
+    Rotations keep n1 and n4 and the analyzer keeps n, so rho enters as one
+    block per (n1, n4, n) sector; Victor's side is traced first, leaving one
+    Gram block G_p = Tr_bc[rho E_p] per (n1, n4) for every basis pair.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -370,16 +335,6 @@ class FockEngine:
         sectors = _sector_densities([b for b in branches if b.norm_sq() > 1e-18])
         inputs = sorted({occ for occs, _, _ in sectors.values() for occ in occs})
         row = {occ: i for i, occ in enumerate(inputs)}
-        party = max(max(n1, n4) for n1, n4, _ in sectors)  # most photons in mode 1 or 4
-        lifts = {
-            axis: [_rotation_lift(_axis_rotation(axis), n, n_max) for n in range(party + 1)]
-            for axis in {*config.alice_bases, *config.bob_bases}
-        }
-        photon_pairs = {(n1, n4) for n1, n4, _ in sectors}
-        rotations = {
-            (ab, bb): {(n1, n4): np.kron(lifts[ab][n1], lifts[bb][n4]) for n1, n4 in photon_pairs}
-            for ab in config.alice_bases for bb in config.bob_bases
-        }
         # Fiber depolarization on Victor's delay fibers b and c (each of the
         # three Paulis with probability p/3 on each fiber) is an exact flip of
         # Alice's and Bob's +1/-1 outcomes.  It needs two conditions: the
@@ -393,30 +348,41 @@ class FockEngine:
         # and 0 stays 0; flip[i, j] is P(j | i) over _PARTY_OUTCOMES.
         q = 2.0 * (1.0 - config.fiber_polarization_fidelity) / 3.0
         flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
-        party_clicks = np.einsum("io,op->ip", _party_clicks(party, eta), flip)
-        patterns = [
-            tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in _victor_masks()
-        ]
+        # Alice's and Bob's POVMs, and their magnitudes, per (axis, n).
+        povms = {}
+        for axis in {*config.alice_bases, *config.bob_bases}:
+            for n in {n for n1, n4, _ in sectors for n in (n1, n4)}:
+                lift = _rotation_lift(_axis_rotation(axis), n, n_max)
+                clicks = np.einsum("io,op->ip", _party_clicks(n, eta), flip)
+                povms[(axis, n)] = (_povm(lift.conj(), clicks, lift),
+                                   _povm(abs(lift), clicks, abs(lift)))
+        masks = _victor_masks()
+        patterns = [tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in masks]
         self._dist: dict = {}
         for setting in BisaSetting:
-            parts = []
+            # G_p and its magnitudes per (n1, n4), as [p, x1, x4, y1, y4].
+            grams: dict = {}
             for analyzer, bank, weight in analyzer_mixture(config.visibility):
                 modes, outputs, transfer = transfer_map(analyzer, setting, inputs, n_max)
-                counts, cls = _victor_counts(modes, outputs, bank)
-                grams = {}
-                for sector, (occs, rho, mag) in sectors.items():
-                    classes = np.flatnonzero(counts.sum(axis=1) == sector[2])
+                silent, click = click_probability(_victor_counts(modes, outputs, bank), eta)
+                clicks = weight * np.where(masks, click[:, None], silent[:, None]).prod(axis=-1)
+                for (n1, n4, _), (occs, rho, mag) in sectors.items():
                     rows = transfer[[row[occ] for occ in occs]]
-                    grams[sector] = (classes, *_sector_grams(rho, mag, rows, cls, classes))
-                parts.append((weight, grams, _victor_clicks(counts, eta)))
+                    reached = rows.any(axis=0)
+                    t, w = rows[:, reached].T, clicks[reached]
+                    gram = (np.einsum("aibj,pij->pab", rho, _povm(t, w, t.conj())),
+                            np.einsum("aibj,pij->pab", mag, _povm(abs(t), w, abs(t))))
+                    shape = (len(masks), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
+                    acc = grams.get((n1, n4), (0.0, 0.0))
+                    grams[(n1, n4)] = tuple(s + g.reshape(shape) for s, g in zip(acc, gram))
             for ab in config.alice_bases:
                 for bb in config.bob_bases:
-                    cat = 0.0
-                    for weight, grams, victor_clicks in parts:
-                        w = _count_weights(grams, rotations[(ab, bb)], party, len(victor_clicks))
-                        w = np.einsum("ijc,cv->ijv", w, victor_clicks)
-                        cat = cat + weight * np.einsum("ia,jb,ijv->abv",
-                                                       party_clicks, party_clicks, w)
+                    cat = scale = 0.0
+                    for (n1, n4), (gram, gram_mag) in grams.items():
+                        (fa, fa_mag), (fb, fb_mag) = povms[(ab, n1)], povms[(bb, n4)]
+                        cat = cat + np.einsum("aji,blk,pikjl->abp", fa, fb, gram).real
+                        scale = scale + np.einsum("aji,blk,pikjl->abp", fa_mag, fb_mag, gram_mag)
+                    cat[cat <= CANCELLATION_TOL * scale] = 0.0
                     entries = sorted(
                         ((_PARTY_OUTCOMES[i], _PARTY_OUTCOMES[j], patterns[k]), cat[i, j, k])
                         for i, j, k in zip(*np.nonzero(cat > 0.0))
@@ -794,6 +760,8 @@ def write_log(path, log: TrialLog) -> None:
 
 
 def read_log(path) -> TrialLog:
+    """The run a write_log file holds.  Raises ValueError unless its rows
+    are trials 0, 1, ..., config.trials - 1 in turn."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if not isinstance(header, dict) or header.get("kind") != "swapsim-trial-log":
@@ -815,6 +783,13 @@ def read_log(path) -> TrialLog:
             if len(lines) < CHUNK_TRIALS:
                 break
     columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
+    index = columns["trial_index"]
+    wrong = np.flatnonzero(index != np.arange(len(index)))
+    if len(wrong):
+        k = wrong[0]
+        raise ValueError(f"line {k + 2}: trial_index {index[k]}, expected {k}")
+    if len(index) != config.trials:
+        raise ValueError(f"{len(index)} trial rows, but config.trials is {config.trials}")
     return TrialLog(config, columns)
 
 

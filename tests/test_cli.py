@@ -40,6 +40,10 @@ def test_unknown_key_is_hard_error():
         cli.parse_config_text("experiment.budget = 3\nbudget.eom_on_time = 200")
     with pytest.raises(ConfigError):
         cli.parse_config_text("budget.eom_on_time = 200\nexperiment.budget = 3")
+    with pytest.raises(ConfigError, match="line 2: experiment.tau is set twice"):
+        cli.parse_config_text("experiment.tau = 0.1\nexperiment.tau = 0.7")
+    with pytest.raises(ConfigError, match="line 3: budget.eom_on_time is set twice"):
+        cli.parse_config_text("budget.eom_on_time = 200\n\nbudget.eom_on_time = 250")
 
 
 def test_invalid_value_is_config_error():
@@ -168,22 +172,30 @@ def test_analyze_pooled_on_ssm_only_log_fails(tmp_path, capsys):
         "--out", str(out),
     ])
     assert rc == 0
-    # Strip the Bell-measurement records from the log to force the error.
+    # Strip the Bell-measurement records from the log to force the error,
+    # renumbering the rest so the log stays a complete run.
     log_path = out / "trials.jsonl"
-    lines = log_path.read_text().splitlines()
-    choice = json.loads(lines[0])["columns"].index("victor_choice")
-    kept = [lines[0]] + [ln for ln in lines[1:] if json.loads(ln)[choice] != "BSM"]
+    header, *lines = log_path.read_text().splitlines()
+    header = json.loads(header)
+    choice = header["columns"].index("victor_choice")
+    rows = [row for row in map(json.loads, lines) if row[choice] != "BSM"]
+    for k, row in enumerate(rows):
+        row[0] = k
+    header["config"]["trials"] = len(rows)
     ssm_log = tmp_path / "ssm.jsonl"
-    ssm_log.write_text("\n".join(kept) + "\n")
+    ssm_log.write_text("\n".join(map(json.dumps, [header, *rows])) + "\n")
+    capsys.readouterr()
     rc = cli.main(["analyze", str(ssm_log), "--report", "pooled", "--out", str(out)])
     assert rc != 0
+    assert "no coincidences in the bsm_pooled group" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row, error", [
     ('[1,"z",1,"x",-1,"BSM"]', "error: line 3: expected an array of the 8 values"),
     ('[1,"q",1,"x",-1,"BSM","phi-23",true]', 'error: line 3: alice_basis "q" is not one of'),
     ('[1,"z",1,"x",true,"BSM","phi-23",true]', "error: line 3: bob_outcome true is not one of"),
-], ids=["short_row", "bad_basis", "bad_outcome"])
+    ('[5,"z",1,"x",-1,"BSM","phi-23",true]', "error: line 3: trial_index 5, expected 1"),
+], ids=["short_row", "bad_basis", "bad_outcome", "renumbered"])
 def test_analyze_rejects_bad_row(tmp_path, capsys, row, error):
     out = tmp_path / "run"
     assert cli.main(["simulate", "--mode", "ideal", "--trials", "20", "--out", str(out)]) == 0
@@ -195,6 +207,40 @@ def test_analyze_rejects_bad_row(tmp_path, capsys, row, error):
     rc = cli.main(["analyze", str(log_path), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(error)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda rows: rows[:399], "error: 399 trial rows, but config.trials is 1000"),
+    (lambda rows: rows + rows, "error: line 1002: trial_index 0, expected 1000"),
+], ids=["truncated", "duplicated"])
+def test_analyze_rejects_missing_or_extra_rows(tmp_path, capsys, edit, error):
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--mode", "ideal", "--trials", "1000", "--out", str(out)]) == 0
+    log_path = out / "trials.jsonl"
+    header, *rows = log_path.read_text().splitlines()
+    log_path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(log_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(error)
+
+
+def test_reproduce_writes_its_reports(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["reproduce", "--trials", "20000", "--seed", "11", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["trials.jsonl", "fig3.csv", "table1.csv", "pooled.csv",
+                                   "summary.json"]
+    again = tmp_path / "again"
+    rc = cli.main(["analyze", str(out / "trials.jsonl"), "--report", "table1", "--out", str(again)])
+    assert rc == 0
+    assert (again / "table1.csv").read_bytes() == (out / "table1.csv").read_bytes()
+    header, *lines = (out / "fig3.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    fig3 = {r["basis"]: r for r in rows if r["group"] == "bsm_phi_minus"}
+    for basis, expected in (("z", 1.0), ("x", -1.0), ("y", 1.0)):
+        value, sigma = float(fig3[basis]["value"]), float(fig3[basis]["sigma"])
+        assert abs(value - expected) <= 5 * sigma
 
 
 def test_analyze_missing_log_fails(tmp_path, capsys):

@@ -39,6 +39,9 @@ def test_config_validation():
         ex.ExperimentConfig(alice_bases=("z", "q"))
     with pytest.raises(ValueError):
         ex.ExperimentConfig(tau=-0.1)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="spdc_order must be at least 1"):
+            ex.ExperimentConfig(mode="fock", spdc_order=order)
 
 
 def test_run_trials_positive():
