@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import get_type_hints
 
@@ -100,8 +100,10 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
+        if self.tau <= 0:
+            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 <= self.master_seed < 2**128:
+            raise ValueError(f"master_seed must lie in [0, 2**128), got {self.master_seed}")
         bad = [b for b in (*self.alice_bases, *self.bob_bases) if b not in states.PAULI_AXES]
         if bad:
             raise ValueError(f"unknown measurement bases {bad}")
@@ -490,13 +492,16 @@ def _sample_chunk(config: ExperimentConfig, tables: list, lo: int, hi: int,
 def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
     """Simulate the configured number of trials, reproducibly.
 
-    The engine is built once, here, and trials are sampled from its tables
-    in chunks of CHUNK_TRIALS; ``workers > 1`` spreads the same chunk
-    arguments over processes.  Each trial's uniforms sit at a fixed offset
-    of the master seed's Philox stream, and the physical QRNG's bits are one
-    stream drawn here for the whole run, so the log is identical for any
-    worker count and chunk size.
+    The engine is built once, here, and ``workers`` threads sample its
+    tables in chunks of CHUNK_TRIALS; the sampling is numpy work that
+    releases the GIL, so the chunks run in parallel.  Each trial's uniforms
+    sit at a fixed offset of the master seed's Philox stream, the physical
+    QRNG's bits are one stream drawn here for the whole run, and the chunks
+    come back in order, so the log is identical for any worker count and
+    chunk size.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     tables = _sampling_tables(build_engine(config), config)
     bits = None
     if config.qrng_source == "physical":
@@ -506,11 +511,8 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> TrialLog:
     bounds = [(lo, min(lo + CHUNK_TRIALS, config.trials))
               for lo in range(0, config.trials, CHUNK_TRIALS)]
     chunks = [(config, tables, lo, hi, None if bits is None else bits[lo:hi]) for lo, hi in bounds]
-    if workers <= 1:
-        parts = [_sample_chunk(*chunk) for chunk in chunks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.starmap(_sample_chunk, chunks)
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(lambda chunk: _sample_chunk(*chunk), chunks))
     columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
     return TrialLog(config, columns)
 
@@ -590,34 +592,17 @@ def imperfection_product(factors) -> float:
     return float(np.prod(factors)) if factors else 1.0
 
 
-def spdc_pair_ratio(tau: float, n_max: int = 3) -> float:
-    """P(2 pairs) / P(1 pair) of the truncated source."""
-    state = spdc_source(tau, order=min(2, n_max), n_max=n_max, normalize=False)
-    p = {1: 0.0, 2: 0.0}
-    for occ, a in state.amp.items():
-        pairs = sum(occ) // 2
-        if pairs in p:
-            p[pairs] += abs(a) ** 2
-    if p[1] == 0.0:
-        raise ValueError("no single-pair component; tau too small")
-    return p[2] / p[1]
-
-
-def calibrate_tau(pair_ratio: float, n_max: int = 3) -> float:
+def calibrate_tau(pair_ratio: float) -> float:
     """Squeezing parameter whose 2-pair/1-pair emission ratio matches the
-    supplied 4-fold/2-fold count ratio."""
+    supplied 4-fold/2-fold count ratio: the source's ratio is exactly
+    3 tau^2 / 4 for order >= 2 (see ``fock.spdc_source``).
+    """
     if pair_ratio <= 0:
         raise ValueError("pair ratio must be positive")
-    lo, hi = 1e-4, 1.5
-    if not spdc_pair_ratio(lo, n_max) < pair_ratio < spdc_pair_ratio(hi, n_max):
+    tau = math.sqrt(4.0 * pair_ratio / 3.0)
+    if not 1e-4 < tau < 1.5:
         raise ValueError("pair ratio outside the calibrated range")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if spdc_pair_ratio(mid, n_max) < pair_ratio:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return tau
 
 
 def ordering_joint(ab: str, bb: str, setting: BisaSetting, order: str) -> dict:

@@ -2,8 +2,7 @@
 
 States are sparse maps from occupation tuples to complex amplitudes.  The
 per-mode photon cap ``n_max`` implements the truncation of the numerical
-noise model; amplitudes pushed past the cap are dropped and their weight
-accumulated in ``truncation_loss``.
+noise model; amplitudes pushed past the cap are dropped.
 
 Mixed states (after loss channels) are represented as lists of
 unnormalized FockVectors; the weight of a branch is its squared norm.
@@ -29,15 +28,14 @@ JONES_QWP_M45 = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / sqrt(2.0
 class FockVector:
     """Sparse amplitude map over occupation tuples of an ordered mode register."""
 
-    __slots__ = ("modes", "n_max", "amp", "truncation_loss", "_index")
+    __slots__ = ("modes", "n_max", "amp", "_index")
 
-    def __init__(self, modes, n_max: int, amp=None, truncation_loss: float = 0.0):
+    def __init__(self, modes, n_max: int, amp=None):
         self.modes: tuple[Mode, ...] = tuple(modes)
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("duplicate mode labels in register")
         self.n_max = int(n_max)
         self.amp: dict[tuple[int, ...], complex] = dict(amp) if amp else {}
-        self.truncation_loss = float(truncation_loss)
         self._index = {m: i for i, m in enumerate(self.modes)}
 
     @classmethod
@@ -65,12 +63,7 @@ class FockVector:
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> "FockVector":
-        return FockVector(
-            self.modes,
-            self.n_max,
-            {occ: a * factor for occ, a in self.amp.items()},
-            self.truncation_loss,
-        )
+        return FockVector(self.modes, self.n_max, {occ: a * factor for occ, a in self.amp.items()})
 
     def add(self, other: "FockVector", scale: complex = 1.0) -> "FockVector":
         if other.modes != self.modes:
@@ -78,18 +71,17 @@ class FockVector:
         amp = dict(self.amp)
         for occ, a in other.amp.items():
             amp[occ] = amp.get(occ, 0.0) + scale * a
-        out = FockVector(self.modes, self.n_max, truncation_loss=self.truncation_loss)
+        out = FockVector(self.modes, self.n_max)
         out.amp = {occ: a for occ, a in amp.items() if abs(a) > PRUNE_TOL}
         return out
 
     def create(self, mode: Mode) -> "FockVector":
         """Apply the creation operator; occupations at ``n_max`` are truncated."""
         i = self.mode_index(mode)
-        out = FockVector(self.modes, self.n_max, truncation_loss=self.truncation_loss)
+        out = FockVector(self.modes, self.n_max)
         for occ, a in self.amp.items():
             n = occ[i]
             if n >= self.n_max:
-                out.truncation_loss += abs(a) ** 2 * (n + 1)
                 continue
             new = occ[:i] + (n + 1,) + occ[i + 1 :]
             out.amp[new] = out.amp.get(new, 0.0) + a * sqrt(n + 1)
@@ -98,7 +90,7 @@ class FockVector:
     def relabel(self, mapping: dict[str, str]) -> "FockVector":
         """Rename spatial labels; occupations are untouched."""
         new_modes = tuple((mapping.get(s, s), p) for s, p in self.modes)
-        return FockVector(new_modes, self.n_max, self.amp, self.truncation_loss)
+        return FockVector(new_modes, self.n_max, self.amp)
 
     def tensor(self, other: "FockVector") -> "FockVector":
         if self.n_max != other.n_max:
@@ -108,7 +100,6 @@ class FockVector:
         for occ1, a1 in self.amp.items():
             for occ2, a2 in other.amp.items():
                 out.amp[occ1 + occ2] = a1 * a2
-        out.truncation_loss = self.truncation_loss + other.truncation_loss
         return out
 
     def extended(self, modes) -> "FockVector":
@@ -143,7 +134,7 @@ def apply_pair_matrix(state: FockVector, i1: int, i2: int, mat: np.ndarray) -> F
     Jones matrix J coincides with the single-photon ket map |p> -> J|p>.
     """
     n_max = state.n_max
-    out = FockVector(state.modes, n_max, truncation_loss=state.truncation_loss)
+    out = FockVector(state.modes, n_max)
     amp_out = out.amp
     for occ, a in state.amp.items():
         n1, n2 = occ[i1], occ[i2]
@@ -161,7 +152,6 @@ def apply_pair_matrix(state: FockVector, i1: int, i2: int, mat: np.ndarray) -> F
                 y = n1 + n2 - x
                 coeff = base * c1 * c2 * sqrt(factorial(x) * factorial(y))
                 if x > n_max or y > n_max:
-                    out.truncation_loss += abs(coeff) ** 2
                     continue
                 new = list(occ)
                 new[i1], new[i2] = x, y
@@ -198,7 +188,7 @@ def phase_shift(state: FockVector, target, phi: float) -> FockVector:
         if not idxs:
             raise ValueError(f"unknown spatial label {target!r}")
     ph = np.exp(1.0j * phi)
-    out = FockVector(state.modes, state.n_max, truncation_loss=state.truncation_loss)
+    out = FockVector(state.modes, state.n_max)
     for occ, a in state.amp.items():
         n = sum(occ[i] for i in idxs)
         out.amp[occ] = a * ph**n
@@ -246,7 +236,7 @@ def spdc_source(
 
     Expansion of exp[tau (aH+ bV+ - aV+ bH+)/sqrt2] |vac>; the one-pair
     term is exactly tau |psi->.  The interaction is singlet-normalized so
-    that P(2 pairs)/P(1 pair) = 3 tau^2 / 4 at small tau.
+    that P(2 pairs)/P(1 pair) = 3 tau^2 / 4 exactly, for order >= 2.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
@@ -281,7 +271,7 @@ def attenuate(state: FockVector, mode: Mode, eta: float) -> list[FockVector]:
     max_n = max((occ[i] for occ in state.amp), default=0)
     branches = []
     for k in range(max_n + 1):
-        branch = FockVector(state.modes, state.n_max, truncation_loss=state.truncation_loss)
+        branch = FockVector(state.modes, state.n_max)
         for occ, a in state.amp.items():
             n = occ[i]
             if n < k:

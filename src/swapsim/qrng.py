@@ -99,38 +99,3 @@ def measure_autocorrelation_time(
         prev_lag, prev_val = k * dt, val
     raise RuntimeError("autocorrelation did not decay below 1/e")
 
-
-def calibrate_rate(
-    target_tau: float,
-    rate_lo: float | None = None,
-    rate_hi: float | None = None,
-    seed: int = 0,
-    tol: float = 0.02,
-) -> float:
-    """Per-detector rate whose measured 1/e autocorrelation time hits ``target_tau``.
-
-    Bisection against the simulator itself; the analytic telegraph value
-    tau = 1/(2 r) seeds the bracket.
-    """
-    if target_tau <= 0:
-        raise ValueError("target_tau must be positive")
-    if rate_lo is None:
-        rate_lo = 0.2 / target_tau
-    if rate_hi is None:
-        rate_hi = 2.0 / target_tau
-    tau_lo = measure_autocorrelation_time(rate_lo, seed)
-    tau_hi = measure_autocorrelation_time(rate_hi, seed)
-    # Measured tau decreases with rate.
-    if not (tau_hi < target_tau < tau_lo):
-        raise ValueError("search bounds do not bracket the target")
-    for _ in range(40):
-        mid = np.sqrt(rate_lo * rate_hi)
-        tau_mid = measure_autocorrelation_time(mid, seed)
-        if abs(tau_mid - target_tau) <= tol * target_tau:
-            return float(mid)
-        if tau_mid > target_tau:
-            rate_lo = mid
-        else:
-            rate_hi = mid
-    return float(np.sqrt(rate_lo * rate_hi))
-

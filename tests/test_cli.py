@@ -54,6 +54,9 @@ def test_invalid_value_is_config_error():
         "experiment.tau = true",
         "experiment.n_max = 2.5",
         "experiment.bogus = 1",
+        "experiment.master_seed = -5",
+        f"experiment.master_seed = {2**128}",
+        "experiment.tau = 0",
     ):
         with pytest.raises(ConfigError):
             cli.parse_config_text(line)
@@ -155,6 +158,21 @@ def test_log_identical_for_any_workers_and_chunk_size(tmp_path, monkeypatch):
     assert len(log) == 2500
     experiment.write_log(tmp_path / "again.jsonl", log)
     assert (tmp_path / "again.jsonl").read_bytes() in logs
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--workers", "-2"], "error: workers must be at least 1, got -2"),
+    (["--seed", "-5"], "error: master_seed must lie in [0, 2**128), got -5"),
+], ids=["workers", "seed"])
+def test_simulate_bad_flag_fails_before_building(tmp_path, capsys, monkeypatch, flags, error):
+    def no_build(config):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(experiment, "build_engine", no_build)
+    rc = cli.main(["simulate", "--trials", "20", *flags, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trials.jsonl").exists()
 
 
 def test_simulate_zero_trials_fails(tmp_path, capsys):

@@ -37,8 +37,13 @@ def test_config_validation():
         ex.ExperimentConfig(duty_cycle=1.5)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(alice_bases=("z", "q"))
-    with pytest.raises(ValueError):
-        ex.ExperimentConfig(tau=-0.1)
+    for tau in (-0.1, 0.0):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            ex.ExperimentConfig(tau=tau)
+    for seed in (-5, 2**128):
+        with pytest.raises(ValueError, match="master_seed must lie in"):
+            ex.ExperimentConfig(master_seed=seed)
+    ex.ExperimentConfig(master_seed=2**128 - 1)
     for order in (0, -1):
         with pytest.raises(ValueError, match="spdc_order must be at least 1"):
             ex.ExperimentConfig(mode="fock", spdc_order=order)
@@ -76,7 +81,8 @@ def test_duty_cycle_drops_victor_stage():
     assert not np.any(cols["kept"][dropped])
 
 
-def test_determinism_across_workers():
+def test_determinism_across_workers(monkeypatch):
+    monkeypatch.setattr(ex, "CHUNK_TRIALS", 300)
     cfg = small_config(trials=2000)
     serial = ex.run_trials(cfg, workers=1)
     parallel = ex.run_trials(cfg, workers=4)
@@ -86,10 +92,7 @@ def test_determinism_across_workers():
 @pytest.mark.parametrize("workers", [1, 3])
 def test_engine_built_once_for_any_workers(tmp_path, monkeypatch, workers):
     """The engine is built in the calling process only, whatever the worker
-    count; the workers sample the tables built there.  A worker that built
-    its own engine would append its pid to the file: this relies on the
-    fork start method, under which the workers inherit the patched
-    ``build_engine``."""
+    count; the workers sample the tables built there."""
     pids = tmp_path / "pids"
     build = ex.build_engine
 
@@ -102,6 +105,15 @@ def test_engine_built_once_for_any_workers(tmp_path, monkeypatch, workers):
     monkeypatch.setattr(ex, "CHUNK_TRIALS", 500)
     ex.run_trials(small_config(trials=2000), workers=workers)
     assert pids.read_text().splitlines() == [str(os.getpid())]
+
+
+def test_run_trials_rejects_workers_below_one_before_building(monkeypatch):
+    def no_build(config):
+        raise AssertionError("engine built")
+
+    monkeypatch.setattr(ex, "build_engine", no_build)
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        ex.run_trials(small_config(), workers=0)
 
 
 def test_physical_qrng_choice_source():
@@ -201,11 +213,17 @@ def test_imperfection_product():
 
 def test_calibrate_tau_roundtrip():
     tau = 0.35
-    ratio = ex.spdc_pair_ratio(tau)
-    back = ex.calibrate_tau(ratio)
-    assert abs(back - tau) < 1e-6
+    p = {1: 0.0, 2: 0.0}
+    for occ, a in fock.spdc_source(tau, 2, normalize=False).amp.items():
+        pairs = sum(occ) // 2
+        if pairs in p:
+            p[pairs] += abs(a) ** 2
+    back = ex.calibrate_tau(p[2] / p[1])
+    assert abs(back - tau) < 1e-12
     with pytest.raises(ValueError):
         ex.calibrate_tau(-0.1)
+    with pytest.raises(ValueError, match="outside the calibrated range"):
+        ex.calibrate_tau(2.0)  # tau 1.63
 
 
 def test_log_roundtrip(tmp_path):
@@ -317,11 +335,6 @@ def test_simulate_counts_rejects_ideal_mode_before_building(monkeypatch):
     monkeypatch.setattr(ex, "build_engine", no_build)
     with pytest.raises(ValueError, match="requires fock mode"):
         ex.simulate_counts(ex.ExperimentConfig(mode="ideal"), trials=1000, seed=1)
-
-
-def test_spdc_pair_ratio_small_tau():
-    tau = 0.05
-    assert ex.spdc_pair_ratio(tau) == pytest.approx(3 * tau**2 / 4, rel=1e-3)
 
 
 PARTY_BANK = {

@@ -47,15 +47,3 @@ def test_telegraph_autocorrelation_time():
     expected = 1.0 / (2.0 * rate)
     assert abs(tau - expected) < 0.1 * expected
 
-
-def test_calibrate_rate_hits_target():
-    target = 10.7
-    rate = qrng.calibrate_rate(target, seed=6)
-    tau = qrng.measure_autocorrelation_time(rate, seed=6)
-    assert abs(tau - target) < 0.05 * target
-
-
-def test_calibrate_rate_bad_bracket():
-    with pytest.raises(ValueError):
-        qrng.calibrate_rate(10.7, rate_lo=1.0, rate_hi=2.0)
-
