@@ -13,20 +13,21 @@ Spatial labels: inputs "b"/"c", outputs "b2"/"c2" (for b'' and c'').
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
+from math import sqrt
 
 import numpy as np
 
 from .fock import (
+    JONES_QWP_M45,
+    JONES_QWP_P45,
+    PRUNE_TOL,
     DetectorBank,
     FockVector,
-    beam_splitter,
+    pair_lift,
     pattern_distribution,
-    phase_shift,
-    wave_plate,
 )
-
-INPUT_SPATIAL = ("b", "c")
-OUTPUT_SPATIAL = ("b2", "c2")
 
 # Detectors behind the two polarization-resolved outputs.
 DETECTOR_BANK: DetectorBank = {
@@ -59,18 +60,131 @@ class BisaOutcome(enum.Enum):
     DISCARD = "discard"
 
 
-def _interferometer(state: FockVector, setting: BisaSetting, arms=("b", "c")) -> FockVector:
-    """The optics between the input labels ``arms``; the outputs keep the labels."""
-    b, c = arms
-    state = beam_splitter(state, b, c, 0.5)
+# The analyzer's registers: its inputs, the outputs of the coherent pass,
+# and those of the distinguishable pass, whose tagged population leaves on
+# the twins b2~ and c2~ (the input c becomes c2~ in place; c2 and b2~ follow).
+INPUT_REGISTER = (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V"))
+OUTPUT_REGISTER = (("b2", "H"), ("b2", "V"), ("c2", "H"), ("c2", "V"))
+TAGGED_REGISTER = (("b2", "H"), ("b2", "V"), ("c2~", "H"), ("c2~", "V"),
+                   ("c2", "H"), ("c2", "V"), ("b2~", "H"), ("b2~", "V"))
+
+# The symmetric 50:50 splitter (factor i on reflection), as
+# fock.beam_splitter builds it.
+_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]]) * sqrt(0.5)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_steps(n_max: int) -> tuple[np.ndarray, ...]:
+    """The pair lifts of the splitter, qwp+45 and qwp-45 at ``n_max``.  They
+    depend on nothing else, so every pass shares them; they are read-only."""
+    lifts = tuple(pair_lift(m, n_max) for m in (_SPLITTER, JONES_QWP_P45, JONES_QWP_M45))
+    for lift in lifts:
+        lift.flags.writeable = False
+    return lifts
+
+
+def _grid_pass(setting: BisaSetting, inputs: list, n_max: int) -> np.ndarray:
+    """The coherent pass of the basis states ``inputs`` of INPUT_REGISTER:
+    ``psi[i, bH, bV, cH, cV]``, the amplitudes of ``inputs[i]`` on the output
+    occupations up to ``n_max`` (OUTPUT_REGISTER), not pruned.
+
+    This is the analyzer's optics: a splitter between b and c (H pair, then
+    V pair), at BSM the +EV/-EV drive as quarter-wave plates at +-45 degrees
+    on b and c, the locking phase pi on b, and the second splitter.  Each
+    step truncates at ``n_max`` as fock.apply_pair_matrix does, and is an
+    np.einsum (see the BLAS note in experiment.py).
+    """
+    d = n_max + 1
+    splitter, qwp_p45, qwp_m45 = _grid_steps(n_max)
+    psi = np.zeros((len(inputs), d, d, d, d), dtype=complex)
+    psi[(np.arange(len(inputs)), *np.array(inputs, dtype=np.intp).reshape(-1, 4).T)] = 1.0
+
+    def split(psi):
+        psi = np.einsum("ACac,iabcd->iAbCd", splitter, psi)
+        return np.einsum("BDbd,iabcd->iaBcD", splitter, psi)
+
+    psi = split(psi)
     if setting is BisaSetting.BSM:
-        # +EV/-EV drive collapses to quarter-wave plates at +-45 degrees.
-        state = wave_plate(state, b, "qwp+45")
-        state = wave_plate(state, c, "qwp-45")
+        psi = np.einsum("ABab,iabcd->iABcd", qwp_p45, psi)
+        psi = np.einsum("CDcd,iabcd->iabCD", qwp_m45, psi)
     # Locking phase: with symmetric splitters an internal pi on one arm
     # closes the interferometer into the b -> b'' mirror at setting SSM.
-    state = phase_shift(state, b, np.pi)
-    return beam_splitter(state, b, c, 0.5)
+    lock = np.exp(1.0j * np.pi) ** np.arange(2 * d - 1)
+    psi = psi * lock[np.add.outer(np.arange(d), np.arange(d))][:, :, None, None]
+    return split(psi)
+
+
+def transfer_map(setting: BisaSetting, inputs, n_max: int, distinguishable: bool = False):
+    """Dense transfer map of one analyzer pass on input occupations.
+
+    ``inputs`` are occupations of INPUT_REGISTER, at most ``n_max`` each.
+    Returns ``(modes, outputs, T)``: the output register (OUTPUT_REGISTER,
+    or TAGGED_REGISTER for the distinguishable pass), the output occupations
+    reached, sorted, and ``T[i, j]``, the amplitude of ``outputs[j]`` for
+    ``inputs[i]``; amplitudes of at most PRUNE_TOL count as unreached.  By
+    linearity, a state sum_i psi_i |inputs[i]> (spectators included) leaves
+    as sum_ij psi_i T[i, j] |outputs[j]>.
+    """
+    inputs = [tuple(occ) for occ in inputs]
+    grid = list(itertools.product(range(n_max + 1), repeat=4))
+    if not distinguishable:
+        modes = OUTPUT_REGISTER
+        outputs = grid
+        transfer = _grid_pass(setting, inputs, n_max).reshape(len(inputs), len(grid))
+    else:
+        # The two populations pass tagged copies of the analyzer, so the map
+        # is the product of the coherent passes of the b population alone and
+        # of the c population alone.  Every amplitude is at most 1, so an
+        # output of one factor that no amplitude reaches above PRUNE_TOL stays
+        # below it in the product, and is dropped first.
+        factors = []
+        for part in (lambda occ: occ[:2] + (0, 0), lambda occ: (0, 0) + occ[2:]):
+            occs = sorted({part(occ) for occ in inputs})
+            row = {occ: r for r, occ in enumerate(occs)}
+            psi = _grid_pass(setting, occs, n_max).reshape(len(occs), len(grid))
+            cols = np.flatnonzero((abs(psi) > PRUNE_TOL).any(axis=0))
+            factors.append((psi[np.ix_([row[part(occ)] for occ in inputs], cols)],
+                            [grid[j] for j in cols]))
+        (t_b, out_b), (t_c, out_c) = factors
+        modes = TAGGED_REGISTER
+        outputs = [(x[0], x[1], y[2], y[3], x[2], x[3], y[0], y[1]) for x in out_b for y in out_c]
+        order = sorted(range(len(outputs)), key=outputs.__getitem__)
+        outputs = [outputs[j] for j in order]
+        transfer = np.einsum("ij,ik->ijk", t_b, t_c).reshape(len(inputs), len(outputs))[:, order]
+    transfer[abs(transfer) <= PRUNE_TOL] = 0.0
+    reached = np.flatnonzero(transfer.any(axis=0))
+    return modes, [outputs[j] for j in reached], transfer[:, reached]
+
+
+def _apply(state: FockVector, setting: BisaSetting, distinguishable: bool) -> FockVector:
+    """One analyzer pass of ``state`` through its transfer map.  The input
+    modes take the first output labels in place; the distinguishable pass
+    appends its other four output modes to the register."""
+    spatials = {s for s, _ in state.modes}
+    if not {"b", "c"} <= spatials:
+        raise ValueError("analyzer inputs b and c are missing from the register")
+    if spatials & {"b2", "c2", "b2~", "c2~"}:
+        raise ValueError("output labels b2/c2 are already in use")
+    idx = [state.mode_index(m) for m in INPUT_REGISTER]
+    keys = [tuple(occ[i] for i in idx) for occ in state.amp]
+    inputs = sorted(set(keys))
+    modes, outputs, transfer = transfer_map(setting, inputs, state.n_max, distinguishable)
+    row = {occ: r for r, occ in enumerate(inputs)}
+    register = list(state.modes)
+    for i, mode in zip(idx, modes):
+        register[i] = mode
+    out = FockVector((*register, *modes[4:]), state.n_max)
+    amp = out.amp
+    for (occ, a), key in zip(state.amp.items(), keys):
+        t = transfer[row[key]]
+        for j in np.flatnonzero(t):
+            new = list(occ)
+            for i, n in zip(idx, outputs[j]):
+                new[i] = n
+            new = (*new, *outputs[j][4:])
+            amp[new] = amp.get(new, 0.0) + a * complex(t[j])
+    out.amp = {occ: a for occ, a in amp.items() if abs(a) > PRUNE_TOL}
+    return out
 
 
 def bisa_apply(state: FockVector, setting: BisaSetting) -> FockVector:
@@ -79,26 +193,17 @@ def bisa_apply(state: FockVector, setting: BisaSetting) -> FockVector:
     The register must expose both polarizations of inputs b and c; other
     spatial labels ride along untouched as spectators.
     """
-    spatials = {s for s, _ in state.modes}
-    if not {"b", "c"} <= spatials:
-        raise ValueError("analyzer inputs b and c are missing from the register")
-    if spatials & set(OUTPUT_SPATIAL):
-        raise ValueError("output labels b2/c2 are already in use")
-    out = _interferometer(state, setting)
-    return out.relabel({"b": "b2", "c": "c2"})
+    return _apply(state, setting, distinguishable=False)
 
 
 def bisa_apply_distinguishable(state: FockVector, setting: BisaSetting) -> FockVector:
     """Fully distinguishable pass: the photon population entering input c is
     tagged with auxiliary spatial labels so it cannot interfere with the
     population from input b.  Outputs land on (b2, c2) and the tagged twins
-    (b2~, c2~); detectors must merge each pair.
+    (b2~, c2~), in the order of TAGGED_REGISTER; detectors must merge each
+    pair.
     """
-    tagged = state.relabel({"c": "c~"})
-    tagged = tagged.extended((("c", "H"), ("c", "V"), ("b~", "H"), ("b~", "V")))
-    out = _interferometer(tagged, setting)
-    out = _interferometer(out, setting, ("b~", "c~"))
-    return out.relabel({"b": "b2", "c": "c2", "b~": "b2~", "c~": "c2~"})
+    return _apply(state, setting, distinguishable=True)
 
 
 # Bank matching bisa_apply_distinguishable: each physical detector watches
@@ -138,8 +243,7 @@ def classify(pattern, setting: BisaSetting) -> BisaOutcome:
 
 def bell_input(kind: str, n_max: int = 3) -> FockVector:
     """Two-photon Bell state on the analyzer inputs b and c."""
-    modes = (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V"))
-    vac = FockVector.vacuum(modes, n_max)
+    vac = FockVector.vacuum(INPUT_REGISTER, n_max)
     pairs = {
         "phi+": ((("b", "H"), ("c", "H")), (("b", "V"), ("c", "V")), 1.0),
         "phi-": ((("b", "H"), ("c", "H")), (("b", "V"), ("c", "V")), -1.0),
@@ -157,48 +261,25 @@ def bell_input(kind: str, n_max: int = 3) -> FockVector:
 
 def analyzer_mixture(visibility: float):
     """The analyzer at finite two-photon visibility, as a weighted mixture of
-    passes: ``(analyzer pass, detector bank, weight)`` for the coherent pass
-    (weight ``visibility``) and the distinguishable one (``1 - visibility``).
-    Parts of zero weight are left out."""
+    passes: ``(distinguishable, detector bank, weight)`` for the coherent
+    pass (weight ``visibility``) and the distinguishable one
+    (``1 - visibility``).  Parts of zero weight are left out."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     parts = (
-        (bisa_apply, DETECTOR_BANK, visibility),
-        (bisa_apply_distinguishable, DETECTOR_BANK_TAGGED, 1.0 - visibility),
+        (False, DETECTOR_BANK, visibility),
+        (True, DETECTOR_BANK_TAGGED, 1.0 - visibility),
     )
     return [part for part in parts if part[2] > 0.0]
-
-
-def transfer_map(analyzer, setting: BisaSetting, inputs, n_max: int):
-    """Dense transfer map of one analyzer pass on input occupations.
-
-    ``inputs`` are occupations of (bH, bV, cH, cV).  Each is pushed through
-    ``analyzer`` as a basis state, so truncation at ``n_max`` is the
-    analyzer's own.  Returns ``(modes, outputs, T)``: the output register,
-    the output occupations reached, and ``T[i, j]``, the amplitude of
-    ``outputs[j]`` for ``inputs[i]``.  By linearity, a state
-    sum_i psi_i |inputs[i]> (spectators included) leaves as
-    sum_ij psi_i T[i, j] |outputs[j]>.
-    """
-    register = tuple((s, p) for s in INPUT_SPATIAL for p in ("H", "V"))
-    passed = [
-        analyzer(FockVector(register, n_max, {tuple(occ): 1.0}), setting) for occ in inputs
-    ]
-    outputs = sorted({occ for out in passed for occ in out.amp})
-    column = {occ: j for j, occ in enumerate(outputs)}
-    transfer = np.zeros((len(passed), len(outputs)), dtype=complex)
-    for i, out in enumerate(passed):
-        for occ, a in out.amp.items():
-            transfer[i, column[occ]] = a
-    return passed[0].modes, outputs, transfer
 
 
 def outcome_distribution(state: FockVector, setting: BisaSetting,
                          visibility: float = 1.0) -> dict[BisaOutcome, float]:
     """Outcome-class distribution for a state on the analyzer inputs."""
     dist: dict[frozenset, float] = {}
-    for analyzer, bank, weight in analyzer_mixture(visibility):
-        for patt, p in pattern_distribution(analyzer(state, setting), bank).items():
+    for distinguishable, bank, weight in analyzer_mixture(visibility):
+        passed = _apply(state, setting, distinguishable)
+        for patt, p in pattern_distribution(passed, bank).items():
             dist[patt] = dist.get(patt, 0.0) + weight * p
     out: dict[BisaOutcome, float] = {}
     for patt, p in dist.items():

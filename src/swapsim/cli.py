@@ -88,9 +88,10 @@ LOG_NAME, SUMMARY_NAME = "trials.jsonl", "summary.json"
 
 def _run(config: ExperimentConfig, workers: int, out_dir: Path) -> TrialLog:
     """Run the trials of ``config`` and write their log and summary, under
-    LOG_NAME and SUMMARY_NAME, into ``out_dir``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    LOG_NAME and SUMMARY_NAME, into ``out_dir``, which is made only once the
+    trials have run, so a failed run leaves no directory behind."""
     log = run_trials(config, workers=workers)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_log(out_dir / LOG_NAME, log)
     summary = run_summary(log)
     (out_dir / SUMMARY_NAME).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import states
 from .bisa import (
-    INPUT_SPATIAL,
+    INPUT_REGISTER,
     BisaOutcome,
     BisaSetting,
     analyzer_mixture,
@@ -41,7 +41,7 @@ from .fock import (
     FockVector,
     attenuate_ensemble,
     click_probability,
-    polarization_rotation,
+    pair_lift,
     spdc_source,
 )
 from .qrng import QrngConfig, QrngSimulator
@@ -86,6 +86,11 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.spdc_order < 1:
             raise ValueError(f"spdc_order must be at least 1, got {self.spdc_order}")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        if self.spdc_order > self.n_max:
+            raise ValueError(f"spdc_order must not exceed n_max ({self.n_max}), "
+                             f"got {self.spdc_order}")
         if self.qrng_source not in ("deterministic", "physical"):
             raise ValueError(f"unknown qrng source {self.qrng_source!r}")
         for name in (
@@ -214,8 +219,9 @@ _PARTY_OUTCOMES = (+1, -1, 0)
 # per entry suffices.  Rounding leaves at most a few machine epsilons of
 # that sum, so true entries smaller than 1e-12 of it are the only ones lost.
 CANCELLATION_TOL = 1e-12
-# The engine contracts its (small) arrays with np.einsum, not matmul: the
-# first BLAS call of a process keeps about 0.5 MiB resident for good.
+# The engine contracts its (small) arrays with np.einsum, not matmul, and so
+# does bisa.transfer_map: the first BLAS call of a process keeps about
+# 0.5 MiB resident for good.
 
 
 def _party_basis(n: int) -> list[tuple[int, int]]:
@@ -239,7 +245,7 @@ def _sector_densities(branches: list[FockVector]) -> dict:
     index = branches[0].mode_index
     one = [index(("1", p)) for p in "HV"]
     four = [index(("4", p)) for p in "HV"]
-    ins = [index((s, p)) for s in INPUT_SPATIAL for p in "HV"]
+    ins = [index(m) for m in INPUT_REGISTER]
     terms: dict = {}
     for k, branch in enumerate(branches):
         for occ, amp in branch.amp.items():
@@ -262,17 +268,11 @@ def _sector_densities(branches: list[FockVector]) -> dict:
     return out
 
 
-def _rotation_lift(jones: np.ndarray, n: int, n_max: int) -> np.ndarray:
-    """A polarization rotation on ``n`` photons of one spatial mode, as a
-    matrix on _party_basis(n)."""
-    basis = _party_basis(n)
-    modes = (("p", "H"), ("p", "V"))
-    lift = np.zeros((n + 1, n + 1), dtype=complex)
-    for y, occ in enumerate(basis):
-        out = polarization_rotation(FockVector(modes, n_max, {occ: 1.0}), "p", jones)
-        for x, occ_out in enumerate(basis):
-            lift[x, y] = out.amp.get(occ_out, 0.0)
-    return lift
+def _rotation_block(lift: np.ndarray, n: int) -> np.ndarray:
+    """The ``n``-photon block, as a matrix on _party_basis(n), of a
+    polarization rotation's pair lift (fock.pair_lift) on one spatial mode."""
+    h, v = np.array(_party_basis(n)).T
+    return lift[h[:, None], v[:, None], h, v]
 
 
 def _victor_counts(modes, outputs, bank) -> np.ndarray:
@@ -322,8 +322,10 @@ class FockEngine:
       parts with their weights.
 
     Rotations keep n1 and n4 and the analyzer keeps n, so rho enters as one
-    block per (n1, n4, n) sector; Victor's side is traced first, leaving one
-    Gram block G_p = Tr_bc[rho E_p] per (n1, n4) for every basis pair.
+    block per (n1, n4, n) sector.  E_p is formed once per setting and n, and
+    each sector reads its occupations out of it.  Victor's side is traced
+    first, leaving one Gram block G_p = Tr_bc[rho E_p] per (n1, n4), which
+    one contraction per (n1, n4) meets with F_a x F_b of every basis pair.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -332,7 +334,7 @@ class FockEngine:
         src1 = spdc_source(config.tau, config.spdc_order, ("1", "b"), n_max)
         src2 = spdc_source(config.tau, config.spdc_order, ("c", "4"), n_max)
         branches = [src1.tensor(src2)]
-        for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
+        for mode in INPUT_REGISTER:
             branches = attenuate_ensemble(branches, mode, config.input_transmission)
         sectors = _sector_densities([b for b in branches if b.norm_sq() > 1e-18])
         inputs = sorted({occ for occs, _, _ in sectors.values() for occ in occs})
@@ -350,44 +352,67 @@ class FockEngine:
         # and 0 stays 0; flip[i, j] is P(j | i) over _PARTY_OUTCOMES.
         q = 2.0 * (1.0 - config.fiber_polarization_fidelity) / 3.0
         flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
-        # Alice's and Bob's POVMs, and their magnitudes, per (axis, n).
+        # Alice's and Bob's POVMs, and their magnitudes, per (axis, n), then
+        # stacked over each party's bases as [X, o, i, i'].
+        ns = {n for n1, n4, _ in sectors for n in (n1, n4)}
         povms = {}
         for axis in {*config.alice_bases, *config.bob_bases}:
-            for n in {n for n1, n4, _ in sectors for n in (n1, n4)}:
-                lift = _rotation_lift(_axis_rotation(axis), n, n_max)
+            lift = pair_lift(_axis_rotation(axis), n_max)
+            for n in ns:
+                block = _rotation_block(lift, n)
                 clicks = np.einsum("io,op->ip", _party_clicks(n, eta), flip)
-                povms[(axis, n)] = (_povm(lift.conj(), clicks, lift),
-                                   _povm(abs(lift), clicks, abs(lift)))
+                povms[(axis, n)] = (_povm(block.conj(), clicks, block),
+                                   _povm(abs(block), clicks, abs(block)))
+        party = {}
+        for bases in (config.alice_bases, config.bob_bases):
+            for n in ns:
+                party[(bases, n)] = tuple(map(np.stack, zip(*(povms[(axis, n)] for axis in bases))))
+        # The analyzer input occupations of each photon number n.
+        by_n: dict = {}
+        for (_, _, n), (occs, _, _) in sectors.items():
+            by_n.setdefault(n, set()).update(occs)
+        by_n = {n: sorted(occs) for n, occs in by_n.items()}
         masks = _victor_masks()
         patterns = [tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in masks]
         self._dist: dict = {}
         for setting in BisaSetting:
-            # G_p and its magnitudes per (n1, n4), as [p, x1, x4, y1, y4].
-            grams: dict = {}
-            for analyzer, bank, weight in analyzer_mixture(config.visibility):
-                modes, outputs, transfer = transfer_map(analyzer, setting, inputs, n_max)
+            # Victor's E_p, and its magnitudes, on the inputs of each n,
+            # summed over the analyzer parts.
+            victor: dict = {}
+            for distinguishable, bank, weight in analyzer_mixture(config.visibility):
+                modes, outputs, transfer = transfer_map(setting, inputs, n_max, distinguishable)
                 silent, click = click_probability(_victor_counts(modes, outputs, bank), eta)
                 clicks = weight * np.where(masks, click[:, None], silent[:, None]).prod(axis=-1)
-                for (n1, n4, _), (occs, rho, mag) in sectors.items():
+                for n, occs in by_n.items():
                     rows = transfer[[row[occ] for occ in occs]]
                     reached = rows.any(axis=0)
                     t, w = rows[:, reached].T, clicks[reached]
-                    gram = (np.einsum("aibj,pij->pab", rho, _povm(t, w, t.conj())),
-                            np.einsum("aibj,pij->pab", mag, _povm(abs(t), w, abs(t))))
-                    shape = (len(masks), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
-                    acc = grams.get((n1, n4), (0.0, 0.0))
-                    grams[(n1, n4)] = tuple(s + g.reshape(shape) for s, g in zip(acc, gram))
-            for ab in config.alice_bases:
-                for bb in config.bob_bases:
-                    cat = scale = 0.0
-                    for (n1, n4), (gram, gram_mag) in grams.items():
-                        (fa, fa_mag), (fb, fb_mag) = povms[(ab, n1)], povms[(bb, n4)]
-                        cat = cat + np.einsum("aji,blk,pikjl->abp", fa, fb, gram).real
-                        scale = scale + np.einsum("aji,blk,pikjl->abp", fa_mag, fb_mag, gram_mag)
-                    cat[cat <= CANCELLATION_TOL * scale] = 0.0
+                    acc = victor.get(n, (0.0, 0.0))
+                    victor[n] = (acc[0] + _povm(t, w, t.conj()), acc[1] + _povm(abs(t), w, abs(t)))
+            # G_p and its magnitudes per (n1, n4), as [p, x1, x4, y1, y4].
+            grams: dict = {}
+            for (n1, n4, n), (occs, rho, mag) in sectors.items():
+                col = {occ: i for i, occ in enumerate(by_n[n])}
+                pick = np.array([col[occ] for occ in occs])
+                e, e_mag = (povm[:, pick[:, None], pick] for povm in victor[n])
+                gram = (np.einsum("aibj,pij->pab", rho, e), np.einsum("aibj,pij->pab", mag, e_mag))
+                shape = (len(masks), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
+                acc = grams.get((n1, n4), (0.0, 0.0))
+                grams[(n1, n4)] = tuple(s + g.reshape(shape) for s, g in zip(acc, gram))
+            # Every basis pair at once: [X, Y, a, b, p] for Alice's basis X
+            # and Bob's basis Y.
+            cat = scale = 0.0
+            for (n1, n4), (gram, gram_mag) in grams.items():
+                fa, fa_mag = party[(config.alice_bases, n1)]
+                fb, fb_mag = party[(config.bob_bases, n4)]
+                cat = cat + np.einsum("Xaji,Yblk,pikjl->XYabp", fa, fb, gram).real
+                scale = scale + np.einsum("Xaji,Yblk,pikjl->XYabp", fa_mag, fb_mag, gram_mag)
+            cat[cat <= CANCELLATION_TOL * scale] = 0.0
+            for x, ab in enumerate(config.alice_bases):
+                for y, bb in enumerate(config.bob_bases):
                     entries = sorted(
-                        ((_PARTY_OUTCOMES[i], _PARTY_OUTCOMES[j], patterns[k]), cat[i, j, k])
-                        for i, j, k in zip(*np.nonzero(cat > 0.0))
+                        ((_PARTY_OUTCOMES[i], _PARTY_OUTCOMES[j], patterns[k]), cat[x, y, i, j, k])
+                        for i, j, k in zip(*np.nonzero(cat[x, y] > 0.0))
                     )
                     keys = [key for key, _ in entries]
                     probs = np.array([p for _, p in entries])

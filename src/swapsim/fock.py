@@ -11,6 +11,7 @@ All detector queries are linear in that ensemble.
 
 from __future__ import annotations
 
+import itertools
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -159,6 +160,20 @@ def apply_pair_matrix(state: FockVector, i1: int, i2: int, mat: np.ndarray) -> F
                 amp_out[new] = amp_out.get(new, 0.0) + coeff
     out.amp = {occ: v for occ, v in amp_out.items() if abs(v) > PRUNE_TOL}
     return out
+
+
+def pair_lift(mat: np.ndarray, n_max: int) -> np.ndarray:
+    """:func:`apply_pair_matrix` on two modes capped at ``n_max``, as a dense
+    array ``L[x1, x2, y1, y2]``: the amplitude of |x1, x2> for the input
+    |y1, y2>.  Each basis state is pushed through ``apply_pair_matrix``, so
+    the cap truncates exactly as there."""
+    d = n_max + 1
+    lift = np.zeros((d, d, d, d), dtype=complex)
+    modes = (("p", "H"), ("p", "V"))
+    for y in itertools.product(range(d), repeat=2):
+        for x, a in apply_pair_matrix(FockVector(modes, n_max, {y: 1.0}), 0, 1, mat).amp.items():
+            lift[x + y] = a
+    return lift
 
 
 def beam_splitter(state: FockVector, m1, m2, transmissivity: float) -> FockVector:

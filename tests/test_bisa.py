@@ -135,3 +135,87 @@ def test_apply_requires_inputs():
         bisa.bisa_apply(s, BisaSetting.BSM)
     with pytest.raises(ValueError):
         bisa.bell_input("nope")
+
+
+# --- the analyzer's transfer maps against its optics step by step ---------
+
+
+def _oracle_interferometer(state, setting, arms=("b", "c")):
+    """The analyzer's optics as FockVector steps between the input labels
+    ``arms``; the outputs keep the labels."""
+    b, c = arms
+    state = fock.beam_splitter(state, b, c, 0.5)
+    if setting is BisaSetting.BSM:
+        state = fock.wave_plate(state, b, "qwp+45")
+        state = fock.wave_plate(state, c, "qwp-45")
+    state = fock.phase_shift(state, b, np.pi)
+    return fock.beam_splitter(state, b, c, 0.5)
+
+
+def _oracle_pass(state, setting, distinguishable):
+    """One analyzer pass by the steps of _oracle_interferometer; the
+    distinguishable pass runs the c population through a tagged copy."""
+    if not distinguishable:
+        return _oracle_interferometer(state, setting).relabel({"b": "b2", "c": "c2"})
+    tagged = state.relabel({"c": "c~"})
+    tagged = tagged.extended((("c", "H"), ("c", "V"), ("b~", "H"), ("b~", "V")))
+    out = _oracle_interferometer(tagged, setting)
+    out = _oracle_interferometer(out, setting, ("b~", "c~"))
+    return out.relabel({"b": "b2", "c": "c2", "b~": "b2~", "c~": "c2~"})
+
+
+def _engine_inputs(order):
+    """Every analyzer input occupation the fock engine meets at spdc_order
+    ``order``: up to ``order`` photons on each of b and c, after loss."""
+    split = [(h, n - h) for n in range(order + 1) for h in range(n + 1)]
+    return [b + c for b in split for c in split]
+
+
+@pytest.mark.parametrize("distinguishable", [False, True], ids=["coherent", "tagged"])
+@pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_transfer_map_equals_step_oracle(n_max, setting, distinguishable):
+    inputs = _engine_inputs(min(3, n_max))
+    modes, outputs, transfer = bisa.transfer_map(setting, inputs, n_max, distinguishable)
+    passed = [_oracle_pass(fock.FockVector(bisa.INPUT_REGISTER, n_max, {occ: 1.0}),
+                           setting, distinguishable) for occ in inputs]
+    assert modes == passed[0].modes
+    assert outputs == sorted({occ for out in passed for occ in out.amp})
+    column = {occ: j for j, occ in enumerate(outputs)}
+    expected = np.zeros_like(transfer)
+    for i, out in enumerate(passed):
+        for occ, a in out.amp.items():
+            expected[i, column[occ]] = a
+    assert np.abs(transfer - expected).max() <= 1e-14
+    # The weight each input loses to the photon cap.
+    lost = 1.0 - (np.abs(transfer) ** 2).sum(axis=1)
+    assert np.abs(lost - np.array([1.0 - out.norm_sq() for out in passed])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
+def test_transfer_map_truncates_at_the_cap(setting):
+    # Two H photons on each input bunch into one mode at the first splitter
+    # (Hong-Ou-Mandel), and the cap of 3 drops the 4-photon terms.
+    inputs = [(2, 0, 2, 0)]
+    _, _, transfer = bisa.transfer_map(setting, inputs, 3)
+    oracle = _oracle_pass(fock.FockVector(bisa.INPUT_REGISTER, 3, {inputs[0]: 1.0}), setting, False)
+    lost = 1.0 - (np.abs(transfer) ** 2).sum()
+    assert lost > 0.1
+    assert abs(lost - (1.0 - oracle.norm_sq())) <= 1e-14
+    # Below the cap nothing is lost.
+    _, _, transfer = bisa.transfer_map(setting, inputs, 4)
+    assert abs((np.abs(transfer) ** 2).sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("distinguishable", [False, True], ids=["coherent", "tagged"])
+def test_apply_keeps_spectators_and_register_order(distinguishable):
+    # A pair source on (1, b) and one on (c, 4): modes 1 and 4 are
+    # spectators, on both sides of the analyzer inputs in the register.
+    src = fock.spdc_source(0.5, 2, ("1", "b"), 3).tensor(fock.spdc_source(0.5, 2, ("c", "4"), 3))
+    apply = bisa.bisa_apply_distinguishable if distinguishable else bisa.bisa_apply
+    for setting in BisaSetting:
+        got = apply(src, setting)
+        expected = _oracle_pass(src, setting, distinguishable)
+        assert got.modes == expected.modes
+        assert set(got.amp) == set(expected.amp)
+        assert max(abs(got.amp[occ] - a) for occ, a in expected.amp.items()) <= 1e-14

@@ -57,6 +57,8 @@ def test_invalid_value_is_config_error():
         "experiment.master_seed = -5",
         f"experiment.master_seed = {2**128}",
         "experiment.tau = 0",
+        "experiment.n_max = -3",
+        "experiment.spdc_order = 4",
     ):
         with pytest.raises(ConfigError):
             cli.parse_config_text(line)
@@ -173,6 +175,21 @@ def test_simulate_bad_flag_fails_before_building(tmp_path, capsys, monkeypatch, 
     assert rc == 1
     assert error in capsys.readouterr().err
     assert not (tmp_path / "out" / "trials.jsonl").exists()
+
+
+@pytest.mark.parametrize("flags, text, error", [
+    (["--workers", "0"], "", "error: workers must be at least 1, got 0"),
+    ([], "experiment.mode = fock\nexperiment.n_max = 1\n",
+     "error: spdc_order must not exceed n_max (1), got 2"),
+], ids=["workers", "photon_cap"])
+def test_failed_simulate_leaves_no_output_directory(tmp_path, capsys, flags, text, error):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + "experiment.trials = 20\n")
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", str(path), *flags, "--out", str(out)])
+    assert rc == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_zero_trials_fails(tmp_path, capsys):

@@ -47,6 +47,14 @@ def test_config_validation():
     for order in (0, -1):
         with pytest.raises(ValueError, match="spdc_order must be at least 1"):
             ex.ExperimentConfig(mode="fock", spdc_order=order)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            ex.ExperimentConfig(n_max=cap)
+    with pytest.raises(ValueError, match=r"spdc_order must not exceed n_max \(3\), got 4"):
+        ex.ExperimentConfig(mode="fock", spdc_order=4)
+    with pytest.raises(ValueError, match=r"spdc_order must not exceed n_max \(1\), got 2"):
+        ex.ExperimentConfig(mode="fock", n_max=1)
+    ex.ExperimentConfig(mode="fock", spdc_order=1, n_max=1)
 
 
 def test_run_trials_positive():
