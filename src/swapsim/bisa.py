@@ -13,8 +13,6 @@ Spatial labels: inputs "b"/"c", outputs "b2"/"c2" (for b'' and c'').
 from __future__ import annotations
 
 import enum
-import functools
-import itertools
 from math import sqrt
 
 import numpy as np
@@ -25,7 +23,8 @@ from .fock import (
     PRUNE_TOL,
     DetectorBank,
     FockVector,
-    pair_lift,
+    lift,
+    occupations,
     pattern_distribution,
 )
 
@@ -68,50 +67,48 @@ OUTPUT_REGISTER = (("b2", "H"), ("b2", "V"), ("c2", "H"), ("c2", "V"))
 TAGGED_REGISTER = (("b2", "H"), ("b2", "V"), ("c2~", "H"), ("c2~", "V"),
                    ("c2", "H"), ("c2", "V"), ("b2~", "H"), ("b2~", "V"))
 
-# The symmetric 50:50 splitter (factor i on reflection), as
-# fock.beam_splitter builds it.
-_SPLITTER = np.array([[1.0, 1.0j], [1.0j, 1.0]]) * sqrt(0.5)
+# The analyzer's steps as mode matrices on INPUT_REGISTER order: the
+# symmetric 50:50 splitter (factor i on reflection, as fock.beam_splitter
+# builds it) between b and c on the H pair and on the V pair, the +EV/-EV
+# drive as quarter-wave plates at +-45 degrees on b and c, and the second
+# splitter after the locking phase pi on b.  With symmetric splitters the
+# locking phase closes the interferometer into the b -> b'' mirror at SSM.
+_SPLITTERS = np.kron(np.array([[1.0, 1.0j], [1.0j, 1.0]]) * sqrt(0.5), np.eye(2))
+_PLATES = np.block([[JONES_QWP_P45, np.zeros((2, 2))], [np.zeros((2, 2)), JONES_QWP_M45]])
+_CLOSING = _SPLITTERS * np.array([-1.0, -1.0, 1.0, 1.0])
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_steps(n_max: int) -> tuple[np.ndarray, ...]:
-    """The pair lifts of the splitter, qwp+45 and qwp-45 at ``n_max``.  They
-    depend on nothing else, so every pass shares them; they are read-only."""
-    lifts = tuple(pair_lift(m, n_max) for m in (_SPLITTER, JONES_QWP_P45, JONES_QWP_M45))
-    for lift in lifts:
-        lift.flags.writeable = False
-    return lifts
-
-
-def _grid_pass(setting: BisaSetting, inputs: list, n_max: int) -> np.ndarray:
+def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
     """The coherent pass of the basis states ``inputs`` of INPUT_REGISTER:
-    ``psi[i, bH, bV, cH, cV]``, the amplitudes of ``inputs[i]`` on the output
-    occupations up to ``n_max`` (OUTPUT_REGISTER), not pruned.
+    ``(outputs, T)``, the output occupations of OUTPUT_REGISTER up to
+    ``n_max`` with the photon numbers of the inputs, and ``T[i, j]``, the
+    amplitude of ``outputs[j]`` for ``inputs[i]``, not pruned.
 
-    This is the analyzer's optics: a splitter between b and c (H pair, then
-    V pair), at BSM the +EV/-EV drive as quarter-wave plates at +-45 degrees
-    on b and c, the locking phase pi on b, and the second splitter.  Each
-    step truncates at ``n_max`` as fock.apply_pair_matrix does, and is an
-    np.einsum (see the BLAS note in experiment.py).
+    The optics keep the photon number n, so each n passes on its own
+    through the n-photon lifts of the first splitter, at BSM the plates,
+    and the locking phase with the second splitter.  Every step drops the
+    occupations with a mode above ``n_max``: the H and V splitters, and the
+    two plates, act on disjoint modes and the cap is per mode, so this is
+    the cap after each 2x2 step of fock.apply_pair_matrix.  The products are
+    np.einsum calls (see the BLAS note in experiment.py).
     """
-    d = n_max + 1
-    splitter, qwp_p45, qwp_m45 = _grid_steps(n_max)
-    psi = np.zeros((len(inputs), d, d, d, d), dtype=complex)
-    psi[(np.arange(len(inputs)), *np.array(inputs, dtype=np.intp).reshape(-1, 4).T)] = 1.0
-
-    def split(psi):
-        psi = np.einsum("ACac,iabcd->iAbCd", splitter, psi)
-        return np.einsum("BDbd,iabcd->iaBcD", splitter, psi)
-
-    psi = split(psi)
-    if setting is BisaSetting.BSM:
-        psi = np.einsum("ABab,iabcd->iABcd", qwp_p45, psi)
-        psi = np.einsum("CDcd,iabcd->iabCD", qwp_m45, psi)
-    # Locking phase: with symmetric splitters an internal pi on one arm
-    # closes the interferometer into the b -> b'' mirror at setting SSM.
-    lock = np.exp(1.0j * np.pi) ** np.arange(2 * d - 1)
-    psi = psi * lock[np.add.outer(np.arange(d), np.arange(d))][:, :, None, None]
-    return split(psi)
+    steps = np.stack((_SPLITTERS, _PLATES, _CLOSING) if setting is BisaSetting.BSM
+                     else (_SPLITTERS, _CLOSING))
+    outputs: list = []
+    blocks = [np.zeros((len(inputs), 0), dtype=complex)]
+    for n in sorted({sum(occ) for occ in inputs}):
+        occs = occupations(4, n)
+        capped = (np.array(occs) > n_max).any(axis=1)
+        rows = [r for r, occ in enumerate(inputs) if sum(occ) == n]
+        psi = np.eye(len(occs), dtype=complex)[:, [occs.index(inputs[r]) for r in rows]]
+        for step in lift(steps, n):
+            psi = np.einsum("ij,jk->ik", step, psi)
+            psi[capped] = 0.0
+        block = np.zeros((len(inputs), len(occs)), dtype=complex)
+        block[rows] = psi.T
+        blocks.append(block[:, ~capped])
+        outputs += [occ for occ, drop in zip(occs, capped) if not drop]
+    return outputs, np.concatenate(blocks, axis=1)
 
 
 def transfer_map(setting: BisaSetting, inputs, n_max: int, distinguishable: bool = False):
@@ -126,11 +123,9 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int, distinguishable: bool
     as sum_ij psi_i T[i, j] |outputs[j]>.
     """
     inputs = [tuple(occ) for occ in inputs]
-    grid = list(itertools.product(range(n_max + 1), repeat=4))
     if not distinguishable:
         modes = OUTPUT_REGISTER
-        outputs = grid
-        transfer = _grid_pass(setting, inputs, n_max).reshape(len(inputs), len(grid))
+        outputs, transfer = _coherent_pass(setting, inputs, n_max)
     else:
         # The two populations pass tagged copies of the analyzer, so the map
         # is the product of the coherent passes of the b population alone and
@@ -139,20 +134,15 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int, distinguishable: bool
         # below it in the product, and is dropped first.
         factors = []
         for part in (lambda occ: occ[:2] + (0, 0), lambda occ: (0, 0) + occ[2:]):
-            occs = sorted({part(occ) for occ in inputs})
-            row = {occ: r for r, occ in enumerate(occs)}
-            psi = _grid_pass(setting, occs, n_max).reshape(len(occs), len(grid))
+            outs, psi = _coherent_pass(setting, [part(occ) for occ in inputs], n_max)
             cols = np.flatnonzero((abs(psi) > PRUNE_TOL).any(axis=0))
-            factors.append((psi[np.ix_([row[part(occ)] for occ in inputs], cols)],
-                            [grid[j] for j in cols]))
+            factors.append((psi[:, cols], [outs[j] for j in cols]))
         (t_b, out_b), (t_c, out_c) = factors
         modes = TAGGED_REGISTER
         outputs = [(x[0], x[1], y[2], y[3], x[2], x[3], y[0], y[1]) for x in out_b for y in out_c]
-        order = sorted(range(len(outputs)), key=outputs.__getitem__)
-        outputs = [outputs[j] for j in order]
-        transfer = np.einsum("ij,ik->ijk", t_b, t_c).reshape(len(inputs), len(outputs))[:, order]
+        transfer = np.einsum("ij,ik->ijk", t_b, t_c).reshape(len(inputs), len(outputs))
     transfer[abs(transfer) <= PRUNE_TOL] = 0.0
-    reached = np.flatnonzero(transfer.any(axis=0))
+    reached = sorted(np.flatnonzero(transfer.any(axis=0)), key=outputs.__getitem__)
     return modes, [outputs[j] for j in reached], transfer[:, reached]
 
 

@@ -41,7 +41,8 @@ from .fock import (
     FockVector,
     attenuate_ensemble,
     click_probability,
-    pair_lift,
+    lift,
+    occupations,
     spdc_source,
 )
 from .qrng import QrngConfig, QrngSimulator
@@ -220,13 +221,8 @@ _PARTY_OUTCOMES = (+1, -1, 0)
 # that sum, so true entries smaller than 1e-12 of it are the only ones lost.
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with np.einsum, not matmul, and so
-# does bisa.transfer_map: the first BLAS call of a process keeps about
-# 0.5 MiB resident for good.
-
-
-def _party_basis(n: int) -> list[tuple[int, int]]:
-    """(H, V) occupations of one photon's two modes with ``n`` photons, H first."""
-    return [(n - k, k) for k in range(n + 1)]
+# do fock.lift and bisa.transfer_map: the first BLAS call of a process keeps
+# about 0.5 MiB resident for good.
 
 
 def _sector_densities(branches: list[FockVector]) -> dict:
@@ -237,7 +233,7 @@ def _sector_densities(branches: list[FockVector]) -> dict:
     rho, mag)}`` with ``occs`` the analyzer input occupations (bH, bV, cH,
     cV) met in the sector, ``rho[a, i, a', i']`` the sum over branches of
     psi(a, i) psi(a', i')*, where ``a`` indexes the product basis
-    _party_basis(n1) x _party_basis(n4) of (1H, 1V, 4H, 4V) and ``i``
+    occupations(2, n1) x occupations(2, n4) of (1H, 1V, 4H, 4V) and ``i``
     indexes ``occs``, and ``mag`` the same sum of |psi(a, i) psi(a', i')|.
     Blocks between sectors are not formed: the basis rotations keep n1
     and n4, and the analyzer keeps n, which Victor's count vector reveals.
@@ -251,7 +247,7 @@ def _sector_densities(branches: list[FockVector]) -> dict:
         for occ, amp in branch.amp.items():
             (h1, v1), (h4, v4) = (occ[i] for i in one), (occ[i] for i in four)
             occ_in = tuple(occ[i] for i in ins)
-            a = v1 * (h4 + v4 + 1) + v4
+            a = h1 * (h4 + v4 + 1) + h4
             terms.setdefault((h1 + v1, h4 + v4, sum(occ_in)), []).append((k, a, occ_in, amp))
     out = {}
     for (n1, n4, n), entries in terms.items():
@@ -266,13 +262,6 @@ def _sector_densities(branches: list[FockVector]) -> dict:
         mag = np.einsum("ki,kj->ij", abs(psi), abs(psi)).reshape(d, m, d, m)
         out[(n1, n4, n)] = (occs, rho, mag)
     return out
-
-
-def _rotation_block(lift: np.ndarray, n: int) -> np.ndarray:
-    """The ``n``-photon block, as a matrix on _party_basis(n), of a
-    polarization rotation's pair lift (fock.pair_lift) on one spatial mode."""
-    h, v = np.array(_party_basis(n)).T
-    return lift[h[:, None], v[:, None], h, v]
 
 
 def _victor_counts(modes, outputs, bank) -> np.ndarray:
@@ -291,8 +280,8 @@ def _povm(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarra
 
 def _party_clicks(n: int, eta: float) -> np.ndarray:
     """P(outcome) per _PARTY_OUTCOMES for each (H, V) occupation of a party's
-    photon in _party_basis(n)."""
-    (s_h, s_v), (c_h, c_v) = (p.T for p in click_probability(np.array(_party_basis(n)), eta))
+    photon in occupations(2, n)."""
+    (s_h, s_v), (c_h, c_v) = (p.T for p in click_probability(np.array(occupations(2, n)), eta))
     return np.stack([c_h * s_v, s_h * c_v, s_h * s_v + c_h * c_v], axis=-1)
 
 
@@ -357,9 +346,8 @@ class FockEngine:
         ns = {n for n1, n4, _ in sectors for n in (n1, n4)}
         povms = {}
         for axis in {*config.alice_bases, *config.bob_bases}:
-            lift = pair_lift(_axis_rotation(axis), n_max)
             for n in ns:
-                block = _rotation_block(lift, n)
+                block = lift(_axis_rotation(axis), n)
                 clicks = np.einsum("io,op->ip", _party_clicks(n, eta), flip)
                 povms[(axis, n)] = (_povm(block.conj(), clicks, block),
                                    _povm(abs(block), clicks, abs(block)))

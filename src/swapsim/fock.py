@@ -11,7 +11,6 @@ All detector queries are linear in that ensemble.
 
 from __future__ import annotations
 
-import itertools
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -162,18 +161,44 @@ def apply_pair_matrix(state: FockVector, i1: int, i2: int, mat: np.ndarray) -> F
     return out
 
 
-def pair_lift(mat: np.ndarray, n_max: int) -> np.ndarray:
-    """:func:`apply_pair_matrix` on two modes capped at ``n_max``, as a dense
-    array ``L[x1, x2, y1, y2]``: the amplitude of |x1, x2> for the input
-    |y1, y2>.  Each basis state is pushed through ``apply_pair_matrix``, so
-    the cap truncates exactly as there."""
-    d = n_max + 1
-    lift = np.zeros((d, d, d, d), dtype=complex)
-    modes = (("p", "H"), ("p", "V"))
-    for y in itertools.product(range(d), repeat=2):
-        for x, a in apply_pair_matrix(FockVector(modes, n_max, {y: 1.0}), 0, 1, mat).amp.items():
-            lift[x + y] = a
-    return lift
+def occupations(m: int, n: int) -> list[tuple[int, ...]]:
+    """The occupations of ``m`` modes holding ``n`` photons in all, sorted."""
+    if m == 1:
+        return [(n,)]
+    return [(k, *rest) for k in range(n + 1) for rest in occupations(m - 1, n - k)]
+
+
+def lift(mat: np.ndarray, n: int) -> np.ndarray:
+    """The ``n``-photon block of the linear optics with ``m`` x ``m`` mode
+    matrix ``mat``, as a matrix ``L[o, i]`` on ``occupations(m, n)``: the
+    amplitude of occupation o for the input occupation i, with no photon
+    cap.  Creation operators transform as in :func:`apply_pair_matrix`.  A
+    stack of mode matrices ``mat[..., :, :]`` gives the stack of blocks.
+
+    The block is built up one photon at a time.  An input i is
+    a_k+ |i - e_k> / sqrt(i_k), k its first occupied mode, so column i of
+    L_n is sum_j mat[j, k] a_j+ L_{n-1}[:, i - e_k] / sqrt(i_k).
+    """
+    mat = np.asarray(mat, dtype=complex)
+    m = mat.shape[-1]
+    block = np.ones((*mat.shape[:-2], 1, 1), dtype=complex)
+    prev = occupations(m, 0)
+    for photons in range(1, n + 1):
+        occs = occupations(m, photons)
+        row = {occ: r for r, occ in enumerate(occs)}
+        col = {occ: c for c, occ in enumerate(prev)}
+        first = [next(k for k, x in enumerate(occ) if x) for occ in occs]
+        removed = [col[occ[:k] + (occ[k] - 1,) + occ[k + 1 :]] for occ, k in zip(occs, first)]
+        scale = mat[..., first] / np.sqrt([occ[k] for occ, k in zip(occs, first)])
+        # lower[..., j, o, i] = mat[j, k] L_{n-1}[o, i - e_k] / sqrt(i_k)
+        lower = block[..., None, :, removed] * scale[..., :, None, :]
+        block = np.zeros((*mat.shape[:-2], len(occs), len(occs)), dtype=complex)
+        for j in range(m):
+            up = [row[occ[:j] + (occ[j] + 1,) + occ[j + 1 :]] for occ in prev]
+            norm = np.sqrt([occ[j] + 1.0 for occ in prev])
+            block[..., up, :] += norm[:, None] * lower[..., j, :, :]
+        prev = occs
+    return block
 
 
 def beam_splitter(state: FockVector, m1, m2, transmissivity: float) -> FockVector:
@@ -233,11 +258,6 @@ def wave_plate(state: FockVector, spatial: str, element) -> FockVector:
     if h not in state._index or v not in state._index:
         raise ValueError(f"spatial label {spatial!r} needs both polarizations")
     return apply_pair_matrix(state, state.mode_index(h), state.mode_index(v), mat)
-
-
-def polarization_rotation(state: FockVector, spatial: str, jones: np.ndarray) -> FockVector:
-    """Alias of :func:`wave_plate` with an explicit matrix; reads better at call sites."""
-    return wave_plate(state, spatial, jones)
 
 
 def spdc_source(

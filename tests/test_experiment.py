@@ -376,7 +376,7 @@ def _noise_branches(cfg):
             for b in branches:
                 nxt.append(b.scaled(np.sqrt(1.0 - p)))
                 for pauli in ("x", "y", "z"):
-                    flipped = fock.polarization_rotation(b, spatial, states.PAULI[pauli])
+                    flipped = fock.wave_plate(b, spatial, states.PAULI[pauli])
                     nxt.append(flipped.scaled(np.sqrt(p / 3.0)))
             branches = nxt
     for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
@@ -404,8 +404,8 @@ def _enumerated_tables(engine, pairs):
             cat = {}
             for weight, passed, bank in passes:
                 rotated = [
-                    fock.polarization_rotation(
-                        fock.polarization_rotation(b, "1", ex._axis_rotation(ab)),
+                    fock.wave_plate(
+                        fock.wave_plate(b, "1", ex._axis_rotation(ab)),
                         "4", ex._axis_rotation(bb),
                     )
                     for b in passed

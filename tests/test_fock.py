@@ -2,6 +2,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from swapsim import fock
+from swapsim.experiment import _axis_rotation
 
 
 def single_photon(mode, modes=(("a", "H"), ("a", "V"), ("b", "H"), ("b", "V")), n_max=3):
@@ -139,26 +140,6 @@ def test_attenuate_preserves_weight():
     assert abs(total - s.norm_sq()) < 1e-12
 
 
-def test_attenuate_sample_agrees_with_ensemble():
-    # Sampling form vs exact branch weights, 3 sigma over 10^5 draws.
-    rng = np.random.default_rng(42)
-    modes = (("a", "H"),)
-    s = fock.FockVector.vacuum(modes, 3).create(("a", "H")).create(("a", "H"))
-    s = s.normalized()
-    eta = 0.7
-    branches = fock.attenuate(s, ("a", "H"), eta)
-    weights = np.array([b.norm_sq() for b in branches])
-    n = 100_000
-    hits = np.zeros(len(branches))
-    lookup = {next(iter(b.amp)): i for i, b in enumerate(branches)}
-    for _ in range(n):
-        out = fock.attenuate_sample(s, ("a", "H"), eta, rng)
-        hits[lookup[next(iter(out.amp))]] += 1
-    for w, h in zip(weights, hits):
-        sigma = np.sqrt(n * w * (1 - w))
-        assert abs(h - n * w) < 3 * sigma + 1e-9
-
-
 def test_pattern_distribution_normalized():
     s = fock.spdc_source(0.4, order=2)
     bank = {"aH": (("a", "H"),), "aV": (("a", "V"),), "bH": (("b", "H"),), "bV": (("b", "V"),)}
@@ -184,3 +165,46 @@ def test_relabel_and_tensor():
     u = s.tensor(fock.FockVector.vacuum((("b", "H"),), 3))
     assert u.modes == (("a", "H"), ("a", "V"), ("b", "H"))
     assert abs(u.norm_sq() - 1.0) < 1e-14
+
+
+def random_unitary(m, rng):
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def test_occupations_are_sorted_and_complete():
+    for m, n in ((1, 3), (2, 4), (4, 3)):
+        expected = [o for o in np.ndindex(*(n + 1,) * m) if sum(o) == n]
+        assert fock.occupations(m, n) == expected
+
+
+def test_lift_is_unitary():
+    u = random_unitary(4, np.random.default_rng(11))
+    for n in range(7):
+        block = fock.lift(u, n)
+        assert block.shape == (len(fock.occupations(4, n)),) * 2
+        assert abs(block.conj().T @ block - np.eye(len(block))).max() < 1e-13
+
+
+def test_lift_of_product_is_product_of_lifts():
+    rng = np.random.default_rng(12)
+    a, b = random_unitary(4, rng), random_unitary(4, rng)
+    for n in range(7):
+        assert abs(fock.lift(a @ b, n) - fock.lift(a, n) @ fock.lift(b, n)).max() < 1e-13
+        stacked = np.stack((fock.lift(a, n), fock.lift(b, n)))
+        assert abs(fock.lift(np.stack((a, b)), n) - stacked).max() < 1e-15
+
+
+def test_lift_of_axis_rotation_equals_wave_plate():
+    # The m = 2 block agrees with the Fock primitive on every basis state.
+    modes = (("p", "H"), ("p", "V"))
+    for axis in ("x", "y", "z"):
+        jones = _axis_rotation(axis)
+        for n in range(4):
+            occs = fock.occupations(2, n)
+            block = fock.lift(jones, n)
+            for i, occ in enumerate(occs):
+                out = fock.wave_plate(fock.FockVector(modes, 3, {occ: 1.0}), "p", jones)
+                column = np.array([out.amp.get(o, 0.0) for o in occs])
+                assert set(out.amp) <= set(occs)
+                assert abs(block[:, i] - column).max() < 1e-14
