@@ -143,7 +143,9 @@ _CELLS = ((+1, +1), (-1, -1), (+1, -1), (-1, +1))
 
 
 def _correlations(counts_map: dict, label: str) -> dict[str, CorrelationResult]:
-    """Per-basis correlations of one report group of a count map."""
+    """Per-basis correlations of one report group of a count map, for the
+    bases (in PAULI_AXES order) with coincidences in the group: a run
+    configured with a subset of the bases has none in the others."""
     setting, outcomes = _GROUPS[label]
     cells: dict = {}
     for (s, o, basis, a_out, b_out), n in counts_map.items():
@@ -151,10 +153,9 @@ def _correlations(counts_map: dict, label: str) -> dict[str, CorrelationResult]:
             cells[basis, a_out, b_out] = cells.get((basis, a_out, b_out), 0) + n
     if not any(cells.values()):
         raise ValueError(f"no coincidences in the {label} group")
-    return {
-        b: correlation(CoincidenceCounts(b, *(cells.get((b, *ab), 0) for ab in _CELLS)))
-        for b in states.PAULI_AXES
-    }
+    counts = [CoincidenceCounts(b, *(cells.get((b, *ab), 0) for ab in _CELLS))
+              for b in states.PAULI_AXES]
+    return {c.basis: correlation(c) for c in counts if c.total}
 
 
 def report_fig3(counts_map: dict) -> dict[str, dict[str, CorrelationResult]]:
@@ -225,6 +226,10 @@ def report_table1(counts_map: dict) -> list[Table1Row]:
             if pair == (1, 4):
                 label = "bsm_phi_minus" if choice is BisaSetting.BSM else "ssm_pooled"
                 corr = _correlations(counts_map, label)
+                missing = [b for b in states.PAULI_AXES if b not in corr]
+                if missing:
+                    raise ValueError(f"no coincidences in basis {', '.join(missing)} of the "
+                                     f"{label} group; table1 needs all three bases")
                 f = fidelity_from_correlations(
                     corr["z"].value, corr["x"].value, corr["y"].value, target
                 )

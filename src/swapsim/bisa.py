@@ -8,33 +8,23 @@ as a 0/100 mirror).  The phase-lock reference is the point where every
 photon entering input b exits output b''.
 
 Spatial labels: inputs "b"/"c", outputs "b2"/"c2" (for b'' and c'').
+
+The analyzer's optics are its transfer maps on input occupations
+(:func:`transfer_map`), and its four threshold detectors are read out by
+one click model (:func:`victor_detection`), which both the fock engine and
+:func:`verify_evolution` use.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from math import sqrt
 
 import numpy as np
 
-from .fock import (
-    JONES_QWP_M45,
-    JONES_QWP_P45,
-    PRUNE_TOL,
-    DetectorBank,
-    FockVector,
-    lift,
-    occupations,
-    pattern_distribution,
-)
-
-# Detectors behind the two polarization-resolved outputs.
-DETECTOR_BANK: DetectorBank = {
-    "b2H": (("b2", "H"),),
-    "b2V": (("b2", "V"),),
-    "c2H": (("c2", "H"),),
-    "c2V": (("c2", "V"),),
-}
+from . import states
+from .fock import JONES_QWP_M45, JONES_QWP_P45, PRUNE_TOL, click_probability, lift, occupations
 
 
 class BisaSetting(enum.Enum):
@@ -66,6 +56,17 @@ INPUT_REGISTER = (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V"))
 OUTPUT_REGISTER = (("b2", "H"), ("b2", "V"), ("c2", "H"), ("c2", "V"))
 TAGGED_REGISTER = (("b2", "H"), ("b2", "V"), ("c2~", "H"), ("c2~", "V"),
                    ("c2", "H"), ("c2", "V"), ("b2~", "H"), ("b2~", "V"))
+
+# Victor's detectors, and the output modes each one watches in the coherent
+# pass ("b2H" watches ("b2", "H")) and in the distinguishable one (the
+# untagged output and its twin, ("b2~", "H")).
+VICTOR_DETECTORS = ("b2H", "b2V", "c2H", "c2V")
+DETECTOR_BANK = {d: ((d[:2], d[2]),) for d in VICTOR_DETECTORS}
+DETECTOR_BANK_TAGGED = {d: ((d[:2], d[2]), (d[:2] + "~", d[2])) for d in VICTOR_DETECTORS}
+# Victor's click patterns: which of VICTOR_DETECTORS click, one row of
+# _MASKS each, and the detectors that click, one tuple of PATTERNS each.
+_MASKS = np.array(list(itertools.product((False, True), repeat=len(VICTOR_DETECTORS))))
+PATTERNS = tuple(tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in _MASKS)
 
 # The analyzer's steps as mode matrices on INPUT_REGISTER order: the
 # symmetric 50:50 splitter (factor i on reflection, as fock.beam_splitter
@@ -146,65 +147,6 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int, distinguishable: bool
     return modes, [outputs[j] for j in reached], transfer[:, reached]
 
 
-def _apply(state: FockVector, setting: BisaSetting, distinguishable: bool) -> FockVector:
-    """One analyzer pass of ``state`` through its transfer map.  The input
-    modes take the first output labels in place; the distinguishable pass
-    appends its other four output modes to the register."""
-    spatials = {s for s, _ in state.modes}
-    if not {"b", "c"} <= spatials:
-        raise ValueError("analyzer inputs b and c are missing from the register")
-    if spatials & {"b2", "c2", "b2~", "c2~"}:
-        raise ValueError("output labels b2/c2 are already in use")
-    idx = [state.mode_index(m) for m in INPUT_REGISTER]
-    keys = [tuple(occ[i] for i in idx) for occ in state.amp]
-    inputs = sorted(set(keys))
-    modes, outputs, transfer = transfer_map(setting, inputs, state.n_max, distinguishable)
-    row = {occ: r for r, occ in enumerate(inputs)}
-    register = list(state.modes)
-    for i, mode in zip(idx, modes):
-        register[i] = mode
-    out = FockVector((*register, *modes[4:]), state.n_max)
-    amp = out.amp
-    for (occ, a), key in zip(state.amp.items(), keys):
-        t = transfer[row[key]]
-        for j in np.flatnonzero(t):
-            new = list(occ)
-            for i, n in zip(idx, outputs[j]):
-                new[i] = n
-            new = (*new, *outputs[j][4:])
-            amp[new] = amp.get(new, 0.0) + a * complex(t[j])
-    out.amp = {occ: a for occ, a in amp.items() if abs(a) > PRUNE_TOL}
-    return out
-
-
-def bisa_apply(state: FockVector, setting: BisaSetting) -> FockVector:
-    """Coherent (visibility 1) pass through the analyzer; outputs on b2/c2.
-
-    The register must expose both polarizations of inputs b and c; other
-    spatial labels ride along untouched as spectators.
-    """
-    return _apply(state, setting, distinguishable=False)
-
-
-def bisa_apply_distinguishable(state: FockVector, setting: BisaSetting) -> FockVector:
-    """Fully distinguishable pass: the photon population entering input c is
-    tagged with auxiliary spatial labels so it cannot interfere with the
-    population from input b.  Outputs land on (b2, c2) and the tagged twins
-    (b2~, c2~), in the order of TAGGED_REGISTER; detectors must merge each
-    pair.
-    """
-    return _apply(state, setting, distinguishable=True)
-
-
-# Bank matching bisa_apply_distinguishable: each physical detector watches
-# the untagged output and its tagged twin.
-DETECTOR_BANK_TAGGED: DetectorBank = {
-    "b2H": (("b2", "H"), ("b2~", "H")),
-    "b2V": (("b2", "V"), ("b2~", "V")),
-    "c2H": (("c2", "H"), ("c2~", "H")),
-    "c2V": (("c2", "V"), ("c2~", "V")),
-}
-
 _BSM_TABLE = {
     frozenset({"b2H", "b2V"}): BisaOutcome.PHI_PLUS_23,
     frozenset({"c2H", "c2V"}): BisaOutcome.PHI_PLUS_23,
@@ -231,24 +173,6 @@ def classify(pattern, setting: BisaSetting) -> BisaOutcome:
     return table.get(clicked, BisaOutcome.DISCARD)
 
 
-def bell_input(kind: str, n_max: int = 3) -> FockVector:
-    """Two-photon Bell state on the analyzer inputs b and c."""
-    vac = FockVector.vacuum(INPUT_REGISTER, n_max)
-    pairs = {
-        "phi+": ((("b", "H"), ("c", "H")), (("b", "V"), ("c", "V")), 1.0),
-        "phi-": ((("b", "H"), ("c", "H")), (("b", "V"), ("c", "V")), -1.0),
-        "psi+": ((("b", "H"), ("c", "V")), (("b", "V"), ("c", "H")), 1.0),
-        "psi-": ((("b", "H"), ("c", "V")), (("b", "V"), ("c", "H")), -1.0),
-    }
-    try:
-        (m1, m2), (m3, m4), sign = pairs[kind]
-    except KeyError:
-        raise ValueError(f"unknown Bell state {kind!r}") from None
-    first = vac.create(m1).create(m2)
-    second = vac.create(m3).create(m4)
-    return first.add(second, scale=sign).scaled(1.0 / np.sqrt(2.0))
-
-
 def analyzer_mixture(visibility: float):
     """The analyzer at finite two-photon visibility, as a weighted mixture of
     passes: ``(distinguishable, detector bank, weight)`` for the coherent
@@ -263,21 +187,41 @@ def analyzer_mixture(visibility: float):
     return [part for part in parts if part[2] > 0.0]
 
 
-def outcome_distribution(state: FockVector, setting: BisaSetting,
-                         visibility: float = 1.0) -> dict[BisaOutcome, float]:
-    """Outcome-class distribution for a state on the analyzer inputs."""
-    dist: dict[frozenset, float] = {}
+
+
+def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float, eta: float):
+    """Victor's detection of the analyzer inputs ``inputs`` (occupations of
+    INPUT_REGISTER): one ``(T, clicks)`` per part of the analyzer mixture at
+    ``visibility``, with ``T`` the part's transfer map and ``clicks[j, k]``
+    the part's weight times the probability of click pattern PATTERNS[k]
+    given output occupation j of ``T``.  Each detector is a threshold
+    detector of efficiency ``eta`` on the photons of the modes it watches.
+    """
+    parts = []
     for distinguishable, bank, weight in analyzer_mixture(visibility):
-        passed = _apply(state, setting, distinguishable)
-        for patt, p in pattern_distribution(passed, bank).items():
-            dist[patt] = dist.get(patt, 0.0) + weight * p
-    out: dict[BisaOutcome, float] = {}
-    for patt, p in dist.items():
-        cls = classify(patt, setting)
-        out[cls] = out.get(cls, 0.0) + p
-    return out
+        modes, outputs, transfer = transfer_map(setting, inputs, n_max, distinguishable)
+        watched = [[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS]
+        counts = np.array([[sum(occ[i] for i in idx) for idx in watched] for occ in outputs])
+        silent, click = click_probability(counts, eta)
+        clicks = weight * np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1)
+        parts.append((transfer, clicks))
+    return parts
 
 
 def verify_evolution(kind: str, setting: BisaSetting, visibility: float = 1.0) -> dict[BisaOutcome, float]:
-    """Outcome distribution for a Bell state fed into the analyzer."""
-    return outcome_distribution(bell_input(kind), setting, visibility)
+    """Outcome distribution for the Bell state ``kind`` of one photon on each
+    of the inputs b and c, seen by ideal detectors; classes of probability 0
+    are left out."""
+    psi = states.bell_state(kind).amplitudes
+    # Basis state |pq> of the Bell state: polarization p on b, q on c (H = 0).
+    inputs = [(1 - p, p, 1 - q, q) for p in (0, 1) for q in (0, 1)]
+    probs = 0.0
+    # Two photons never exceed a cap of 2.
+    for transfer, clicks in victor_detection(setting, inputs, 2, visibility, 1.0):
+        probs = probs + np.einsum("j,jk->k", abs(np.einsum("i,ij->j", psi, transfer)) ** 2, clicks)
+    out: dict[BisaOutcome, float] = {}
+    for pattern, p in zip(PATTERNS, probs):
+        if p > 0.0:
+            cls = classify(pattern, setting)
+            out[cls] = out.get(cls, 0.0) + float(p)
+    return out

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, states
-from .bisa import BisaSetting, verify_evolution
+from .bisa import BisaOutcome, BisaSetting, verify_evolution
 from .experiment import (
     ExperimentConfig,
     TrialLog,
@@ -199,8 +199,6 @@ def verify_eq2() -> bool:
 def verify_bisa() -> bool:
     ok = True
     dist = verify_evolution("phi+", BisaSetting.BSM)
-    from .bisa import BisaOutcome
-
     ok &= _check(
         "phi+ under BSM",
         abs(dist.get(BisaOutcome.PHI_PLUS_23, 0.0) - 1.0) < 1e-9,

@@ -29,14 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import states
-from .bisa import (
-    INPUT_REGISTER,
-    BisaOutcome,
-    BisaSetting,
-    analyzer_mixture,
-    classify,
-    transfer_map,
-)
+from .bisa import INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, classify, victor_detection
 from .fock import (
     FockVector,
     attenuate_ensemble,
@@ -52,8 +45,6 @@ KEPT_OUTCOMES = {
     BisaSetting.BSM: (BisaOutcome.PHI_PLUS_23, BisaOutcome.PHI_MINUS_23),
     BisaSetting.SSM: (BisaOutcome.HH_23, BisaOutcome.VV_23),
 }
-
-VICTOR_DETECTORS = ("b2H", "b2V", "c2H", "c2V")
 
 
 @dataclass
@@ -264,13 +255,6 @@ def _sector_densities(branches: list[FockVector]) -> dict:
     return out
 
 
-def _victor_counts(modes, outputs, bank) -> np.ndarray:
-    """Victor's photon count on each of VICTOR_DETECTORS, one row per
-    output occupation in ``outputs``."""
-    watched = [[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS]
-    return np.array([[sum(occ[i] for i in idx) for idx in watched] for occ in outputs])
-
-
 def _povm(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
     """POVM elements E[k, i, i'] = sum_j left[j, i] weights[j, k] right[j, i']:
     detection weights on the outputs ``j`` pulled back through a linear
@@ -283,11 +267,6 @@ def _party_clicks(n: int, eta: float) -> np.ndarray:
     photon in occupations(2, n)."""
     (s_h, s_v), (c_h, c_v) = (p.T for p in click_probability(np.array(occupations(2, n)), eta))
     return np.stack([c_h * s_v, s_h * c_v, s_h * s_v + c_h * c_v], axis=-1)
-
-
-def _victor_masks() -> np.ndarray:
-    """Victor's click patterns: which of VICTOR_DETECTORS click, one row each."""
-    return np.array(list(itertools.product((False, True), repeat=len(VICTOR_DETECTORS))))
 
 
 class FockEngine:
@@ -308,7 +287,8 @@ class FockEngine:
       fiber depolarization folds into P as a flip of +1/-1.
     * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
       transfer map on the b/c input occupations, summed over the analyzer
-      parts with their weights.
+      parts with their weights (bisa.victor_detection gives T and the
+      weighted P of each part).
 
     Rotations keep n1 and n4 and the analyzer keeps n, so rho enters as one
     block per (n1, n4, n) sector.  E_p is formed once per setting and n, and
@@ -360,17 +340,13 @@ class FockEngine:
         for (_, _, n), (occs, _, _) in sectors.items():
             by_n.setdefault(n, set()).update(occs)
         by_n = {n: sorted(occs) for n, occs in by_n.items()}
-        masks = _victor_masks()
-        patterns = [tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in masks]
         self._dist: dict = {}
         for setting in BisaSetting:
             # Victor's E_p, and its magnitudes, on the inputs of each n,
             # summed over the analyzer parts.
             victor: dict = {}
-            for distinguishable, bank, weight in analyzer_mixture(config.visibility):
-                modes, outputs, transfer = transfer_map(setting, inputs, n_max, distinguishable)
-                silent, click = click_probability(_victor_counts(modes, outputs, bank), eta)
-                clicks = weight * np.where(masks, click[:, None], silent[:, None]).prod(axis=-1)
+            parts = victor_detection(setting, inputs, n_max, config.visibility, eta)
+            for transfer, clicks in parts:
                 for n, occs in by_n.items():
                     rows = transfer[[row[occ] for occ in occs]]
                     reached = rows.any(axis=0)
@@ -384,7 +360,7 @@ class FockEngine:
                 pick = np.array([col[occ] for occ in occs])
                 e, e_mag = (povm[:, pick[:, None], pick] for povm in victor[n])
                 gram = (np.einsum("aibj,pij->pab", rho, e), np.einsum("aibj,pij->pab", mag, e_mag))
-                shape = (len(masks), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
+                shape = (len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
                 acc = grams.get((n1, n4), (0.0, 0.0))
                 grams[(n1, n4)] = tuple(s + g.reshape(shape) for s, g in zip(acc, gram))
             # Every basis pair at once: [X, Y, a, b, p] for Alice's basis X
@@ -399,7 +375,7 @@ class FockEngine:
             for x, ab in enumerate(config.alice_bases):
                 for y, bb in enumerate(config.bob_bases):
                     entries = sorted(
-                        ((_PARTY_OUTCOMES[i], _PARTY_OUTCOMES[j], patterns[k]), cat[x, y, i, j, k])
+                        ((_PARTY_OUTCOMES[i], _PARTY_OUTCOMES[j], PATTERNS[k]), cat[x, y, i, j, k])
                         for i, j, k in zip(*np.nonzero(cat[x, y] > 0.0))
                     )
                     keys = [key for key, _ in entries]

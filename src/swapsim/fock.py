@@ -6,7 +6,9 @@ noise model; amplitudes pushed past the cap are dropped.
 
 Mixed states (after loss channels) are represented as lists of
 unnormalized FockVectors; the weight of a branch is its squared norm.
-All detector queries are linear in that ensemble.
+Linear optics on n photons is the n-photon block of its mode matrix
+(:func:`lift`); threshold detectors click with :func:`click_probability`
+given the photons they see.
 """
 
 from __future__ import annotations
@@ -337,63 +339,9 @@ def attenuate_sample(state: FockVector, mode: Mode, eta: float, rng: np.random.G
     return branches[pick].normalized()
 
 
-DetectorBank = dict[str, tuple[Mode, ...]]
-
-
-def detector_counts(state: FockVector, bank: DetectorBank) -> dict[tuple[int, ...], float]:
-    """Weight of each detector photon-count vector (diagonal occupation statistics)."""
-    names = list(bank)
-    idx_sets = []
-    for name in names:
-        idx_sets.append([state.mode_index(m) for m in bank[name]])
-    counts: dict[tuple[int, ...], float] = {}
-    for occ, a in state.amp.items():
-        vec = tuple(sum(occ[i] for i in idxs) for idxs in idx_sets)
-        counts[vec] = counts.get(vec, 0.0) + abs(a) ** 2
-    return counts
-
-
-def pattern_distribution(state, bank: DetectorBank, efficiency=1.0) -> dict[frozenset, float]:
-    """Probability of every click pattern under threshold detection.
-
-    ``state`` may be a FockVector or an ensemble (list of unnormalized
-    FockVectors).  Each photon is independently detected with probability
-    ``efficiency``, the same for every detector; a detector clicks when it
-    sees >= 1 photon.
-    """
-    branches = state if isinstance(state, list) else [state]
-    names = list(bank)
-    # Click patterns depend on the photon counts alone, so the ensemble's
-    # count weights are summed before they are expanded into patterns.
-    counts: dict[tuple[int, ...], float] = {}
-    for branch in branches:
-        for vec, w in detector_counts(branch, bank).items():
-            counts[vec] = counts.get(vec, 0.0) + w
-    dist: dict[frozenset, float] = {}
-    for vec, w in counts.items():
-        _expand_pattern(vec, w, names, float(efficiency), dist)
-    return dist
-
-
 def click_probability(n, eta):
     """(P(silent), P(click)) of a threshold detector that sees ``n`` photons,
     each detected independently with efficiency ``eta``: silent with
     (1 - eta)^n.  ``n`` may be a numpy array."""
     p_silent = (1.0 - eta) ** n
     return p_silent, 1.0 - p_silent
-
-
-def _expand_pattern(vec, weight, names, eta, dist):
-    options = [click_probability(n, eta) for n in vec]
-    patterns = [(frozenset(), weight)]
-    for name, (p_silent, p_click) in zip(names, options):
-        nxt = []
-        for clicked, w in patterns:
-            if p_silent > 0.0:
-                nxt.append((clicked, w * p_silent))
-            if p_click > 0.0:
-                nxt.append((clicked | {name}, w * p_click))
-        patterns = nxt
-    for clicked, w in patterns:
-        dist[clicked] = dist.get(clicked, 0.0) + w
-

@@ -216,6 +216,31 @@ def test_empty_subensemble_errors():
         analysis.pooled_bsm_analysis({})
 
 
+@pytest.mark.parametrize("alice, bob, measured, missing", [
+    (("z",), ("z",), ["z"], "x, y"),
+    (("z", "x"), ("x",), ["x"], "z, y"),
+], ids=["z_z", "zx_x"])
+def test_basis_subset_reports_the_measured_bases(alice, bob, measured, missing):
+    cfg = experiment.ExperimentConfig(mode="ideal", trials=20_000, master_seed=5,
+                                      alice_bases=alice, bob_bases=bob)
+    counts = analysis.coincidence_counts(experiment.run_trials(cfg))
+    for group in analysis.report_fig3(counts).values():
+        assert list(group) == measured
+    assert list(analysis.pooled_bsm_analysis(counts)) == measured
+    error = f"no coincidences in basis {missing} of the bsm_phi_minus group"
+    with pytest.raises(ValueError, match=error):
+        analysis.report_table1(counts)
+
+
+def test_basis_subset_keeps_the_full_run_correlations(ideal_counts):
+    # The correlations of the bases with coincidences do not depend on the
+    # bases without.
+    full = analysis.correlation_results_from_counts(ideal_counts)
+    z_only = analysis.correlation_results_from_counts(
+        {k: n for k, n in ideal_counts.items() if k[2] == "z"})
+    assert z_only == {label: {"z": by_basis["z"]} for label, by_basis in full.items()}
+
+
 def test_csv_emission(ideal_counts):
     rows = analysis.report_table1(ideal_counts)
     text = analysis.rows_to_csv(rows)

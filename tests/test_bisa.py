@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from swapsim import bisa, fock
+from swapsim import bisa, fock, states
 from swapsim.bisa import BisaOutcome, BisaSetting
+from step_oracle import analyzer_pass
 
 
 def test_setting_from_bit():
@@ -12,35 +13,40 @@ def test_setting_from_bit():
     assert BisaSetting.SSM.phase == 0.0
 
 
+SINGLE_PHOTONS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+def _bell_output(kind, setting):
+    """Output amplitudes of the coherent pass of a Bell state of one photon
+    on each of b and c, by output occupation."""
+    inputs = [(1 - p, p, 1 - q, q) for p in (0, 1) for q in (0, 1)]
+    _, outputs, transfer = bisa.transfer_map(setting, inputs, 3)
+    return dict(zip(outputs, states.bell_state(kind).amplitudes @ transfer))
+
+
 def test_ssm_acts_as_mirror():
     # Every photon entering input b exits output b'' (up to a sign).
-    modes = (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V"))
-    for mode, out_occ in (
-        (("b", "H"), (1, 0, 0, 0)),
-        (("b", "V"), (0, 1, 0, 0)),
-        (("c", "H"), (0, 0, 1, 0)),
-    ):
-        s = fock.FockVector.vacuum(modes, 3).create(mode)
-        out = bisa.bisa_apply(s, BisaSetting.SSM)
-        amps = dict(out.amp)
+    _, outputs, transfer = bisa.transfer_map(BisaSetting.SSM, SINGLE_PHOTONS[:3], 3)
+    for row, out_occ in zip(transfer, SINGLE_PHOTONS[:3]):
+        amps = dict(zip(outputs, row))
         assert abs(abs(amps.pop(out_occ)) - 1.0) < 1e-12
         assert all(abs(a) < 1e-12 for a in amps.values())
 
 
 def test_bsm_phi_plus_evolution():
     # phi+ exits as both polarizations on one output (bunched HV pairs).
-    out = bisa.bisa_apply(bisa.bell_input("phi+"), BisaSetting.BSM)
+    out = _bell_output("phi+", BisaSetting.BSM)
     expected = {(1, 1, 0, 0), (0, 0, 1, 1)}
-    support = {occ for occ, a in out.amp.items() if abs(a) > 1e-9}
+    support = {occ for occ, a in out.items() if abs(a) > 1e-9}
     assert support == expected
-    mags = sorted(abs(a) for a in out.amp.values() if abs(a) > 1e-9)
+    mags = sorted(abs(a) for a in out.values() if abs(a) > 1e-9)
     assert np.allclose(mags, [1 / np.sqrt(2)] * 2, atol=1e-9)
 
 
 def test_bsm_phi_minus_evolution():
     # phi- exits as one photon per output with equal polarization.
-    out = bisa.bisa_apply(bisa.bell_input("phi-"), BisaSetting.BSM)
-    support = {occ for occ, a in out.amp.items() if abs(a) > 1e-9}
+    out = _bell_output("phi-", BisaSetting.BSM)
+    support = {occ for occ, a in out.items() if abs(a) > 1e-9}
     assert support == {(1, 0, 1, 0), (0, 1, 0, 1)}
 
 
@@ -63,15 +69,11 @@ def test_bsm_single_photon_transfer_matrix_oracle():
     lock = np.diag([-1.0, -1.0, 1.0, 1.0])
     transfer = bs @ lock @ qwp @ bs
 
-    modes = (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V"))
-    for col, mode in enumerate(modes):
-        s = fock.FockVector.vacuum(modes, 3).create(mode)
-        out = bisa.bisa_apply(s, BisaSetting.BSM)
-        got = np.zeros(4, dtype=complex)
-        basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-        for row, occ in enumerate(basis):
-            got[row] = out.amp.get(occ, 0.0)
-        assert np.allclose(got, transfer[:, col], atol=1e-12)
+    _, outputs, got = bisa.transfer_map(BisaSetting.BSM, SINGLE_PHOTONS, 3)
+    assert outputs == sorted(SINGLE_PHOTONS)
+    # got[i, j]: the amplitude of output occupation j for input photon i.
+    rows = [outputs.index(occ) for occ in SINGLE_PHOTONS]
+    assert np.allclose(got[:, rows], transfer.T, atol=1e-12)
 
 
 def test_classification_tables():
@@ -99,8 +101,8 @@ def test_ssm_outcome_distribution():
 def test_unitarity_of_analyzer():
     for kind in ("phi+", "phi-", "psi+", "psi-"):
         for setting in BisaSetting:
-            out = bisa.bisa_apply(bisa.bell_input(kind), setting)
-            assert abs(out.norm_sq() - 1.0) < 1e-9
+            out = _bell_output(kind, setting)
+            assert abs(sum(abs(a) ** 2 for a in out.values()) - 1.0) < 1e-9
 
 
 def test_visibility_mixing():
@@ -129,39 +131,12 @@ def test_distinguishable_phi_minus_leaks_into_phi_plus():
     assert full.get(BisaOutcome.PHI_PLUS_23, 0.0) < 1e-9
 
 
-def test_apply_requires_inputs():
-    s = fock.FockVector.vacuum((("b", "H"), ("b", "V")), 3)
-    with pytest.raises(ValueError):
-        bisa.bisa_apply(s, BisaSetting.BSM)
-    with pytest.raises(ValueError):
-        bisa.bell_input("nope")
+def test_verify_evolution_rejects_unknown_bell_state():
+    with pytest.raises(ValueError, match="unknown Bell state"):
+        bisa.verify_evolution("nope", BisaSetting.BSM)
 
 
 # --- the analyzer's transfer maps against its optics step by step ---------
-
-
-def _oracle_interferometer(state, setting, arms=("b", "c")):
-    """The analyzer's optics as FockVector steps between the input labels
-    ``arms``; the outputs keep the labels."""
-    b, c = arms
-    state = fock.beam_splitter(state, b, c, 0.5)
-    if setting is BisaSetting.BSM:
-        state = fock.wave_plate(state, b, "qwp+45")
-        state = fock.wave_plate(state, c, "qwp-45")
-    state = fock.phase_shift(state, b, np.pi)
-    return fock.beam_splitter(state, b, c, 0.5)
-
-
-def _oracle_pass(state, setting, distinguishable):
-    """One analyzer pass by the steps of _oracle_interferometer; the
-    distinguishable pass runs the c population through a tagged copy."""
-    if not distinguishable:
-        return _oracle_interferometer(state, setting).relabel({"b": "b2", "c": "c2"})
-    tagged = state.relabel({"c": "c~"})
-    tagged = tagged.extended((("c", "H"), ("c", "V"), ("b~", "H"), ("b~", "V")))
-    out = _oracle_interferometer(tagged, setting)
-    out = _oracle_interferometer(out, setting, ("b~", "c~"))
-    return out.relabel({"b": "b2", "c": "c2", "b~": "b2~", "c~": "c2~"})
 
 
 def _engine_inputs(order):
@@ -177,7 +152,7 @@ def _engine_inputs(order):
 def test_transfer_map_equals_step_oracle(n_max, setting, distinguishable):
     inputs = _engine_inputs(min(3, n_max))
     modes, outputs, transfer = bisa.transfer_map(setting, inputs, n_max, distinguishable)
-    passed = [_oracle_pass(fock.FockVector(bisa.INPUT_REGISTER, n_max, {occ: 1.0}),
+    passed = [analyzer_pass(fock.FockVector(bisa.INPUT_REGISTER, n_max, {occ: 1.0}),
                            setting, distinguishable) for occ in inputs]
     assert modes == passed[0].modes
     assert outputs == sorted({occ for out in passed for occ in out.amp})
@@ -198,24 +173,11 @@ def test_transfer_map_truncates_at_the_cap(setting):
     # (Hong-Ou-Mandel), and the cap of 3 drops the 4-photon terms.
     inputs = [(2, 0, 2, 0)]
     _, _, transfer = bisa.transfer_map(setting, inputs, 3)
-    oracle = _oracle_pass(fock.FockVector(bisa.INPUT_REGISTER, 3, {inputs[0]: 1.0}), setting, False)
+    state = fock.FockVector(bisa.INPUT_REGISTER, 3, {inputs[0]: 1.0})
+    oracle = analyzer_pass(state, setting, False)
     lost = 1.0 - (np.abs(transfer) ** 2).sum()
     assert lost > 0.1
     assert abs(lost - (1.0 - oracle.norm_sq())) <= 1e-14
     # Below the cap nothing is lost.
     _, _, transfer = bisa.transfer_map(setting, inputs, 4)
     assert abs((np.abs(transfer) ** 2).sum() - 1.0) <= 1e-14
-
-
-@pytest.mark.parametrize("distinguishable", [False, True], ids=["coherent", "tagged"])
-def test_apply_keeps_spectators_and_register_order(distinguishable):
-    # A pair source on (1, b) and one on (c, 4): modes 1 and 4 are
-    # spectators, on both sides of the analyzer inputs in the register.
-    src = fock.spdc_source(0.5, 2, ("1", "b"), 3).tensor(fock.spdc_source(0.5, 2, ("c", "4"), 3))
-    apply = bisa.bisa_apply_distinguishable if distinguishable else bisa.bisa_apply
-    for setting in BisaSetting:
-        got = apply(src, setting)
-        expected = _oracle_pass(src, setting, distinguishable)
-        assert got.modes == expected.modes
-        assert set(got.amp) == set(expected.amp)
-        assert max(abs(got.amp[occ] - a) for occ, a in expected.amp.items()) <= 1e-14

@@ -7,15 +7,9 @@ import pytest
 from swapsim import experiment as ex
 from swapsim import fock, states
 from swapsim.analysis import coincidence_counts
-from swapsim.bisa import (
-    DETECTOR_BANK,
-    DETECTOR_BANK_TAGGED,
-    BisaOutcome,
-    BisaSetting,
-    bisa_apply,
-    bisa_apply_distinguishable,
-)
+from swapsim.bisa import VICTOR_DETECTORS, BisaOutcome, BisaSetting
 from swapsim.qrng import QrngConfig, QrngSimulator
+from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass, click_patterns
 
 
 def small_config(**kw):
@@ -359,7 +353,7 @@ def _pattern_category(pattern: frozenset):
     def party(plus, minus):
         return {frozenset({plus}): +1, frozenset({minus}): -1}.get(pattern & {plus, minus}, 0)
 
-    victor = tuple(sorted(pattern & set(ex.VICTOR_DETECTORS)))
+    victor = tuple(sorted(pattern & set(VICTOR_DETECTORS)))
     return party("aliceP", "aliceM"), party("bobP", "bobM"), victor
 
 
@@ -385,18 +379,19 @@ def _noise_branches(cfg):
 
 
 def _enumerated_tables(engine, pairs):
-    """Category tables by enumerating every noise branch: analyzer pass,
-    rotation of photons 1 and 4 into the bases, threshold detection."""
+    """Category tables by enumerating every noise branch: the analyzer pass
+    step by step, rotation of photons 1 and 4 into the bases, threshold
+    detection."""
     cfg = engine.config
     branches = _noise_branches(cfg)
     v = cfg.visibility
     tables = {}
     for setting in BisaSetting:
         passes = [
-            (weight, [analyzer(b, setting) for b in branches], bank)
-            for analyzer, bank, weight in (
-                (bisa_apply, DETECTOR_BANK, v),
-                (bisa_apply_distinguishable, DETECTOR_BANK_TAGGED, 1.0 - v),
+            (weight, [analyzer_pass(b, setting, distinguishable) for b in branches], bank)
+            for distinguishable, bank, weight in (
+                (False, VICTOR_BANK, v),
+                (True, VICTOR_BANK_TAGGED, 1.0 - v),
             )
             if weight > 0.0
         ]
@@ -410,8 +405,7 @@ def _enumerated_tables(engine, pairs):
                     )
                     for b in passed
                 ]
-                dist = fock.pattern_distribution(rotated, {**PARTY_BANK, **bank},
-                                                 cfg.detector_efficiency)
+                dist = click_patterns(rotated, {**PARTY_BANK, **bank}, cfg.detector_efficiency)
                 for pattern, p in dist.items():
                     key = _pattern_category(pattern)
                     cat[key] = cat.get(key, 0.0) + weight * p

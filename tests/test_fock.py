@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
-from swapsim import fock
+from swapsim import bisa, fock
+from swapsim.bisa import BisaSetting
 from swapsim.experiment import _axis_rotation
 
 
@@ -140,22 +142,27 @@ def test_attenuate_preserves_weight():
     assert abs(total - s.norm_sq()) < 1e-12
 
 
-def test_pattern_distribution_normalized():
-    s = fock.spdc_source(0.4, order=2)
-    bank = {"aH": (("a", "H"),), "aV": (("a", "V"),), "bH": (("b", "H"),), "bV": (("b", "V"),)}
-    dist = fock.pattern_distribution(s, bank, efficiency=0.6)
-    assert abs(sum(dist.values()) - s.norm_sq()) < 1e-12
-    assert all(p >= 0 for p in dist.values())
+@pytest.mark.parametrize("eta", [0.25, 1.0])
+@pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
+def test_victor_clicks_sum_to_part_weight(setting, eta):
+    # Every output occupation makes exactly one click pattern, so each row
+    # of a part's clicks sums to the part's weight.
+    split = [(h, n - h) for n in range(3) for h in range(n + 1)]
+    inputs = [b + c for b in split for c in split]
+    parts = bisa.victor_detection(setting, inputs, 3, 0.7, eta)
+    assert len(parts) == 2
+    for (transfer, clicks), (_, _, weight) in zip(parts, bisa.analyzer_mixture(0.7)):
+        assert clicks.shape == (transfer.shape[1], len(bisa.PATTERNS))
+        assert np.abs(clicks.sum(axis=1) - weight).max() < 1e-12
+        assert (clicks >= 0).all()
 
 
 def test_threshold_efficiency():
     # Two photons on one detector with efficiency eta click with 1-(1-eta)^2.
-    modes = (("a", "H"),)
-    s = fock.FockVector.vacuum(modes, 3).create(("a", "H")).create(("a", "H")).normalized()
     eta = 0.3
-    bank = {"d": (("a", "H"),)}
-    p = fock.pattern_distribution(s, bank, efficiency=eta)[frozenset({"d"})]
-    assert abs(p - (1 - (1 - eta) ** 2)) < 1e-12
+    silent, click = fock.click_probability(2, eta)
+    assert abs(click - (1 - (1 - eta) ** 2)) < 1e-12
+    assert abs(silent + click - 1.0) < 1e-12
 
 
 def test_relabel_and_tensor():
