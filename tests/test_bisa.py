@@ -131,7 +131,7 @@ def test_distinguishable_phi_minus_leaks_into_phi_plus():
     assert full.get(BisaOutcome.PHI_PLUS_23, 0.0) < 1e-9
 
 
-def test_verify_evolution_rejects_unknown_bell_state():
+def test_apply_requires_inputs():
     with pytest.raises(ValueError, match="unknown Bell state"):
         bisa.verify_evolution("nope", BisaSetting.BSM)
 

@@ -142,6 +142,22 @@ def test_attenuate_preserves_weight():
     assert abs(total - s.norm_sq()) < 1e-12
 
 
+def test_pattern_distribution_normalized():
+    # Victor's pattern distribution of a pair source on the analyzer inputs,
+    # through both parts of the analyzer mixture, keeps the source's weight.
+    s = fock.spdc_source(0.4, order=2, spatial=("b", "c"))
+    assert s.modes == bisa.INPUT_REGISTER
+    inputs = list(s.amp)
+    psi = np.array([s.amp[occ] for occ in inputs])
+    for setting in BisaSetting:
+        dist = 0.0
+        # A cap of 4 keeps every output of the two pairs.
+        for transfer, clicks in bisa.victor_detection(setting, inputs, 4, 0.7, 0.6):
+            dist = dist + (np.abs(psi @ transfer) ** 2) @ clicks
+        assert abs(dist.sum() - s.norm_sq()) < 1e-12
+        assert (dist >= 0).all()
+
+
 @pytest.mark.parametrize("eta", [0.25, 1.0])
 @pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
 def test_victor_clicks_sum_to_part_weight(setting, eta):
