@@ -18,6 +18,7 @@ one click model (:func:`victor_detection`), which both the fock engine and
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from math import sqrt
 
@@ -79,6 +80,17 @@ _PLATES = np.block([[JONES_QWP_P45, np.zeros((2, 2))], [np.zeros((2, 2)), JONES_
 _CLOSING = _SPLITTERS * np.array([-1.0, -1.0, 1.0, 1.0])
 
 
+@functools.cache  # two settings and a few n per process, shared by every build
+def _lifted_steps(setting: BisaSetting, n: int) -> np.ndarray:
+    """The analyzer's steps at ``setting``, in order, lifted to ``n`` photons
+    (a read-only stack): the first splitter, at BSM the plates, and the
+    locking phase with the second splitter."""
+    steps = lift(np.stack((_SPLITTERS, _PLATES, _CLOSING) if setting is BisaSetting.BSM
+                          else (_SPLITTERS, _CLOSING)), n)
+    steps.flags.writeable = False
+    return steps
+
+
 def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
     """The coherent pass of the basis states ``inputs`` of INPUT_REGISTER:
     ``(outputs, T)``, the output occupations of OUTPUT_REGISTER up to
@@ -86,15 +98,12 @@ def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
     amplitude of ``outputs[j]`` for ``inputs[i]``, not pruned.
 
     The optics keep the photon number n, so each n passes on its own
-    through the n-photon lifts of the first splitter, at BSM the plates,
-    and the locking phase with the second splitter.  Every step drops the
-    occupations with a mode above ``n_max``: the H and V splitters, and the
-    two plates, act on disjoint modes and the cap is per mode, so this is
-    the cap after each 2x2 step of fock.apply_pair_matrix.  The products are
-    np.einsum calls (see the BLAS note in experiment.py).
+    through the n-photon lifts of the steps (:func:`_lifted_steps`).  Every
+    step drops the occupations with a mode above ``n_max``: the H and V
+    splitters, and the two plates, act on disjoint modes and the cap is per
+    mode, so this is the cap after each 2x2 step of fock.apply_pair_matrix.
+    The products are np.einsum calls (see the BLAS note in experiment.py).
     """
-    steps = np.stack((_SPLITTERS, _PLATES, _CLOSING) if setting is BisaSetting.BSM
-                     else (_SPLITTERS, _CLOSING))
     outputs: list = []
     blocks = [np.zeros((len(inputs), 0), dtype=complex)]
     for n in sorted({sum(occ) for occ in inputs}):
@@ -102,7 +111,7 @@ def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
         capped = (np.array(occs) > n_max).any(axis=1)
         rows = [r for r, occ in enumerate(inputs) if sum(occ) == n]
         psi = np.eye(len(occs), dtype=complex)[:, [occs.index(inputs[r]) for r in rows]]
-        for step in lift(steps, n):
+        for step in _lifted_steps(setting, n):
             psi = np.einsum("ij,jk->ik", step, psi)
             psi[capped] = 0.0
         block = np.zeros((len(inputs), len(occs)), dtype=complex)
@@ -187,8 +196,6 @@ def analyzer_mixture(visibility: float):
     return [part for part in parts if part[2] > 0.0]
 
 
-
-
 def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float, eta: float):
     """Victor's detection of the analyzer inputs ``inputs`` (occupations of
     INPUT_REGISTER): one ``(T, clicks)`` per part of the analyzer mixture at
@@ -200,8 +207,9 @@ def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float
     parts = []
     for distinguishable, bank, weight in analyzer_mixture(visibility):
         modes, outputs, transfer = transfer_map(setting, inputs, n_max, distinguishable)
-        watched = [[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS]
-        counts = np.array([[sum(occ[i] for i in idx) for idx in watched] for occ in outputs])
+        # counts[j, d]: the photons detector d sees in output occupation j.
+        watched = np.array([[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS])
+        counts = np.array(outputs, dtype=int).reshape(-1, len(modes))[:, watched].sum(axis=-1)
         silent, click = click_probability(counts, eta)
         clicks = weight * np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1)
         parts.append((transfer, clicks))

@@ -19,6 +19,7 @@ row per trial under a header (log version 2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -156,6 +157,14 @@ def _axis_rotation(axis: str) -> np.ndarray:
     return np.array([plus.conj(), minus.conj()])
 
 
+@functools.cache  # three axes and a few n per process, shared by every build
+def _rotation_lift(axis: str, n: int) -> np.ndarray:
+    """The lift of ``_axis_rotation(axis)`` to ``n`` photons, read-only."""
+    block = lift(_axis_rotation(axis), n)
+    block.flags.writeable = False
+    return block
+
+
 def _victor_projections(setting: BisaSetting):
     if setting is BisaSetting.BSM:
         return (
@@ -202,6 +211,13 @@ class IdealEngine:
 # A party's outcome from its two detectors (H for +1, V for -1): the sign
 # of the one that clicked, 0 when neither or both click.
 _PARTY_OUTCOMES = (+1, -1, 0)
+# The fock engine's categories (Alice's outcome, Bob's, Victor's pattern)
+# as its flattened [a, b, p] tables hold them, the indices of those tables
+# in the sorted order of the categories, and the categories in that order,
+# which every category table keeps.
+_CATEGORIES = list(itertools.product(_PARTY_OUTCOMES, _PARTY_OUTCOMES, PATTERNS))
+_CATEGORY_ORDER = np.array(sorted(range(len(_CATEGORIES)), key=_CATEGORIES.__getitem__))
+_CATEGORY_KEYS = [_CATEGORIES[c] for c in _CATEGORY_ORDER]
 # A table entry at most this fraction of the sum of the magnitudes of the
 # terms it is summed from (over branches, analyzer outputs and rotation
 # entries alike, each times its click probabilities) is the rounding residue
@@ -211,9 +227,13 @@ _PARTY_OUTCOMES = (+1, -1, 0)
 # per entry suffices.  Rounding leaves at most a few machine epsilons of
 # that sum, so true entries smaller than 1e-12 of it are the only ones lost.
 CANCELLATION_TOL = 1e-12
-# The engine contracts its (small) arrays with np.einsum, not matmul, and so
-# do fock.lift and bisa.transfer_map: the first BLAS call of a process keeps
-# about 0.5 MiB resident for good.
+# The engine contracts its (small) arrays with two-operand np.einsum calls,
+# never matmul, dot, tensordot or einsum(optimize=...): the density blocks
+# "ki,kj->ij", _povm's real weights against the outer products "jk,jx->kx",
+# the Gram "abx,px->pab", and the final contraction, Alice's side
+# "Xaji,pikjl->Xapkl" then Bob's "Yblk,Xapkl->XYabp".  fock.lift and
+# bisa.transfer_map call no BLAS either: the first BLAS call of a process
+# keeps about 0.5 MiB resident for good.
 
 
 def _sector_densities(branches: list[FockVector]) -> dict:
@@ -222,10 +242,11 @@ def _sector_densities(branches: list[FockVector]) -> dict:
     A sector ``(n1, n4, n)`` holds the terms with n1 photons in mode 1, n4
     in mode 4 and n at the analyzer inputs.  Returns ``{sector: (occs,
     rho, mag)}`` with ``occs`` the analyzer input occupations (bH, bV, cH,
-    cV) met in the sector, ``rho[a, i, a', i']`` the sum over branches of
-    psi(a, i) psi(a', i')*, where ``a`` indexes the product basis
-    occupations(2, n1) x occupations(2, n4) of (1H, 1V, 4H, 4V) and ``i``
-    indexes ``occs``, and ``mag`` the same sum of |psi(a, i) psi(a', i')|.
+    cV) met in the sector, ``rho[a, a', i * len(occs) + i']`` the sum over
+    branches of psi(a, i) psi(a', i')*, where ``a`` indexes the product
+    basis occupations(2, n1) x occupations(2, n4) of (1H, 1V, 4H, 4V) and
+    ``i`` indexes ``occs``, and ``mag`` the same sum of
+    |psi(a, i) psi(a', i')|.
     Blocks between sectors are not formed: the basis rotations keep n1
     and n4, and the analyzer keeps n, which Victor's count vector reveals.
     """
@@ -251,15 +272,32 @@ def _sector_densities(branches: list[FockVector]) -> dict:
             psi[rows[k], a * m + col[occ]] = amp
         rho = np.einsum("ki,kj->ij", psi, psi.conj()).reshape(d, m, d, m)
         mag = np.einsum("ki,kj->ij", abs(psi), abs(psi)).reshape(d, m, d, m)
+        # As [a, a', i i'], the layout the Gram contraction runs fastest on.
+        rho, mag = (x.transpose(0, 2, 1, 3).reshape(d, d, m * m) for x in (rho, mag))
         out[(n1, n4, n)] = (occs, rho, mag)
     return out
 
 
+# _povm forms the outer products of at most this many entries at a time, so
+# its scratch stays within 4 MiB at any photon order.
+_POVM_BLOCK = 1 << 18
+
+
 def _povm(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
     """POVM elements E[k, i, i'] = sum_j left[j, i] weights[j, k] right[j, i']:
-    detection weights on the outputs ``j`` pulled back through a linear
-    map, one element per outcome ``k``."""
-    return np.einsum("ji,jk,jl->kil", left, weights, right)
+    the real detection weights on the outputs ``j`` pulled back through a
+    linear map, one element per outcome ``k``.  The outer products of the
+    rows of ``left`` and ``right`` are formed once, a block of outputs at a
+    time, and a complex one is contracted with the weights as its real and
+    imaginary parts."""
+    (j, i), (_, l), k = left.shape, right.shape, weights.shape[1]
+    step = max(1, _POVM_BLOCK // (i * l))
+    out = np.zeros((k, i, l), dtype=np.result_type(left, right))
+    for lo in range(0, j, step):
+        outer = np.multiply(left[lo:lo + step, :, None], right[lo:lo + step, None, :], order="C")
+        flat = outer.reshape(len(outer), i * l).view(float)
+        out += np.einsum("jk,jx->kx", weights[lo:lo + step], flat).view(out.dtype).reshape(k, i, l)
+    return out
 
 
 def _party_clicks(n: int, eta: float) -> np.ndarray:
@@ -294,7 +332,7 @@ class FockEngine:
     block per (n1, n4, n) sector.  E_p is formed once per setting and n, and
     each sector reads its occupations out of it.  Victor's side is traced
     first, leaving one Gram block G_p = Tr_bc[rho E_p] per (n1, n4), which
-    one contraction per (n1, n4) meets with F_a x F_b of every basis pair.
+    meets F_a of every Alice basis and then F_b of every Bob basis.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -327,7 +365,7 @@ class FockEngine:
         povms = {}
         for axis in {*config.alice_bases, *config.bob_bases}:
             for n in ns:
-                block = lift(_axis_rotation(axis), n)
+                block = _rotation_lift(axis, n)
                 clicks = np.einsum("io,op->ip", _party_clicks(n, eta), flip)
                 povms[(axis, n)] = (_povm(block.conj(), clicks, block),
                                    _povm(abs(block), clicks, abs(block)))
@@ -358,8 +396,12 @@ class FockEngine:
             for (n1, n4, n), (occs, rho, mag) in sectors.items():
                 col = {occ: i for i, occ in enumerate(by_n[n])}
                 pick = np.array([col[occ] for occ in occs])
-                e, e_mag = (povm[:, pick[:, None], pick] for povm in victor[n])
-                gram = (np.einsum("aibj,pij->pab", rho, e), np.einsum("aibj,pij->pab", mag, e_mag))
+                # E_p on the sector's occupations, flat over (i, i') and
+                # contiguous, as einsum runs fastest on it.
+                pairs = (pick[:, None] * len(col) + pick).ravel()
+                e, e_mag = (povm.reshape(len(PATTERNS), -1).take(pairs, axis=1)
+                            for povm in victor[n])
+                gram = (np.einsum("abx,px->pab", rho, e), np.einsum("abx,px->pab", mag, e_mag))
                 shape = (len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
                 acc = grams.get((n1, n4), (0.0, 0.0))
                 grams[(n1, n4)] = tuple(s + g.reshape(shape) for s, g in zip(acc, gram))
@@ -369,17 +411,18 @@ class FockEngine:
             for (n1, n4), (gram, gram_mag) in grams.items():
                 fa, fa_mag = party[(config.alice_bases, n1)]
                 fb, fb_mag = party[(config.bob_bases, n4)]
-                cat = cat + np.einsum("Xaji,Yblk,pikjl->XYabp", fa, fb, gram).real
-                scale = scale + np.einsum("Xaji,Yblk,pikjl->XYabp", fa_mag, fb_mag, gram_mag)
+                cat = cat + np.einsum("Yblk,Xapkl->XYabp", fb,
+                                      np.einsum("Xaji,pikjl->Xapkl", fa, gram)).real
+                scale = scale + np.einsum("Yblk,Xapkl->XYabp", fb_mag,
+                                          np.einsum("Xaji,pikjl->Xapkl", fa_mag, gram_mag))
             cat[cat <= CANCELLATION_TOL * scale] = 0.0
+            # Each table lists its categories of nonzero probability, sorted.
+            cat = cat.reshape(*cat.shape[:2], -1)[..., _CATEGORY_ORDER]
             for x, ab in enumerate(config.alice_bases):
                 for y, bb in enumerate(config.bob_bases):
-                    entries = sorted(
-                        ((_PARTY_OUTCOMES[i], _PARTY_OUTCOMES[j], PATTERNS[k]), cat[x, y, i, j, k])
-                        for i, j, k in zip(*np.nonzero(cat[x, y] > 0.0))
-                    )
-                    keys = [key for key, _ in entries]
-                    probs = np.array([p for _, p in entries])
+                    present = np.flatnonzero(cat[x, y] > 0.0)
+                    keys = [_CATEGORY_KEYS[c] for c in present]
+                    probs = cat[x, y, present]
                     self._dist[(ab, bb, setting)] = (keys, probs, np.cumsum(probs / probs.sum()))
 
     def category_table(self, ab: str, bb: str, actual: BisaSetting):

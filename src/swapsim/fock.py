@@ -13,6 +13,7 @@ given the photons they see.
 
 from __future__ import annotations
 
+import functools
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -163,11 +164,12 @@ def apply_pair_matrix(state: FockVector, i1: int, i2: int, mat: np.ndarray) -> F
     return out
 
 
-def occupations(m: int, n: int) -> list[tuple[int, ...]]:
+@functools.cache  # a few (m, n) per process, shared by every lift
+def occupations(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The occupations of ``m`` modes holding ``n`` photons in all, sorted."""
     if m == 1:
-        return [(n,)]
-    return [(k, *rest) for k in range(n + 1) for rest in occupations(m - 1, n - k)]
+        return ((n,),)
+    return tuple((k, *rest) for k in range(n + 1) for rest in occupations(m - 1, n - k))
 
 
 def lift(mat: np.ndarray, n: int) -> np.ndarray:

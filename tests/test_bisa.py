@@ -181,3 +181,16 @@ def test_transfer_map_truncates_at_the_cap(setting):
     # Below the cap nothing is lost.
     _, _, transfer = bisa.transfer_map(setting, inputs, 4)
     assert abs((np.abs(transfer) ** 2).sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
+def test_lifted_steps_are_fresh_lifts_and_read_only(setting):
+    steps = [bisa._SPLITTERS, bisa._PLATES, bisa._CLOSING]
+    if setting is BisaSetting.SSM:
+        del steps[1]
+    for n in range(7):
+        cached = bisa._lifted_steps(setting, n)
+        assert cached is bisa._lifted_steps(setting, n)
+        assert np.array_equal(cached, fock.lift(np.stack(steps), n))
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 0.0

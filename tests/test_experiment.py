@@ -425,8 +425,10 @@ def _assert_tables_match(engine, pairs):
 
 
 def test_fock_engine_equals_branch_enumeration_default():
+    # A miswiring of the tagged twins to Victor's detectors (H and V of the
+    # twins swapped) moves the default tables only where Bob measures z.
     engine = ex.build_engine(ex.ExperimentConfig(mode="fock"))
-    _assert_tables_match(engine, [("x", "y")])
+    _assert_tables_match(engine, [("x", "y"), ("z", "z")])
 
 
 def test_fock_engine_equals_branch_enumeration_clean(clean_fock_engine):
@@ -438,3 +440,37 @@ def test_fock_engine_depolarization_equals_pauli_branches():
     # wrong outcome-flip probability would go unseen.
     cfg = ex.ExperimentConfig(mode="fock", spdc_order=1, n_max=2, fiber_polarization_fidelity=0.7)
     _assert_tables_match(ex.build_engine(cfg), ALL_BASIS_PAIRS)
+
+
+@pytest.mark.parametrize("block", [ex._POVM_BLOCK, 60, 1])
+def test_povm_equals_its_definition(monkeypatch, block):
+    # Small blocks split the outputs into several outer-product blocks.
+    monkeypatch.setattr(ex, "_POVM_BLOCK", block)
+    rng = np.random.default_rng(14)
+
+    def matrix(rows, cols, complex_):
+        m = rng.normal(size=(rows, cols))
+        return m + 1j * rng.normal(size=(rows, cols)) if complex_ else abs(m)
+
+    # (outputs, left columns, right columns, complex): the engine's complex
+    # maps and real magnitudes, one output, rectangular shapes.
+    for j, i, l, complex_ in ((100, 9, 9, True), (80, 12, 12, False), (1, 4, 4, True),
+                              (1, 3, 3, False), (30, 5, 7, True), (30, 7, 3, False)):
+        left, right = matrix(j, i, complex_), matrix(j, l, complex_)
+        weights = rng.random((j, 16))
+        # The engine passes transposed (column-major) maps too.
+        for args in ((left, weights, right), (np.asfortranarray(left), weights, right.conj())):
+            got = ex._povm(*args)
+            expected = np.einsum("ji,jk,jl->kil", *args)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert abs(got - expected).max() <= 1e-13 * abs(expected).max()
+
+
+def test_rotation_lift_is_a_fresh_lift_and_read_only():
+    for axis in states.PAULI_AXES:
+        for n in range(5):
+            cached = ex._rotation_lift(axis, n)
+            assert cached is ex._rotation_lift(axis, n)
+            assert np.array_equal(cached, fock.lift(ex._axis_rotation(axis), n))
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0

@@ -198,7 +198,7 @@ def random_unitary(m, rng):
 def test_occupations_are_sorted_and_complete():
     for m, n in ((1, 3), (2, 4), (4, 3)):
         expected = [o for o in np.ndindex(*(n + 1,) * m) if sum(o) == n]
-        assert fock.occupations(m, n) == expected
+        assert fock.occupations(m, n) == tuple(expected)
 
 
 def test_lift_is_unitary():
