@@ -740,26 +740,26 @@ def _column_codes(config: ExperimentConfig) -> dict:
     }
 
 
-def _column_values(config: ExperimentConfig, columns: dict, lo: int, hi: int) -> list[list]:
-    """Log values of trials lo..hi-1, one list per column."""
-    codes = _column_codes(config)
-    out = []
-    for name in COLUMNS:
-        col = columns[name][lo:hi]
-        if name in codes:
-            # Each code indexes its value; the outcome code -1 the last one.
-            values = np.empty(len(codes[name]), dtype=object)
-            for value, code in codes[name].items():
-                values[code] = value
-            col = values[col.astype(np.intp)]
-        out.append(col.tolist())
-    return out
+def _code_texts(codes: dict) -> list[list[str]]:
+    """The JSON text of each code's value, one list per coded column; the
+    outcome code -1 indexes the last entry."""
+    texts = []
+    for lut in codes.values():
+        text = [""] * len(lut)
+        for value, code in lut.items():
+            text[code] = json.dumps(value)
+        texts.append(text)
+    return texts
 
 
 def write_log(path, log: TrialLog) -> None:
     """Line-delimited JSON: a header object (log version, config, the event
     times of its delay budget, column names), then one array of the COLUMNS
-    values per trial."""
+    values per trial, written without spaces.
+
+    A row is ``"[" + trial index + tail``, where the tail holds the coded
+    columns; each chunk renders each distinct tail once.
+    """
     header = {
         "kind": "swapsim-trial-log",
         "version": LOG_VERSION,
@@ -767,18 +767,39 @@ def write_log(path, log: TrialLog) -> None:
         "event_times": asdict(event_times(log.config.budget)),
         "columns": list(COLUMNS),
     }
+    codes = _column_codes(log.config)
+    texts = _code_texts(codes)
+    sizes = [len(text) for text in texts]
+    # "wrap" takes the outcome code -1 to the last entry.
+    modes = ["wrap" if -1 in lut.values() else "raise" for lut in codes.values()]
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for lo in range(0, len(log), CHUNK_TRIALS):
-            rows = list(zip(*_column_values(log.config, log.columns, lo, lo + CHUNK_TRIALS)))
-            # One encode per chunk; no log value contains "],[".
-            text = json.dumps(rows, separators=(",", ":"))
-            fh.write(text[1:-1].replace("],[", "]\n[") + "\n")
+            hi = lo + CHUNK_TRIALS
+            # One mixed-radix key per row over the coded columns.
+            key = np.ravel_multi_index([log.columns[name][lo:hi].astype(np.intp) for name in codes],
+                                       sizes, mode=modes)
+            keys, inverse = np.unique(key, return_inverse=True)
+            # Each tail ends in the next row's "[", so the chunk is one join.
+            tails = ["," + ",".join(map(list.__getitem__, texts, k)) + "]\n["
+                     for k in zip(*np.unravel_index(keys, sizes))]
+            parts = [""] * (2 * len(key))
+            parts[0::2] = map(str, log.columns["trial_index"][lo:hi].tolist())
+            parts[1::2] = map(tails.__getitem__, inverse.tolist())
+            parts[0], parts[-1] = "[" + parts[0], parts[-1][:-1]
+            fh.write("".join(parts))
 
 
 def read_log(path) -> TrialLog:
     """The run a write_log file holds.  Raises ValueError unless its rows
-    are trials 0, 1, ..., config.trials - 1 in turn."""
+    are trials 0, 1, ..., config.trials - 1 in turn.
+
+    Rows with the written head ``"[" + trial index + ","`` are read per
+    distinct tail: each tail new to this call is validated once, and the
+    rows are gathered from a table of their codes.  Any other valid JSON
+    spacing is accepted too; a chunk holding such a row is decoded row by
+    row.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline())
         if not isinstance(header, dict) or header.get("kind") != "swapsim-trial-log":
@@ -793,10 +814,12 @@ def read_log(path) -> TrialLog:
         if header.get("columns") != list(COLUMNS):
             raise ValueError(f"unsupported trial log columns {header.get('columns')!r}")
         codes = _column_codes(config)
+        tails = _TailTable(codes)
         parts = []
         for first_line in itertools.count(2, CHUNK_TRIALS):
             lines = list(itertools.islice(fh, CHUNK_TRIALS))
-            parts.append(_decode_rows(lines, first_line, codes))
+            part = tails.decode(lines, first_line - 2)
+            parts.append(_decode_rows(lines, first_line, codes) if part is None else part)
             if len(lines) < CHUNK_TRIALS:
                 break
     columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
@@ -808,6 +831,43 @@ def read_log(path) -> TrialLog:
     if len(index) != config.trials:
         raise ValueError(f"{len(index)} trial rows, but config.trials is {config.trials}")
     return TrialLog(config, columns)
+
+
+class _TailTable:
+    """The distinct row tails one read_log call has met, each validated by
+    _decode_rows as the row ``"[0" + tail``, and the codes of each."""
+
+    def __init__(self, codes: dict):
+        self.codes = codes
+        self.ids = {}
+        self.columns = {name: np.empty(0, COLUMNS[name]) for name in codes}
+
+    def decode(self, lines: list[str], lo: int) -> dict | None:
+        """Columns of ``lines``, rows lo, lo + 1, ... of the log, or None
+        unless each line is its head ``"[" + row number`` and a valid tail."""
+        heads = list(map("[".__add__, map(str, range(lo, lo + len(lines)))))
+        rest = list(map(str.removeprefix, lines, heads))
+        # Each line loses its whole head or nothing, so this holds only if
+        # every line had its head.
+        if sum(map(len, lines)) - sum(map(len, rest)) != sum(map(len, heads)):
+            return None
+        new = [tail for tail in dict.fromkeys(rest) if tail not in self.ids]
+        if new:
+            if not all(tail.startswith(",") for tail in new):
+                return None
+            try:
+                # Each of these lines opens a row with its "[0" and no valid
+                # value holds a bracket, so a joint decode that finds one row
+                # per line found each line's row alone.
+                found = _decode_rows(["[0" + tail for tail in new], 0, self.codes)
+            except ValueError:
+                return None
+            self.ids.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
+            self.columns = {name: np.concatenate([self.columns[name], found[name]])
+                            for name in self.codes}
+        ids = np.fromiter(map(self.ids.__getitem__, rest), np.intp, len(rest))
+        columns = {name: col[ids] for name, col in self.columns.items()}
+        return {"trial_index": np.arange(lo, lo + len(lines), dtype=np.int64), **columns}
 
 
 def _decode_rows(lines: list[str], first_line: int, codes: dict) -> dict:

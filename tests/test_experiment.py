@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from swapsim import fock, states
 from swapsim.analysis import coincidence_counts
 from swapsim.bisa import VICTOR_DETECTORS, BisaOutcome, BisaSetting
 from swapsim.qrng import QrngConfig, QrngSimulator
+from swapsim.timeline import event_times
 from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass, click_patterns
 
 
@@ -236,6 +238,106 @@ def test_log_roundtrip(tmp_path):
     back = ex.read_log(path)
     assert back.config == cfg
     assert_same_trials(back, log)
+
+
+# The fock-trials benchmark config: null outcomes, discards and the
+# physical QRNG's choice bits.
+FOCK_TRIALS = dict(mode="fock", qrng_source="physical", input_transmission=1.0,
+                   detector_efficiency=1.0, fiber_polarization_fidelity=1.0)
+
+
+def _log_rows(log):
+    """The rows of ``log`` as lists of log values."""
+    values = {name: {code: value for value, code in lut.items()}
+              for name, lut in ex._column_codes(log.config).items()}
+    columns = [log.columns[name].tolist() for name in ex.COLUMNS]
+    return [[col if name not in values else values[name][col]
+             for name, col in zip(ex.COLUMNS, row)] for row in zip(*columns)]
+
+
+@pytest.mark.parametrize("trials", [1, ex.CHUNK_TRIALS, ex.CHUNK_TRIALS + 1])
+@pytest.mark.parametrize("kw", [
+    dict(mode="ideal"),
+    FOCK_TRIALS,
+    dict(mode="ideal", alice_bases=("z",), bob_bases=("x", "y")),
+], ids=["ideal", "fock_trials", "basis_subset"])
+def test_write_log_equals_its_definition(tmp_path, kw, trials):
+    cfg = ex.ExperimentConfig(trials=trials, **kw)
+    log = ex.run_trials(cfg)
+    path = tmp_path / "log.jsonl"
+    ex.write_log(path, log)
+    header = {
+        "kind": "swapsim-trial-log",
+        "version": ex.LOG_VERSION,
+        "config": asdict(cfg),
+        "event_times": asdict(event_times(cfg.budget)),
+        "columns": list(ex.COLUMNS),
+    }
+    expected = [json.dumps(header, sort_keys=True)]
+    expected += [json.dumps(row, separators=(",", ":")) for row in _log_rows(log)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_log_roundtrip_across_chunks_with_new_tails(tmp_path, monkeypatch):
+    monkeypatch.setattr(ex, "CHUNK_TRIALS", 64)
+    log = ex.run_trials(ex.ExperimentConfig(trials=2 * 64 + 1, master_seed=8, **FOCK_TRIALS))
+    path = tmp_path / "log.jsonl"
+    ex.write_log(path, log)
+    # The second chunk brings row tails the first did not have; the last
+    # row's tail is one of the first chunk's.
+    tails = [line.split(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+    assert set(tails[64:128]) - set(tails[:64])
+    assert tails[128] in tails[:64]
+    assert_same_trials(ex.read_log(path), log)
+
+
+def _spaced(line: str) -> str:
+    """The log line ``line`` in default JSON spacing."""
+    return json.dumps(json.loads(line)) + "\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: list(map(_spaced, lines)),
+    lambda lines: lines[:-1] + [lines[-1].rstrip("\n")],
+    lambda lines: lines[:1002] + [_spaced(lines[1002])] + lines[1003:],
+], ids=["spaced", "no_final_newline", "row_1001_spaced"])
+@pytest.mark.parametrize("chunk", [500, ex.CHUNK_TRIALS])
+def test_read_log_accepts_any_json_spacing(tmp_path, monkeypatch, edit, chunk):
+    monkeypatch.setattr(ex, "CHUNK_TRIALS", chunk)
+    log = ex.run_trials(ex.ExperimentConfig(trials=2000, **FOCK_TRIALS))
+    path = tmp_path / "log.jsonl"
+    ex.write_log(path, log)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+    assert_same_trials(ex.read_log(path), log)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda rows: {9: rows[9].rstrip() + "," + rows[10]},
+     "line 11: expected an array of the 8 values"),
+    (lambda rows: {9: "[09" + rows[9][2:]}, "line 11: expected an array of the 8 values"),
+    (lambda rows: {9: "[9.0" + rows[9][2:]}, "line 11: trial_index 9.0 is not a trial index"),
+    (lambda rows: {9: rows[9][2:]}, "line 11: expected an array of the 8 values"),
+    # As rows "[0" + tail the two tails join into valid JSON: [0,...,[0,[0,true]].
+    (lambda rows: {9: rows[9][:rows[9].rindex(",") + 1] + "[0\n",
+                   10: "[10," + rows[9][rows[9].rindex(",") + 1:-2] + "]]\n"},
+     "line 11: expected an array of the 8 values"),
+], ids=["two_arrays", "leading_zero", "float_index", "no_head", "tails_join"])
+def test_read_log_rejects_bad_rows_as_decode_rows_does(tmp_path, monkeypatch, edit, error):
+    monkeypatch.setattr(ex, "CHUNK_TRIALS", 8)
+    log = ex.run_trials(ex.ExperimentConfig(trials=20, **FOCK_TRIALS))
+    path = tmp_path / "log.jsonl"
+    ex.write_log(path, log)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    for k, line in edit(rows).items():
+        rows[k] = line
+    path.write_text("".join([header, *rows]))
+    with pytest.raises(ValueError) as decoded:
+        ex._decode_rows(rows, 2, ex._column_codes(log.config))
+    assert str(decoded.value).startswith(error)
+    with pytest.raises(ValueError) as read:
+        ex.read_log(path)
+    assert str(read.value) == str(decoded.value)
 
 
 @pytest.mark.parametrize("edit, message", [
