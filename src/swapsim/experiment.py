@@ -3,8 +3,11 @@
 Two engines supply the category tables the trials are sampled from:
 
 * ideal mode: the four-photon state psi-(1,2) x psi-(3,4) as an exact
-  4-qubit vector; Alice/Bob projective measurements, Victor's projections
-  onto the Bell or separable outcome sets.
+  4-qubit vector.  A table holds the Born probabilities |<a x v x b|psi>|^2
+  of Alice's and Bob's projective outcomes a, b and Victor's projection v
+  onto the Bell or separable outcome sets, from one contraction: the
+  product projector needs no measurement order.  ``ordering_joint``, the
+  sequential projections in either order, remains criterion 8's check.
 * fock mode: two truncated SPDC sources at the bosonic-mode level, fiber
   depolarization, input loss, the analyzer at finite visibility, and
   threshold detector patterns.
@@ -25,6 +28,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
+from types import MappingProxyType
 from typing import get_type_hints
 
 import numpy as np
@@ -46,6 +50,12 @@ KEPT_OUTCOMES = {
     BisaSetting.BSM: (BisaOutcome.PHI_PLUS_23, BisaOutcome.PHI_MINUS_23),
     BisaSetting.SSM: (BisaOutcome.HH_23, BisaOutcome.VV_23),
 }
+
+
+@functools.cache  # a few dataclasses per process
+def _field_types(cls) -> MappingProxyType:
+    """The resolved type hints of ``cls``, read-only."""
+    return MappingProxyType(get_type_hints(cls))
 
 
 @dataclass
@@ -70,7 +80,7 @@ class ExperimentConfig:
     budget: DelayBudget = field(default_factory=DelayBudget)
 
     def __post_init__(self):
-        for name, kind in get_type_hints(type(self)).items():
+        for name, kind in _field_types(type(self)).items():
             if kind is float and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode not in ("ideal", "fock"):
@@ -187,13 +197,18 @@ class IdealEngine:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self._dist = {}
+        psi = states.source_state().amplitudes.reshape(2, 2, 2, 2)
         for setting in BisaSetting:
-            outcomes = [outcome for outcome, _ in _victor_projections(setting)]
+            outcomes, vecs = zip(*_victor_projections(setting))
+            v23 = np.array([vec.amplitudes for vec in vecs]).reshape(4, 2, 2)
+            # w[label, q1, q4]: <v_label| contracted with photons 2 and 3 of psi.
+            w = np.einsum("lbc,abcd->lad", v23.conj(), psi)
+            cats = list(itertools.product((+1, -1), (+1, -1), outcomes))
             for ab in config.alice_bases:
+                ea = np.conj(states.AXIS_EIGENVECTORS[ab])
                 for bb in config.bob_bases:
-                    joint = ordering_joint(ab, bb, setting, "alice_bob_first")
-                    cats = [(a_out, b_out, outcomes[label]) for a_out, b_out, label in joint]
-                    probs = np.array(list(joint.values()))
+                    amp = np.einsum("ia,lad,jd->ijl", ea, w, np.conj(states.AXIS_EIGENVECTORS[bb]))
+                    probs = np.abs(amp.reshape(-1)) ** 2
                     self._dist[(ab, bb, setting)] = (cats, np.cumsum(probs / probs.sum()))
 
     def category_table(self, ab: str, bb: str, actual: BisaSetting):
@@ -875,8 +890,9 @@ def _decode_rows(lines: list[str], first_line: int, codes: dict) -> dict:
     ``first_line`` of the file, with one JSON decode for all of them.
     Raises ValueError naming the first line that is not a valid row."""
     try:
-        rows = json.loads("[" + ",".join(lines) + "]")
-    except ValueError:
+        # Each line in a list of its own, so that no row spans two lines.
+        rows = [row for [row] in json.loads("[[" + "],[".join(lines) + "]]")]
+    except (TypeError, ValueError):
         rows = None
     if (rows is None or len(rows) != len(lines) or not set(map(type, rows)) <= {list}
             or not set(map(len, rows)) <= {len(COLUMNS)}):
@@ -919,7 +935,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 def _from_fields(cls, values, section: str):
     if not isinstance(values, dict):
         raise ValueError(f"{section} must map keys to values, got {values!r}")
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     unknown = sorted(set(values) - set(hints))
     if unknown:
         raise ValueError(f"unknown config key {section}.{unknown[0]}")

@@ -193,6 +193,27 @@ def test_ordering_indifference():
                 assert abs(sum(j1.values()) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("kw", [
+    {},
+    dict(alice_bases=("x", "z"), bob_bases=("y",)),
+], ids=["all_bases", "basis_subset"])
+def test_ideal_engine_equals_ordering_joint(kw):
+    engine = ex.IdealEngine(ex.ExperimentConfig(**kw))
+    keys = [(ab, bb, setting) for setting in BisaSetting
+            for ab in engine.config.alice_bases for bb in engine.config.bob_bases]
+    assert list(engine._dist) == keys
+    for ab, bb, setting in keys:
+        cats, cum = engine._dist[(ab, bb, setting)]
+        outcomes = [outcome for outcome, _ in ex._victor_projections(setting)]
+        first = ex.ordering_joint(ab, bb, setting, "alice_bob_first")
+        assert cats == [(a, b, outcomes[label]) for a, b, label in first]
+        probs = dict(zip(first, np.diff(cum, prepend=0.0)))
+        for joint in (first, ex.ordering_joint(ab, bb, setting, "victor_first")):
+            assert set(joint) == set(probs)
+            assert max(abs(joint[k] - p) for k, p in probs.items()) < 1e-15
+        assert abs(cum[-1] - 1.0) < 1e-15
+
+
 def test_rate_budget():
     budget = ex.rate_budget(ex.ExperimentConfig())
     assert budget.fraction == pytest.approx(0.21**2 * 0.25 * 0.5 * 0.6)
@@ -322,7 +343,11 @@ def test_read_log_accepts_any_json_spacing(tmp_path, monkeypatch, edit, chunk):
     (lambda rows: {9: rows[9][:rows[9].rindex(",") + 1] + "[0\n",
                    10: "[10," + rows[9][rows[9].rindex(",") + 1:-2] + "]]\n"},
      "line 11: expected an array of the 8 values"),
-], ids=["two_arrays", "leading_zero", "float_index", "no_head", "tails_join"])
+    # Rows 1 and 2 re-split: line 3 ends in the first three values of row 2.
+    (lambda rows: {1: rows[1].rstrip() + "," + ",".join(rows[2].split(",")[:3]) + "\n",
+                   2: ",".join(rows[2].split(",")[3:])},
+     "line 3: expected an array of the 8 values"),
+], ids=["two_arrays", "leading_zero", "float_index", "no_head", "tails_join", "rows_resplit"])
 def test_read_log_rejects_bad_rows_as_decode_rows_does(tmp_path, monkeypatch, edit, error):
     monkeypatch.setattr(ex, "CHUNK_TRIALS", 8)
     log = ex.run_trials(ex.ExperimentConfig(trials=20, **FOCK_TRIALS))
