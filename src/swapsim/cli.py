@@ -10,6 +10,7 @@ silently change the physics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -250,6 +251,7 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapsim",
@@ -286,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

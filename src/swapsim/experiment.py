@@ -1,6 +1,10 @@
 """Protocol orchestrator for the delayed-choice entanglement swapping runs.
 
-Two engines supply the category tables the trials are sampled from:
+Two engines supply the category tables in one form, which the trial
+sampler, the exact statistics and the count draws all read: probability
+arrays ``_dist[(ab, bb, setting)]`` over a fixed category grid, and per
+setting its ``columns`` (Alice's and Bob's outcomes, per choice bit the
+VICTOR_OUTCOMES index of Victor's class).
 
 * ideal mode: the four-photon state psi-(1,2) x psi-(3,4) as an exact
   4-qubit vector.  A table holds the Born probabilities |<a x v x b|psi>|^2
@@ -175,6 +179,15 @@ def _rotation_lift(axis: str, n: int) -> np.ndarray:
     return block
 
 
+def _category_columns(keys, victor_class) -> tuple:
+    """Per category (a, b, v) of ``keys``: Alice's and Bob's outcomes and, per choice
+    bit, the VICTOR_OUTCOMES index of ``victor_class(v, BisaSetting.from_bit(bit))``."""
+    a, b, victor = zip(*keys)
+    classes = [[VICTOR_OUTCOMES.index(victor_class(v, BisaSetting.from_bit(bit))) for v in victor]
+               for bit in (0, 1)]
+    return np.array(a, np.int8), np.array(b, np.int8), np.array(classes, np.int8)
+
+
 def _victor_projections(setting: BisaSetting):
     if setting is BisaSetting.BSM:
         return (
@@ -192,35 +205,24 @@ def _victor_projections(setting: BisaSetting):
 
 
 class IdealEngine:
-    """Exact 4-qubit outcome distributions; every trial is fourfold-detected."""
+    """Exact 4-qubit outcome distributions; every trial is fourfold-detected.
+    Its categories are (a, b, Victor's label) in ordering_joint's order; no switching error."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
-        self._dist = {}
+        self._dist, self.columns = {}, {}
         psi = states.source_state().amplitudes.reshape(2, 2, 2, 2)
         for setting in BisaSetting:
             outcomes, vecs = zip(*_victor_projections(setting))
             v23 = np.array([vec.amplitudes for vec in vecs]).reshape(4, 2, 2)
             # w[label, q1, q4]: <v_label| contracted with photons 2 and 3 of psi.
             w = np.einsum("lbc,abcd->lad", v23.conj(), psi)
-            cats = list(itertools.product((+1, -1), (+1, -1), outcomes))
+            self.columns[setting] = _category_columns(
+                itertools.product((+1, -1), (+1, -1), outcomes), lambda outcome, _: outcome)
             for ab in config.alice_bases:
-                ea = np.conj(states.AXIS_EIGENVECTORS[ab])
                 for bb in config.bob_bases:
-                    amp = np.einsum("ia,lad,jd->ijl", ea, w, np.conj(states.AXIS_EIGENVECTORS[bb]))
-                    probs = np.abs(amp.reshape(-1)) ** 2
-                    self._dist[(ab, bb, setting)] = (cats, np.cumsum(probs / probs.sum()))
-
-    def category_table(self, ab: str, bb: str, actual: BisaSetting):
-        """The cumulative category table of (ab, bb, actual), and per category
-        Alice's and Bob's outcomes and, for each choice bit, the index of
-        Victor's outcome in VICTOR_OUTCOMES (the same for both here: ideal
-        mode has no switching error, so the commanded setting is ``actual``)."""
-        cats, cum = self._dist[(ab, bb, actual)]
-        a_out, b_out, outcome = zip(*cats)
-        victor = [VICTOR_OUTCOMES.index(o) for o in outcome]
-        return (cum, np.array(a_out, np.int8), np.array(b_out, np.int8),
-                np.array([victor] * 2, np.int8))
+                    amp = np.einsum("ia,lad,jd->ijl", _axis_rotation(ab), w, _axis_rotation(bb))
+                    self._dist[(ab, bb, setting)] = np.abs(amp.reshape(-1)) ** 2
 
 
 # A party's outcome from its two detectors (H for +1, V for -1): the sign
@@ -228,11 +230,13 @@ class IdealEngine:
 _PARTY_OUTCOMES = (+1, -1, 0)
 # The fock engine's categories (Alice's outcome, Bob's, Victor's pattern)
 # as its flattened [a, b, p] tables hold them, the indices of those tables
-# in the sorted order of the categories, and the categories in that order,
-# which every category table keeps.
+# in the sorted order of the categories, the categories in that order,
+# which every category table keeps, and their columns, the pattern
+# classified under each commanded setting.
 _CATEGORIES = list(itertools.product(_PARTY_OUTCOMES, _PARTY_OUTCOMES, PATTERNS))
 _CATEGORY_ORDER = np.array(sorted(range(len(_CATEGORIES)), key=_CATEGORIES.__getitem__))
 _CATEGORY_KEYS = [_CATEGORIES[c] for c in _CATEGORY_ORDER]
+_CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # A table entry at most this fraction of the sum of the magnitudes of the
 # terms it is summed from (over branches, analyzer outputs and rotation
 # entries alike, each times its click probabilities) is the rounding residue
@@ -325,10 +329,10 @@ def _party_clicks(n: int, eta: float) -> np.ndarray:
 class FockEngine:
     """Noise-budget engine: per-config joint detector-pattern distributions.
 
-    The category space is (alice outcome, bob outcome, victor click
-    pattern); ``category_table`` classifies each pattern under both
-    commanded settings, since a switching error applies the opposite
-    optical setting while the sorting logic keeps the command.
+    The category space is _CATEGORY_KEYS, the sorted (alice outcome, bob
+    outcome, victor click pattern); ``columns`` classifies each pattern
+    under both commanded settings, since a switching error applies the
+    opposite optical setting while the sorting logic keeps the command.
 
     Each entry is one trace, P(a, b, p) = Tr[rho (F_a x F_b x E_p)], of the
     source ensemble after input loss against three measurements, each a
@@ -393,7 +397,7 @@ class FockEngine:
         for (_, _, n), (occs, _, _) in sectors.items():
             by_n.setdefault(n, set()).update(occs)
         by_n = {n: sorted(occs) for n, occs in by_n.items()}
-        self._dist: dict = {}
+        self._dist, self.columns = {}, dict.fromkeys(BisaSetting, _CATEGORY_COLUMNS)
         for setting in BisaSetting:
             # Victor's E_p, and its magnitudes, on the inputs of each n,
             # summed over the analyzer parts.
@@ -431,52 +435,36 @@ class FockEngine:
                 scale = scale + np.einsum("Yblk,Xapkl->XYabp", fb_mag,
                                           np.einsum("Xaji,pikjl->Xapkl", fa_mag, gram_mag))
             cat[cat <= CANCELLATION_TOL * scale] = 0.0
-            # Each table lists its categories of nonzero probability, sorted.
-            cat = cat.reshape(*cat.shape[:2], -1)[..., _CATEGORY_ORDER]
-            for x, ab in enumerate(config.alice_bases):
-                for y, bb in enumerate(config.bob_bases):
-                    present = np.flatnonzero(cat[x, y] > 0.0)
-                    keys = [_CATEGORY_KEYS[c] for c in present]
-                    probs = cat[x, y, present]
-                    self._dist[(ab, bb, setting)] = (keys, probs, np.cumsum(probs / probs.sum()))
+            cat = cat.reshape(-1, len(_CATEGORIES))[:, _CATEGORY_ORDER]
+            keys = itertools.product(config.alice_bases, config.bob_bases, [setting])
+            self._dist.update(zip(keys, cat))
 
-    def category_table(self, ab: str, bb: str, actual: BisaSetting):
-        """The cumulative category table of (ab, bb, actual), and per category
-        Alice's and Bob's outcomes (0: no click) and, for each choice bit,
-        the index in VICTOR_OUTCOMES of the class of Victor's pattern under
-        the commanded setting ``BisaSetting.from_bit(bit)``."""
-        keys, _, cum = self._dist[(ab, bb, actual)]
-        a_out, b_out, victor = zip(*keys)
-        classes = [[VICTOR_OUTCOMES.index(classify(v, BisaSetting.from_bit(bit))) for v in victor]
-                   for bit in (0, 1)]
-        return cum, np.array(a_out, np.int8), np.array(b_out, np.int8), np.array(classes, np.int8)
-
-    def joint_distribution(self, ab: str, bb: str, commanded: BisaSetting):
-        """Category distribution with the switching error folded in."""
+    def _joint(self, ab: str, bb: str, commanded: BisaSetting):
+        """(ab, bb)'s category probabilities under the ``commanded`` setting, the
+        switching error folded in, and a mask of the categories either setting reaches."""
         flip = 1.0 - self.config.switching_fidelity
         other = BisaSetting.SSM if commanded is BisaSetting.BSM else BisaSetting.BSM
-        combined: dict = {}
-        for setting, w in ((commanded, 1.0 - flip), (other, flip)):
-            keys, probs, _ = self._dist[(ab, bb, setting)]
-            for key, p in zip(keys, probs):
-                combined[key] = combined.get(key, 0.0) + w * p
-        return combined
+        mine, theirs = self._dist[(ab, bb, commanded)], self._dist[(ab, bb, other)]
+        return (1.0 - flip) * mine + flip * theirs, (mine > 0.0) | (theirs > 0.0)
+
+    def joint_distribution(self, ab: str, bb: str, commanded: BisaSetting):
+        """``_joint`` as a dict over the categories either setting reaches."""
+        joint, reached = self._joint(ab, bb, commanded)
+        return dict(zip(itertools.compress(_CATEGORY_KEYS, reached), joint[reached]))
 
     def expected_correlation(self, commanded: BisaSetting, outcomes, basis: str) -> float:
         """Exact conditional correlation E(basis) for fourfold events whose
         commanded-setting classification lands in ``outcomes``."""
         outcomes = set(outcomes)
-        num = den = 0.0
-        for (a, b, victor), p in self.joint_distribution(basis, basis, commanded).items():
-            if a == 0 or b == 0:
-                continue
-            if classify(victor, commanded) not in outcomes:
-                continue
-            num += a * b * p
-            den += p
+        wanted = np.array([o in outcomes for o in VICTOR_OUTCOMES])
+        a, b, classes = self.columns[commanded]
+        victor = classes[int(commanded is BisaSetting.BSM)]
+        joint, _ = self._joint(basis, basis, commanded)
+        p = np.where((a != 0) & (b != 0) & wanted[victor], joint, 0.0)
+        den = p.sum()
         if den == 0.0:
             raise ValueError("no fourfold events in the requested subensemble")
-        return num / den
+        return (a * b * p).sum() / den
 
 
 def build_engine(config: ExperimentConfig):
@@ -492,10 +480,17 @@ _DISCARD = VICTOR_OUTCOMES.index(BisaOutcome.DISCARD)
 
 
 def _sampling_tables(engine, config: ExperimentConfig) -> list:
-    """The engine's category table of every sampling group, numbered
-    (Alice's basis index * len(bob_bases) + Bob's) * 2 + actual choice bit."""
-    return [engine.category_table(ab, bb, BisaSetting.from_bit(bit))
-            for ab in config.alice_bases for bb in config.bob_bases for bit in (0, 1)]
+    """The table of every sampling group, numbered (Alice's basis index *
+    len(bob_bases) + Bob's) * 2 + actual choice bit: the cumulative sum of
+    its normalised positive probabilities, and their ``engine.columns``."""
+    tables = []
+    for ab, bb, bit in itertools.product(config.alice_bases, config.bob_bases, (0, 1)):
+        setting = BisaSetting.from_bit(bit)
+        probs = engine._dist[(ab, bb, setting)]
+        present = probs > 0.0
+        p = probs[present]
+        tables.append((np.cumsum(p / p.sum()), *(c[..., present] for c in engine.columns[setting])))
+    return tables
 
 
 def _sample_chunk(config: ExperimentConfig, tables: list, lo: int, hi: int,
@@ -699,38 +694,32 @@ def simulate_counts(config: ExperimentConfig, trials: int, seed: int) -> dict:
     """Fast multinomial path for noise-budget statistics.
 
     Draws the per-category counts for ``trials`` iid trials directly from
-    the fock-mode category distribution instead of looping.  Returns
-    counts keyed (commanded setting, victor outcome class, basis, alice
-    outcome, bob outcome) for basis-matched fourfold events.
+    the fock-mode category distribution instead of looping, one multinomial
+    per commanded setting and basis pair over the ``_joint`` array's reached
+    categories.  Returns counts keyed (commanded setting, victor outcome
+    class, basis, alice outcome, bob outcome) for basis-matched fourfold events.
     """
     if config.mode != "fock":
         raise ValueError("simulate_counts requires fock mode")
     engine = build_engine(config)
     rng = np.random.default_rng(seed)
-    n_basis = len(config.alice_bases) * len(config.bob_bases)
+    share = trials * config.duty_cycle * 0.5 / (len(config.alice_bases) * len(config.bob_bases))
     counts: dict = {}
     for commanded in BisaSetting:
+        a, b, classes = engine.columns[commanded]
+        victor = classes[int(commanded is BisaSetting.BSM)]
+        fourfold = (a != 0) & (b != 0) & (victor != _DISCARD)
         for ab in config.alice_bases:
             for bb in config.bob_bases:
-                dist = engine.joint_distribution(ab, bb, commanded)
-                keys = sorted(dist)
-                probs = np.array([dist[k] for k in keys])
-                probs = probs / probs.sum()
-                share = trials * config.duty_cycle * 0.5 / n_basis
-                draw = rng.multinomial(rng.poisson(share), probs)
+                joint, reached = engine._joint(ab, bb, commanded)
+                probs = joint[reached]
+                draw = rng.multinomial(rng.poisson(share), probs / probs.sum())
                 if ab != bb:
                     continue
-                for key, n in zip(keys, draw):
-                    if n == 0:
-                        continue
-                    a, b, victor = key
-                    if a == 0 or b == 0:
-                        continue
-                    outcome = classify(victor, commanded)
-                    if outcome is BisaOutcome.DISCARD:
-                        continue
-                    ck = (commanded, outcome, ab, a, b)
-                    counts[ck] = counts.get(ck, 0) + int(n)
+                hit = fourfold[reached] & (draw > 0)
+                for c, n in zip(np.flatnonzero(reached)[hit], draw[hit].tolist()):
+                    ck = (commanded, VICTOR_OUTCOMES[victor[c]], ab, int(a[c]), int(b[c]))
+                    counts[ck] = counts.get(ck, 0) + n
     return counts
 
 

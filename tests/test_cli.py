@@ -103,6 +103,13 @@ def test_verify_all_passes(capsys):
     assert "choice window" in out
 
 
+def test_parser_is_built_once_and_serves_every_call(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["simulate", "--trials", "200", "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["verify", "timing"]) == 0
+    assert "choice window" in capsys.readouterr().out
+
+
 def test_simulate_and_analyze_roundtrip(tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli.main([

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from dataclasses import asdict
@@ -8,7 +9,7 @@ import pytest
 from swapsim import experiment as ex
 from swapsim import fock, states
 from swapsim.analysis import coincidence_counts
-from swapsim.bisa import VICTOR_DETECTORS, BisaOutcome, BisaSetting
+from swapsim.bisa import VICTOR_DETECTORS, BisaOutcome, BisaSetting, classify
 from swapsim.qrng import QrngConfig, QrngSimulator
 from swapsim.timeline import event_times
 from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass, click_patterns
@@ -203,15 +204,31 @@ def test_ideal_engine_equals_ordering_joint(kw):
             for ab in engine.config.alice_bases for bb in engine.config.bob_bases]
     assert list(engine._dist) == keys
     for ab, bb, setting in keys:
-        cats, cum = engine._dist[(ab, bb, setting)]
+        a, b, classes = (c.tolist() for c in engine.columns[setting])
         outcomes = [outcome for outcome, _ in ex._victor_projections(setting)]
         first = ex.ordering_joint(ab, bb, setting, "alice_bob_first")
+        cats = [(x, y, ex.VICTOR_OUTCOMES[v]) for x, y, v in zip(a, b, classes[0])]
         assert cats == [(a, b, outcomes[label]) for a, b, label in first]
-        probs = dict(zip(first, np.diff(cum, prepend=0.0)))
+        # No switching error: both choice bits read Victor's own outcome.
+        assert classes[1] == classes[0]
+        probs = dict(zip(first, engine._dist[(ab, bb, setting)]))
         for joint in (first, ex.ordering_joint(ab, bb, setting, "victor_first")):
             assert set(joint) == set(probs)
             assert max(abs(joint[k] - p) for k, p in probs.items()) < 1e-15
+    # The sampler's tables hold only the categories of positive probability
+    # (the default's tables have zeros, which a clamped searchsorted index
+    # could otherwise land on), each ending within 1e-15 of 1.
+    tables = ex._sampling_tables(engine, engine.config)
+    groups = itertools.product(engine.config.alice_bases, engine.config.bob_bases, (0, 1))
+    for (ab, bb, bit), (cum, a_out, b_out, victor) in zip(groups, tables, strict=True):
+        setting = BisaSetting.from_bit(bit)
+        present = engine._dist[(ab, bb, setting)] > 0.0
+        assert np.all(np.diff(cum, prepend=0.0) > 0.0)
         assert abs(cum[-1] - 1.0) < 1e-15
+        for got, column in zip((a_out, b_out, victor), engine.columns[setting]):
+            assert np.array_equal(got, column[..., present])
+    if not kw:
+        assert sum((p == 0.0).sum() for p in engine._dist.values()) == 68
 
 
 def test_rate_budget():
@@ -466,6 +483,124 @@ def test_simulate_counts_rejects_ideal_mode_before_building(monkeypatch):
         ex.simulate_counts(ex.ExperimentConfig(mode="ideal"), trials=1000, seed=1)
 
 
+def _reference_joint(engine, ab, bb, commanded):
+    """joint_distribution by its definition: each setting's positive entries
+    as a dict, merged key by key with the switching weights."""
+    flip = 1.0 - engine.config.switching_fidelity
+    other = BisaSetting.SSM if commanded is BisaSetting.BSM else BisaSetting.BSM
+    combined = {}
+    for setting, w in ((commanded, 1.0 - flip), (other, flip)):
+        probs = engine._dist[(ab, bb, setting)]
+        present = np.flatnonzero(probs > 0.0)
+        for key, p in zip([ex._CATEGORY_KEYS[c] for c in present], probs[present]):
+            combined[key] = combined.get(key, 0.0) + w * p
+    return combined
+
+
+def _reference_correlation(engine, commanded, outcomes, basis):
+    """expected_correlation by its definition, classifying key by key."""
+    outcomes = set(outcomes)
+    num = den = 0.0
+    for (a, b, victor), p in _reference_joint(engine, basis, basis, commanded).items():
+        if a == 0 or b == 0:
+            continue
+        if classify(victor, commanded) not in outcomes:
+            continue
+        num += a * b * p
+        den += p
+    if den == 0.0:
+        raise ValueError("no fourfold events in the requested subensemble")
+    return num / den
+
+
+def _reference_counts(engine, trials, seed):
+    """simulate_counts by its definition: one multinomial per commanded
+    setting and basis pair over the sorted keys of the joint distribution."""
+    config = engine.config
+    rng = np.random.default_rng(seed)
+    n_basis = len(config.alice_bases) * len(config.bob_bases)
+    counts = {}
+    for commanded in BisaSetting:
+        for ab in config.alice_bases:
+            for bb in config.bob_bases:
+                dist = _reference_joint(engine, ab, bb, commanded)
+                keys = sorted(dist)
+                probs = np.array([dist[k] for k in keys])
+                probs = probs / probs.sum()
+                share = trials * config.duty_cycle * 0.5 / n_basis
+                draw = rng.multinomial(rng.poisson(share), probs)
+                if ab != bb:
+                    continue
+                for (a, b, victor), n in zip(keys, draw):
+                    outcome = classify(victor, commanded)
+                    if n == 0 or a == 0 or b == 0 or outcome is BisaOutcome.DISCARD:
+                        continue
+                    ck = (commanded, outcome, ab, a, b)
+                    counts[ck] = counts.get(ck, 0) + int(n)
+    return counts
+
+
+# (config, zero-valued keys over all joint distributions): at switching
+# fidelity 1 the other setting's categories stay in with weight 0.
+EXACT_STATISTICS_CASES = {
+    "default": (dict(), 0),
+    "clean": (None, 625),
+    "basis_subset": (dict(alice_bases=("x", "z"), bob_bases=("z",)), 0),
+    "order1": (dict(spdc_order=1, n_max=2, mzi_visibility=1.0, gvm_overlap=1.0,
+                    switching_fidelity=1.0), 324),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_STATISTICS_CASES))
+def test_fock_exact_statistics_equal_their_definitions(request, case):
+    kw, zeros = EXACT_STATISTICS_CASES[case]
+    engine = (request.getfixturevalue("clean_fock_engine") if kw is None
+              else ex.build_engine(ex.ExperimentConfig(mode="fock", **kw)))
+    cfg = engine.config
+    found = 0
+    for commanded, ab, bb in itertools.product(BisaSetting, cfg.alice_bases, cfg.bob_bases):
+        got = engine.joint_distribution(ab, bb, commanded)
+        expected = _reference_joint(engine, ab, bb, commanded)
+        assert list(got) == sorted(expected)
+        assert [v.hex() for v in got.values()] == [expected[k].hex() for k in got]
+        found += sum(v == 0.0 for v in got.values())
+    assert found == zeros
+    for seed in (1, 20123):
+        assert ex.simulate_counts(cfg, 2_000_000_000, seed) == _reference_counts(
+            engine, 2_000_000_000, seed)
+    for commanded in BisaSetting:
+        kept = ex.KEPT_OUTCOMES[commanded]
+        # The other setting's classes never occur: an empty subensemble.
+        other = ex.KEPT_OUTCOMES[BisaSetting.SSM if commanded is BisaSetting.BSM
+                                 else BisaSetting.BSM]
+        for basis in set(cfg.alice_bases) & set(cfg.bob_bases):
+            for outcomes in (kept, kept[:1], kept[1:], other):
+                try:
+                    expected = _reference_correlation(engine, commanded, outcomes, basis)
+                except ValueError:
+                    with pytest.raises(ValueError, match="no fourfold events"):
+                        engine.expected_correlation(commanded, outcomes, basis)
+                    continue
+                got = engine.expected_correlation(commanded, iter(outcomes), basis)
+                assert abs(got - expected) <= 1e-15
+            with pytest.raises(ValueError, match="no fourfold events"):
+                engine.expected_correlation(commanded, [], basis)
+    # The sampler's columns are each positive entry's key, its pattern
+    # classified under each commanded setting.
+    tables = ex._sampling_tables(engine, cfg)
+    groups = itertools.product(cfg.alice_bases, cfg.bob_bases, (0, 1))
+    for (ab, bb, bit), (cum, a_out, b_out, victor) in zip(groups, tables, strict=True):
+        probs = engine._dist[(ab, bb, BisaSetting.from_bit(bit))]
+        keys = [ex._CATEGORY_KEYS[c] for c in np.flatnonzero(probs > 0.0)]
+        assert a_out.tolist() == [a for a, _, _ in keys]
+        assert b_out.tolist() == [b for _, b, _ in keys]
+        for choice in (0, 1):
+            assert victor[choice].tolist() == [
+                ex.VICTOR_OUTCOMES.index(classify(v, BisaSetting.from_bit(choice)))
+                for _, _, v in keys]
+        assert np.array_equal(cum, np.cumsum(probs[probs > 0.0] / probs[probs > 0.0].sum()))
+
+
 PARTY_BANK = {
     "aliceP": (("1", "H"),),
     "aliceM": (("1", "V"),),
@@ -545,8 +680,7 @@ ALL_BASIS_PAIRS = [(ab, bb) for ab in states.PAULI_AXES for bb in states.PAULI_A
 
 def _assert_tables_match(engine, pairs):
     for key, expected in _enumerated_tables(engine, pairs).items():
-        keys, probs, _ = engine._dist[key]
-        got = dict(zip(keys, probs))
+        got = {k: p for k, p in zip(ex._CATEGORY_KEYS, engine._dist[key]) if p > 0.0}
         assert set(got) == set(expected), key
         assert max(abs(got[k] - expected[k]) for k in expected) <= 1e-12, key
 
