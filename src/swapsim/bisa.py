@@ -91,33 +91,46 @@ def _lifted_steps(setting: BisaSetting, n: int) -> np.ndarray:
     return steps
 
 
-def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
-    """The coherent pass of the basis states ``inputs`` of INPUT_REGISTER:
-    ``(outputs, T)``, the output occupations of OUTPUT_REGISTER up to
-    ``n_max`` with the photon numbers of the inputs, and ``T[i, j]``, the
-    amplitude of ``outputs[j]`` for ``inputs[i]``, not pruned.
+@functools.cache  # two settings and a few (n, n_max) per process, shared by every build
+def _capped_pass(setting: BisaSetting, n: int, n_max: int):
+    """The coherent pass of every occupation of INPUT_REGISTER with ``n``
+    photons: ``(outputs, T)``, the output occupations of OUTPUT_REGISTER
+    with no mode above ``n_max``, and ``T[i, j]`` (read-only), the amplitude
+    of ``outputs[j]`` for ``occupations(4, n)[i]``, not pruned.
 
-    The optics keep the photon number n, so each n passes on its own
-    through the n-photon lifts of the steps (:func:`_lifted_steps`).  Every
-    step drops the occupations with a mode above ``n_max``: the H and V
-    splitters, and the two plates, act on disjoint modes and the cap is per
-    mode, so this is the cap after each 2x2 step of fock.apply_pair_matrix.
-    The products are np.einsum calls (see the BLAS note in experiment.py).
+    The optics keep the photon number n, so the pass is the n-photon lifts
+    of the steps (:func:`_lifted_steps`).  Every step drops the occupations
+    with a mode above ``n_max``: the H and V splitters, and the two plates,
+    act on disjoint modes and the cap is per mode, so this is the cap after
+    each 2x2 step of fock.apply_pair_matrix.  The products are np.einsum
+    calls (see the BLAS note in experiment.py).
     """
+    occs = occupations(4, n)
+    capped = (np.array(occs) > n_max).any(axis=1)
+    psi = np.eye(len(occs), dtype=complex)
+    for step in _lifted_steps(setting, n):
+        psi = np.einsum("ij,jk->ik", step, psi)
+        psi[capped] = 0.0
+    transfer = np.ascontiguousarray(psi[~capped].T)
+    transfer.flags.writeable = False
+    return [occ for occ, drop in zip(occs, capped) if not drop], transfer
+
+
+def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
+    """The coherent pass of the basis states ``inputs`` of INPUT_REGISTER, at
+    most ``n_max`` each: ``(outputs, T)``, the output occupations of
+    :func:`_capped_pass` for the photon numbers of the inputs, and
+    ``T[i, j]``, the amplitude of ``outputs[j]`` for ``inputs[i]``."""
     outputs: list = []
     blocks = [np.zeros((len(inputs), 0), dtype=complex)]
     for n in sorted({sum(occ) for occ in inputs}):
         occs = occupations(4, n)
-        capped = (np.array(occs) > n_max).any(axis=1)
+        outs, transfer = _capped_pass(setting, n, n_max)
         rows = [r for r, occ in enumerate(inputs) if sum(occ) == n]
-        psi = np.eye(len(occs), dtype=complex)[:, [occs.index(inputs[r]) for r in rows]]
-        for step in _lifted_steps(setting, n):
-            psi = np.einsum("ij,jk->ik", step, psi)
-            psi[capped] = 0.0
-        block = np.zeros((len(inputs), len(occs)), dtype=complex)
-        block[rows] = psi.T
-        blocks.append(block[:, ~capped])
-        outputs += [occ for occ, drop in zip(occs, capped) if not drop]
+        block = np.zeros((len(inputs), len(outs)), dtype=complex)
+        block[rows] = transfer[[occs.index(inputs[r]) for r in rows]]
+        blocks.append(block)
+        outputs += outs
     return outputs, np.concatenate(blocks, axis=1)
 
 

@@ -13,8 +13,8 @@ VICTOR_OUTCOMES index of Victor's class).
   product projector needs no measurement order.  ``ordering_joint``, the
   sequential projections in either order, remains criterion 8's check.
 * fock mode: two truncated SPDC sources at the bosonic-mode level, fiber
-  depolarization, input loss, the analyzer at finite visibility, and
-  threshold detector patterns.
+  depolarization, input loss (pulled back onto Victor's measurement), the
+  analyzer at finite visibility, and threshold detector patterns.
 
 Trial i reads the fixed block of _UNIFORMS_PER_TRIAL uniforms at offset
 i * _UNIFORMS_PER_TRIAL of one Philox stream keyed by the master seed, and
@@ -41,10 +41,10 @@ from . import states
 from .bisa import INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, classify, victor_detection
 from .fock import (
     FockVector,
-    attenuate_ensemble,
     click_probability,
     lift,
     occupations,
+    pull_back_loss,
     spdc_source,
 )
 from .qrng import QrngConfig, QrngSimulator
@@ -238,7 +238,7 @@ _CATEGORY_ORDER = np.array(sorted(range(len(_CATEGORIES)), key=_CATEGORIES.__get
 _CATEGORY_KEYS = [_CATEGORIES[c] for c in _CATEGORY_ORDER]
 _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # A table entry at most this fraction of the sum of the magnitudes of the
-# terms it is summed from (over branches, analyzer outputs and rotation
+# terms it is summed from (over losses, analyzer outputs and rotation
 # entries alike, each times its click probabilities) is the rounding residue
 # of an exact cancellation, and counts as absent.  In exact arithmetic an
 # entry is a sum of nonnegative probabilities, one per photon-number sector
@@ -248,51 +248,47 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with two-operand np.einsum calls,
 # never matmul, dot, tensordot or einsum(optimize=...): the density blocks
-# "ki,kj->ij", _povm's real weights against the outer products "jk,jx->kx",
+# "ai,bj->abij", _povm's real weights against the outer products "jk,jx->kx",
 # the Gram "abx,px->pab", and the final contraction, Alice's side
 # "Xaji,pikjl->Xapkl" then Bob's "Yblk,Xapkl->XYabp".  fock.lift and
 # bisa.transfer_map call no BLAS either: the first BLAS call of a process
 # keeps about 0.5 MiB resident for good.
 
 
-def _sector_densities(branches: list[FockVector]) -> dict:
-    """The ensemble's density blocks on each photon-number sector.
+def _sector_densities(state: FockVector) -> dict:
+    """The pure ``state``'s density blocks on each photon-number sector.
 
     A sector ``(n1, n4, n)`` holds the terms with n1 photons in mode 1, n4
     in mode 4 and n at the analyzer inputs.  Returns ``{sector: (occs,
     rho, mag)}`` with ``occs`` the analyzer input occupations (bH, bV, cH,
-    cV) met in the sector, ``rho[a, a', i * len(occs) + i']`` the sum over
-    branches of psi(a, i) psi(a', i')*, where ``a`` indexes the product
-    basis occupations(2, n1) x occupations(2, n4) of (1H, 1V, 4H, 4V) and
-    ``i`` indexes ``occs``, and ``mag`` the same sum of
-    |psi(a, i) psi(a', i')|.
+    cV) met in the sector, ``rho[a, a', i * len(occs) + i']`` =
+    psi(a, i) psi(a', i')*, where ``a`` indexes the product basis
+    occupations(2, n1) x occupations(2, n4) of (1H, 1V, 4H, 4V) and ``i``
+    indexes ``occs``, and ``mag`` its magnitudes |psi(a, i) psi(a', i')|.
     Blocks between sectors are not formed: the basis rotations keep n1
     and n4, and the analyzer keeps n, which Victor's count vector reveals.
     """
-    index = branches[0].mode_index
+    index = state.mode_index
     one = [index(("1", p)) for p in "HV"]
     four = [index(("4", p)) for p in "HV"]
     ins = [index(m) for m in INPUT_REGISTER]
     terms: dict = {}
-    for k, branch in enumerate(branches):
-        for occ, amp in branch.amp.items():
-            (h1, v1), (h4, v4) = (occ[i] for i in one), (occ[i] for i in four)
-            occ_in = tuple(occ[i] for i in ins)
-            a = h1 * (h4 + v4 + 1) + h4
-            terms.setdefault((h1 + v1, h4 + v4, sum(occ_in)), []).append((k, a, occ_in, amp))
+    for occ, amp in state.amp.items():
+        (h1, v1), (h4, v4) = (occ[i] for i in one), (occ[i] for i in four)
+        occ_in = tuple(occ[i] for i in ins)
+        a = h1 * (h4 + v4 + 1) + h4
+        terms.setdefault((h1 + v1, h4 + v4, sum(occ_in)), []).append((a, occ_in, amp))
     out = {}
     for (n1, n4, n), entries in terms.items():
-        occs = sorted({e[2] for e in entries})
+        occs = sorted({e[1] for e in entries})
         col = {occ: i for i, occ in enumerate(occs)}
-        rows = {k: r for r, k in enumerate(sorted({e[0] for e in entries}))}
         d, m = (n1 + 1) * (n4 + 1), len(occs)
-        psi = np.zeros((len(rows), d * m), dtype=complex)
-        for k, a, occ, amp in entries:
-            psi[rows[k], a * m + col[occ]] = amp
-        rho = np.einsum("ki,kj->ij", psi, psi.conj()).reshape(d, m, d, m)
-        mag = np.einsum("ki,kj->ij", abs(psi), abs(psi)).reshape(d, m, d, m)
+        psi = np.zeros((d, m), dtype=complex)
+        for a, occ, amp in entries:
+            psi[a, col[occ]] = amp
         # As [a, a', i i'], the layout the Gram contraction runs fastest on.
-        rho, mag = (x.transpose(0, 2, 1, 3).reshape(d, d, m * m) for x in (rho, mag))
+        rho = np.einsum("ai,bj->abij", psi, psi.conj()).reshape(d, d, m * m)
+        mag = np.einsum("ai,bj->abij", abs(psi), abs(psi)).reshape(d, d, m * m)
         out[(n1, n4, n)] = (occs, rho, mag)
     return out
 
@@ -335,9 +331,9 @@ class FockEngine:
     opposite optical setting while the sorting logic keeps the command.
 
     Each entry is one trace, P(a, b, p) = Tr[rho (F_a x F_b x E_p)], of the
-    source ensemble after input loss against three measurements, each a
-    POVM built from threshold click probabilities (detectors click
-    independently given their photon counts):
+    two sources' pure state against three measurements, each a POVM built
+    from threshold click probabilities (detectors click independently
+    given their photon counts):
 
     * Alice's and Bob's F_o = R^dagger diag(P(o | H, V counts)) R on the n
       photons of mode 1 or 4, R the lift of the axis rotation to them;
@@ -345,13 +341,15 @@ class FockEngine:
     * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
       transfer map on the b/c input occupations, summed over the analyzer
       parts with their weights (bisa.victor_detection gives T and the
-      weighted P of each part).
+      weighted P of each part), then pulled back through the input loss:
+      Tr[loss(rho) E_p] = Tr[rho loss^dagger(E_p)] (fock.pull_back_loss).
 
     Rotations keep n1 and n4 and the analyzer keeps n, so rho enters as one
-    block per (n1, n4, n) sector.  E_p is formed once per setting and n, and
-    each sector reads its occupations out of it.  Victor's side is traced
-    first, leaving one Gram block G_p = Tr_bc[rho E_p] per (n1, n4), which
-    meets F_a of every Alice basis and then F_b of every Bob basis.
+    block per (n1, n4, n) sector.  E_p is formed once per setting and n on
+    the occupations the loss leaves, and pulled back onto the occupations
+    of each sector.  Victor's side is traced first, leaving one Gram block
+    G_p = Tr_bc[rho E_p] per (n1, n4), which meets F_a of every Alice basis
+    and then F_b of every Bob basis.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -359,12 +357,7 @@ class FockEngine:
         eta, n_max = config.detector_efficiency, config.n_max
         src1 = spdc_source(config.tau, config.spdc_order, ("1", "b"), n_max)
         src2 = spdc_source(config.tau, config.spdc_order, ("c", "4"), n_max)
-        branches = [src1.tensor(src2)]
-        for mode in INPUT_REGISTER:
-            branches = attenuate_ensemble(branches, mode, config.input_transmission)
-        sectors = _sector_densities([b for b in branches if b.norm_sq() > 1e-18])
-        inputs = sorted({occ for occs, _, _ in sectors.values() for occ in occs})
-        row = {occ: i for i, occ in enumerate(inputs)}
+        sectors = _sector_densities(src1.tensor(src2))
         # Fiber depolarization on Victor's delay fibers b and c (each of the
         # three Paulis with probability p/3 on each fiber) is an exact flip of
         # Alice's and Bob's +1/-1 outcomes.  It needs two conditions: the
@@ -392,35 +385,36 @@ class FockEngine:
         for bases in (config.alice_bases, config.bob_bases):
             for n in ns:
                 party[(bases, n)] = tuple(map(np.stack, zip(*(povms[(axis, n)] for axis in bases))))
-        # The analyzer input occupations of each photon number n.
-        by_n: dict = {}
-        for (_, _, n), (occs, _, _) in sectors.items():
-            by_n.setdefault(n, set()).update(occs)
-        by_n = {n: sorted(occs) for n, occs in by_n.items()}
+        # The analyzer input occupations the input loss leaves of the emitted
+        # ones, every occupation at or below one, and those of each n.
+        inputs = sorted({below for occs, _, _ in sectors.values() for occ in occs
+                         for below in itertools.product(*(range(x + 1) for x in occ))})
+        left = {n: [occ for occ in inputs if sum(occ) == n]
+                for n in range(max(map(sum, inputs)) + 1)}
+        row = {occ: i for i, occ in enumerate(inputs)}
         self._dist, self.columns = {}, dict.fromkeys(BisaSetting, _CATEGORY_COLUMNS)
         for setting in BisaSetting:
             # Victor's E_p, and its magnitudes, on the inputs of each n,
             # summed over the analyzer parts.
             victor: dict = {}
-            parts = victor_detection(setting, inputs, n_max, config.visibility, eta)
-            for transfer, clicks in parts:
-                for n, occs in by_n.items():
+            for transfer, clicks in victor_detection(setting, inputs, n_max, config.visibility, eta):
+                for n, occs in left.items():
                     rows = transfer[[row[occ] for occ in occs]]
                     reached = rows.any(axis=0)
                     t, w = rows[:, reached].T, clicks[reached]
                     acc = victor.get(n, (0.0, 0.0))
                     victor[n] = (acc[0] + _povm(t, w, t.conj()), acc[1] + _povm(abs(t), w, abs(t)))
+            # Input loss in the Heisenberg picture: both pulled back onto
+            # each sector's occupations with the same nonnegative weights.
+            pulled = (pull_back_loss([(left[n], victor[n][part]) for n in left],
+                                     [occs for occs, _, _ in sectors.values()],
+                                     range(len(INPUT_REGISTER)), config.input_transmission)
+                      for part in (0, 1))
             # G_p and its magnitudes per (n1, n4), as [p, x1, x4, y1, y4].
             grams: dict = {}
-            for (n1, n4, n), (occs, rho, mag) in sectors.items():
-                col = {occ: i for i, occ in enumerate(by_n[n])}
-                pick = np.array([col[occ] for occ in occs])
-                # E_p on the sector's occupations, flat over (i, i') and
-                # contiguous, as einsum runs fastest on it.
-                pairs = (pick[:, None] * len(col) + pick).ravel()
-                e, e_mag = (povm.reshape(len(PATTERNS), -1).take(pairs, axis=1)
-                            for povm in victor[n])
-                gram = (np.einsum("abx,px->pab", rho, e), np.einsum("abx,px->pab", mag, e_mag))
+            for (n1, n4, _), (_, rho, mag), e, e_mag in zip(sectors, sectors.values(), *pulled):
+                gram = (np.einsum("abx,px->pab", rho, e.reshape(len(PATTERNS), -1)),
+                        np.einsum("abx,px->pab", mag, e_mag.reshape(len(PATTERNS), -1)))
                 shape = (len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
                 acc = grams.get((n1, n4), (0.0, 0.0))
                 grams[(n1, n4)] = tuple(s + g.reshape(shape) for s, g in zip(acc, gram))

@@ -636,7 +636,8 @@ def _noise_branches(cfg):
                     nxt.append(flipped.scaled(np.sqrt(p / 3.0)))
             branches = nxt
     for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
-        branches = fock.attenuate_ensemble(branches, mode, cfg.input_transmission)
+        branches = [lost for b in branches for lost in fock.attenuate(b, mode, cfg.input_transmission)]
+        branches = [b for b in branches if b.norm_sq() > 1e-24]
     return [b for b in branches if b.norm_sq() > 1e-18]
 
 
@@ -694,6 +695,13 @@ def test_fock_engine_equals_branch_enumeration_default():
 
 def test_fock_engine_equals_branch_enumeration_clean(clean_fock_engine):
     _assert_tables_match(clean_fock_engine, ALL_BASIS_PAIRS)
+
+
+def test_fock_engine_equals_branch_enumeration_where_the_cap_binds():
+    # At cap 2 a pair of order 2 on each input fills the analyzer past the
+    # cap, which it drops after the loss: the pulled-back POVM must keep it.
+    cfg = ex.ExperimentConfig(mode="fock", spdc_order=2, n_max=2, input_transmission=0.5)
+    _assert_tables_match(ex.build_engine(cfg), [("z", "x")])
 
 
 def test_fock_engine_depolarization_equals_pauli_branches():

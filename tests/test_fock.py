@@ -142,6 +142,106 @@ def test_attenuate_preserves_weight():
     assert abs(total - s.norm_sq()) < 1e-12
 
 
+def _random_state(modes, occs, n_max, rng):
+    amp = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
+    return fock.FockVector(modes, n_max, zip(occs, amp / np.linalg.norm(amp)))
+
+
+def _lossy_trace(state, lossy, eta, blocks):
+    """Tr[rho' E]: the ensemble that attenuate leaves of ``state`` on the
+    modes ``lossy`` against E, the direct sum of ``blocks`` (zero elsewhere)."""
+    branches = [state]
+    for mode in lossy:
+        branches = [lost for b in branches for lost in fock.attenuate(b, mode, eta)]
+    total = 0.0
+    for occs, ops in blocks:
+        psi = np.array([[b.amp.get(occ, 0.0) for occ in occs] for b in branches])
+        total = total + np.einsum("bi,...ij,bj->...", psi.conj(), ops, psi)
+    return total
+
+
+def _pulled_trace(state, pulled, outers):
+    """Tr[rho E'] for the pure ``state`` and the blocks ``pulled`` of E' on ``outers``."""
+    total = 0.0
+    for occs, ops in zip(outers, pulled):
+        psi = np.array([state.amp.get(occ, 0.0) for occ in occs])
+        total = total + np.einsum("i,...ij,j->...", psi.conj(), ops, psi)
+    return total
+
+
+def _random_hermitian(shape, rng):
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return (m + np.swapaxes(m, -1, -2).conj()) / (2.0 * shape[-1])
+
+
+REGISTER3 = (("b", "H"), ("b", "V"), ("c", "H"))
+# Every occupation of REGISTER3 at a cap of 2: closed under loss.
+CAPPED3 = list(np.ndindex(3, 3, 3))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.21, 0.5, 1.0])
+@pytest.mark.parametrize("lossy", [(0,), (2,), (0, 2), (0, 1, 2)])
+def test_pull_back_loss_is_the_adjoint_of_attenuate(eta, lossy):
+    # A random Hermitian stack E on every occupation, coherences between
+    # photon numbers included, against random states that fill the cap.
+    rng = np.random.default_rng(18)
+    ops = _random_hermitian((2, len(CAPPED3), len(CAPPED3)), rng)
+    (pulled,) = fock.pull_back_loss([(CAPPED3, ops)], [CAPPED3], lossy, eta)
+    assert pulled.shape == ops.shape
+    assert np.abs(pulled - np.swapaxes(pulled, -1, -2).conj()).max() <= 1e-15
+    for _ in range(3):
+        state = _random_state(REGISTER3, CAPPED3, 2, rng)
+        expected = _lossy_trace(state, [REGISTER3[i] for i in lossy], eta, [(CAPPED3, ops)])
+        assert np.abs(_pulled_trace(state, [pulled], [CAPPED3]) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.21, 0.5, 1.0])
+@pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
+def test_pull_back_loss_of_victor_povm_where_the_cap_binds(eta, setting):
+    # Victor's E_p, a direct sum over the photon number n at the analyzer
+    # inputs, on inputs of up to 2 photons per mode and 4 in all: at a cap
+    # of 2 the analyzer drops every output with 3 or 4 photons in one mode.
+    rng = np.random.default_rng(81)
+    inputs = [occ for occ in np.ndindex(3, 3, 3, 3) if sum(occ) <= 4]
+    by_n = [[occ for occ in inputs if sum(occ) == n] for n in range(5)]
+    blocks = []
+    for occs in by_n:
+        ops = 0.0
+        for transfer, clicks in bisa.victor_detection(setting, occs, 2, 0.7, 0.6):
+            ops = ops + np.einsum("ij,jp,kj->pik", transfer, clicks, transfer.conj())
+        blocks.append((occs, ops))
+    # The cap drops weight: E summed over the patterns is not the identity.
+    assert max(abs(ops.sum(axis=0) - np.eye(len(occs))).max() for occs, ops in blocks) > 0.1
+    pulled = fock.pull_back_loss(blocks, by_n, range(4), eta)
+    for _ in range(3):
+        state = _random_state(bisa.INPUT_REGISTER, inputs, 2, rng)
+        expected = _lossy_trace(state, bisa.INPUT_REGISTER, eta, blocks)
+        got = _pulled_trace(state, pulled, by_n)
+        assert np.abs(got - expected).max() <= 1e-14
+        assert (got.real >= -1e-15).all() and got.sum().real <= 1.0 + 1e-14
+
+
+def test_pull_backs_of_loss_compose():
+    # Transmission t1 then t2 is transmission t1 * t2.
+    rng = np.random.default_rng(7)
+    ops = _random_hermitian((len(CAPPED3), len(CAPPED3)), rng)
+    for t1, t2 in ((0.21, 0.5), (0.5, 0.9), (0.3, 0.0)):
+        (once,) = fock.pull_back_loss([(CAPPED3, ops)], [CAPPED3], (0, 2), t1)
+        (twice,) = fock.pull_back_loss([(CAPPED3, once)], [CAPPED3], (0, 2), t2)
+        (direct,) = fock.pull_back_loss([(CAPPED3, ops)], [CAPPED3], (0, 2), t1 * t2)
+        assert np.abs(twice - direct).max() <= 1e-14
+
+
+def test_pull_back_loss_rejects_bad_input():
+    identity = np.eye(len(CAPPED3))
+    with pytest.raises(ValueError, match="eta"):
+        fock.pull_back_loss([(CAPPED3, identity)], [CAPPED3], (0,), 1.5)
+    # Blocks that share an occupation are no direct sum.
+    with pytest.raises(ValueError, match="disjoint"):
+        fock.pull_back_loss([(CAPPED3, identity), (CAPPED3[:1], identity[:1, :1])],
+                            [CAPPED3], (0,), 0.5)
+
+
 def test_pattern_distribution_normalized():
     # Victor's pattern distribution of a pair source on the analyzer inputs,
     # through both parts of the analyzer mixture, keeps the source's weight.
