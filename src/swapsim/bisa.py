@@ -91,12 +91,12 @@ def _lifted_steps(setting: BisaSetting, n: int) -> np.ndarray:
     return steps
 
 
-@functools.cache  # two settings and a few (n, n_max) per process, shared by every build
 def _capped_pass(setting: BisaSetting, n: int, n_max: int):
     """The coherent pass of every occupation of INPUT_REGISTER with ``n``
     photons: ``(outputs, T)``, the output occupations of OUTPUT_REGISTER
-    with no mode above ``n_max``, and ``T[i, j]`` (read-only), the amplitude
-    of ``outputs[j]`` for ``occupations(4, n)[i]``, not pruned.
+    with no mode above ``n_max``, and ``T[i, j]``, the amplitude of
+    ``outputs[j]`` for ``occupations(4, n)[i]``, not pruned.  Builds read
+    it through :func:`_detector_view`, which keeps the passes they use.
 
     The optics keep the photon number n, so the pass is the n-photon lifts
     of the steps (:func:`_lifted_steps`).  Every step drops the occupations
@@ -112,7 +112,6 @@ def _capped_pass(setting: BisaSetting, n: int, n_max: int):
         psi = np.einsum("ij,jk->ik", step, psi)
         psi[capped] = 0.0
     transfer = np.ascontiguousarray(psi[~capped].T)
-    transfer.flags.writeable = False
     return [occ for occ, drop in zip(occs, capped) if not drop], transfer
 
 
@@ -197,32 +196,43 @@ def classify(pattern, setting: BisaSetting) -> BisaOutcome:
 
 def analyzer_mixture(visibility: float):
     """The analyzer at finite two-photon visibility, as a weighted mixture of
-    passes: ``(distinguishable, detector bank, weight)`` for the coherent
-    pass (weight ``visibility``) and the distinguishable one
-    (``1 - visibility``).  Parts of zero weight are left out."""
+    passes: ``(distinguishable, weight)`` for the coherent pass (weight
+    ``visibility``) and the distinguishable one (``1 - visibility``).  Parts
+    of zero weight are left out."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    parts = (
-        (False, DETECTOR_BANK, visibility),
-        (True, DETECTOR_BANK_TAGGED, 1.0 - visibility),
-    )
-    return [part for part in parts if part[2] > 0.0]
+    return [part for part in ((False, visibility), (True, 1.0 - visibility)) if part[1] > 0.0]
+
+
+@functools.cache  # structure only: two settings, a few input lists and caps per process
+def _detector_view(setting: BisaSetting, inputs: tuple, n_max: int, distinguishable: bool):
+    """One analyzer pass of ``inputs`` as Victor's detectors see it:
+    ``(T, counts)``, the pass's transfer map (:func:`transfer_map`) and
+    ``counts[j, d]``, the photons detector d of VICTOR_DETECTORS sees in
+    output occupation j of ``T``, both read-only.  It holds no detection
+    probability, so every efficiency and visibility shares it."""
+    modes, outputs, transfer = transfer_map(setting, inputs, n_max, distinguishable)
+    bank = DETECTOR_BANK_TAGGED if distinguishable else DETECTOR_BANK
+    watched = np.array([[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS])
+    counts = np.array(outputs, dtype=int).reshape(-1, len(modes))[:, watched].sum(axis=-1)
+    transfer.flags.writeable = counts.flags.writeable = False
+    return transfer, counts
 
 
 def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float, eta: float):
     """Victor's detection of the analyzer inputs ``inputs`` (occupations of
     INPUT_REGISTER): one ``(T, clicks)`` per part of the analyzer mixture at
-    ``visibility``, with ``T`` the part's transfer map and ``clicks[j, k]``
-    the part's weight times the probability of click pattern PATTERNS[k]
-    given output occupation j of ``T``.  Each detector is a threshold
-    detector of efficiency ``eta`` on the photons of the modes it watches.
+    ``visibility``, with ``T`` the part's transfer map (read-only) and
+    ``clicks[j, k]`` the part's weight times the probability of click
+    pattern PATTERNS[k] given output occupation j of ``T``.  Each detector
+    is a threshold detector of efficiency ``eta`` on the photons of the
+    modes it watches.  The passes are built once per process
+    (:func:`_detector_view`); the clicks on every call.
     """
+    inputs = tuple(map(tuple, inputs))
     parts = []
-    for distinguishable, bank, weight in analyzer_mixture(visibility):
-        modes, outputs, transfer = transfer_map(setting, inputs, n_max, distinguishable)
-        # counts[j, d]: the photons detector d sees in output occupation j.
-        watched = np.array([[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS])
-        counts = np.array(outputs, dtype=int).reshape(-1, len(modes))[:, watched].sum(axis=-1)
+    for distinguishable, weight in analyzer_mixture(visibility):
+        transfer, counts = _detector_view(setting, inputs, n_max, distinguishable)
         silent, click = click_probability(counts, eta)
         clicks = weight * np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1)
         parts.append((transfer, clicks))

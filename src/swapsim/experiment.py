@@ -238,35 +238,39 @@ _CATEGORY_ORDER = np.array(sorted(range(len(_CATEGORIES)), key=_CATEGORIES.__get
 _CATEGORY_KEYS = [_CATEGORIES[c] for c in _CATEGORY_ORDER]
 _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # A table entry at most this fraction of the sum of the magnitudes of the
-# terms it is summed from (over losses, analyzer outputs and rotation
-# entries alike, each times its click probabilities) is the rounding residue
-# of an exact cancellation, and counts as absent.  In exact arithmetic an
-# entry is a sum of nonnegative probabilities, one per photon-number sector
-# and analyzer part, so no cancellation happens between them and one test
-# per entry suffices.  Rounding leaves at most a few machine epsilons of
-# that sum, so true entries smaller than 1e-12 of it are the only ones lost.
+# terms it is summed from (over losses, analyzer outputs, amplitudes and
+# rotation entries alike, each times its click probabilities) is the
+# rounding residue of an exact cancellation, and counts as absent.  That sum
+# is the table's contraction run on magnitudes: |psi| E'_mag |psi|^T, with
+# E'_mag Victor's POVM built from |T| and pulled back with the loss's
+# nonnegative weights, then met by the parties' POVMs built from |R|.  In
+# exact arithmetic an entry is a sum of nonnegative probabilities, one per
+# photon-number sector and analyzer part, so no cancellation happens between
+# them and one test per entry suffices.  Rounding leaves at most a few
+# machine epsilons of that sum, so true entries smaller than 1e-12 of it are
+# the only ones lost.
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with two-operand np.einsum calls,
-# never matmul, dot, tensordot or einsum(optimize=...): the density blocks
-# "ai,bj->abij", _povm's real weights against the outer products "jk,jx->kx",
-# the Gram "abx,px->pab", and the final contraction, Alice's side
-# "Xaji,pikjl->Xapkl" then Bob's "Yblk,Xapkl->XYabp".  fock.lift and
-# bisa.transfer_map call no BLAS either: the first BLAS call of a process
-# keeps about 0.5 MiB resident for good.
+# never matmul, dot, tensordot or einsum(optimize=...): _povm's real weights
+# against the outer products "jk,jx->kx", the Gram from the amplitudes
+# "ai,spij->spaj" then "spaj,bj->spab", and the final contraction, Alice's
+# side "Xaji,spikjl->sXapkl" then Bob's "Yblk,sXapkl->sXYabp".  fock.lift
+# and bisa.transfer_map call no BLAS either: the first BLAS call of a
+# process keeps about 0.5 MiB resident for good.
 
 
-def _sector_densities(state: FockVector) -> dict:
-    """The pure ``state``'s density blocks on each photon-number sector.
+def _sector_amplitudes(state: FockVector) -> dict:
+    """The pure ``state``'s amplitudes on each photon-number sector.
 
     A sector ``(n1, n4, n)`` holds the terms with n1 photons in mode 1, n4
     in mode 4 and n at the analyzer inputs.  Returns ``{sector: (occs,
-    rho, mag)}`` with ``occs`` the analyzer input occupations (bH, bV, cH,
-    cV) met in the sector, ``rho[a, a', i * len(occs) + i']`` =
-    psi(a, i) psi(a', i')*, where ``a`` indexes the product basis
-    occupations(2, n1) x occupations(2, n4) of (1H, 1V, 4H, 4V) and ``i``
-    indexes ``occs``, and ``mag`` its magnitudes |psi(a, i) psi(a', i')|.
-    Blocks between sectors are not formed: the basis rotations keep n1
-    and n4, and the analyzer keeps n, which Victor's count vector reveals.
+    psi, mag)}`` with ``occs`` the analyzer input occupations (bH, bV, cH,
+    cV) met in the sector, ``psi[a, i]`` the amplitude of the product
+    basis occupation ``a`` of occupations(2, n1) x occupations(2, n4) on
+    (1H, 1V, 4H, 4V) with ``occs[i]`` at the inputs, and ``mag`` = |psi|.
+    The sector's density block is psi psi^dagger; blocks between sectors
+    are never needed: the basis rotations keep n1 and n4, and the analyzer
+    keeps n, which Victor's count vector reveals.
     """
     index = state.mode_index
     one = [index(("1", p)) for p in "HV"]
@@ -282,15 +286,19 @@ def _sector_densities(state: FockVector) -> dict:
     for (n1, n4, n), entries in terms.items():
         occs = sorted({e[1] for e in entries})
         col = {occ: i for i, occ in enumerate(occs)}
-        d, m = (n1 + 1) * (n4 + 1), len(occs)
-        psi = np.zeros((d, m), dtype=complex)
+        psi = np.zeros(((n1 + 1) * (n4 + 1), len(occs)), dtype=complex)
         for a, occ, amp in entries:
             psi[a, col[occ]] = amp
-        # As [a, a', i i'], the layout the Gram contraction runs fastest on.
-        rho = np.einsum("ai,bj->abij", psi, psi.conj()).reshape(d, d, m * m)
-        mag = np.einsum("ai,bj->abij", abs(psi), abs(psi)).reshape(d, d, m * m)
-        out[(n1, n4, n)] = (occs, rho, mag)
+        out[(n1, n4, n)] = (occs, psi, abs(psi))
     return out
+
+
+def _gram(psi: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Victor's side traced out of one sector: G[s, p, a, a'] = sum_ii'
+    psi[a, i] ops[s, p, i, i'] psi[a', i']*, that is Tr_bc[rho ops] for
+    rho = psi psi^dagger, without forming rho; ``ops`` is stacked over
+    settings s and patterns p."""
+    return np.einsum("spaj,bj->spab", np.einsum("ai,spij->spaj", psi, ops), psi.conj())
 
 
 # _povm forms the outer products of at most this many entries at a time, so
@@ -344,12 +352,16 @@ class FockEngine:
       weighted P of each part), then pulled back through the input loss:
       Tr[loss(rho) E_p] = Tr[rho loss^dagger(E_p)] (fock.pull_back_loss).
 
-    Rotations keep n1 and n4 and the analyzer keeps n, so rho enters as one
-    block per (n1, n4, n) sector.  E_p is formed once per setting and n on
-    the occupations the loss leaves, and pulled back onto the occupations
-    of each sector.  Victor's side is traced first, leaving one Gram block
-    G_p = Tr_bc[rho E_p] per (n1, n4), which meets F_a of every Alice basis
-    and then F_b of every Bob basis.
+    Rotations keep n1 and n4 and the analyzer keeps n, so the state enters
+    as its amplitudes psi[a, i] per (n1, n4, n) sector, a on modes 1 and 4
+    and i on the analyzer inputs; rho = psi psi^dagger is never formed.
+    E_p is formed per setting and n on the occupations the loss leaves,
+    and both settings, stacked on a leading axis, are pulled back at once
+    onto the occupations of each sector.  Victor's side is traced first,
+    leaving the Gram blocks G_p = Tr_bc[rho E_p] = psi E_p psi^dagger of
+    both settings per (n1, n4), which meet F_a of every Alice basis and
+    then F_b of every Bob basis in one pass; the tables are split per
+    setting at the end.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -357,7 +369,7 @@ class FockEngine:
         eta, n_max = config.detector_efficiency, config.n_max
         src1 = spdc_source(config.tau, config.spdc_order, ("1", "b"), n_max)
         src2 = spdc_source(config.tau, config.spdc_order, ("c", "4"), n_max)
-        sectors = _sector_densities(src1.tensor(src2))
+        sectors = _sector_amplitudes(src1.tensor(src2))
         # Fiber depolarization on Victor's delay fibers b and c (each of the
         # three Paulis with probability p/3 on each fiber) is an exact flip of
         # Alice's and Bob's +1/-1 outcomes.  It needs two conditions: the
@@ -386,52 +398,52 @@ class FockEngine:
             for n in ns:
                 party[(bases, n)] = tuple(map(np.stack, zip(*(povms[(axis, n)] for axis in bases))))
         # The analyzer input occupations the input loss leaves of the emitted
-        # ones, every occupation at or below one, and those of each n.
+        # ones, every occupation at or below one, per photon number n.
         inputs = sorted({below for occs, _, _ in sectors.values() for occ in occs
                          for below in itertools.product(*(range(x + 1) for x in occ))})
         left = {n: [occ for occ in inputs if sum(occ) == n]
                 for n in range(max(map(sum, inputs)) + 1)}
-        row = {occ: i for i, occ in enumerate(inputs)}
+        # Victor's E_p, and its magnitudes, on the inputs of each n, summed
+        # over the analyzer parts and stacked over the settings as [s, p, i, i'].
+        victor = {}
+        for n, occs in left.items():
+            per_setting = []
+            for setting in BisaSetting:
+                e = e_mag = 0.0
+                for transfer, clicks in victor_detection(setting, occs, n_max, config.visibility, eta):
+                    t = transfer.T
+                    e = e + _povm(t, clicks, t.conj())
+                    e_mag = e_mag + _povm(abs(t), clicks, abs(t))
+                per_setting.append((e, e_mag))
+            victor[n] = tuple(map(np.stack, zip(*per_setting)))
+        # Input loss in the Heisenberg picture: both pulled back onto each
+        # sector's occupations with the same nonnegative weights.
+        pulled = (pull_back_loss([(left[n], victor[n][part]) for n in left],
+                                 [occs for occs, _, _ in sectors.values()],
+                                 range(len(INPUT_REGISTER)), config.input_transmission)
+                  for part in (0, 1))
+        # G_p and its magnitudes per (n1, n4), as [s, p, x1, x4, y1, y4].
+        grams: dict = {}
+        for (n1, n4, _), (_, psi, mag), e, e_mag in zip(sectors, sectors.values(), *pulled):
+            shape = (len(BisaSetting), len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
+            acc = grams.get((n1, n4), (0.0, 0.0))
+            grams[(n1, n4)] = (acc[0] + _gram(psi, e).reshape(shape),
+                               acc[1] + _gram(mag, e_mag).reshape(shape))
+        # Every setting and basis pair at once: [s, X, Y, a, b, p] for Alice's
+        # basis X and Bob's basis Y.
+        cat = scale = 0.0
+        for (n1, n4), (gram, gram_mag) in grams.items():
+            fa, fa_mag = party[(config.alice_bases, n1)]
+            fb, fb_mag = party[(config.bob_bases, n4)]
+            cat = cat + np.einsum("Yblk,sXapkl->sXYabp", fb,
+                                  np.einsum("Xaji,spikjl->sXapkl", fa, gram)).real
+            scale = scale + np.einsum("Yblk,sXapkl->sXYabp", fb_mag,
+                                      np.einsum("Xaji,spikjl->sXapkl", fa_mag, gram_mag))
+        cat[cat <= CANCELLATION_TOL * scale] = 0.0
         self._dist, self.columns = {}, dict.fromkeys(BisaSetting, _CATEGORY_COLUMNS)
-        for setting in BisaSetting:
-            # Victor's E_p, and its magnitudes, on the inputs of each n,
-            # summed over the analyzer parts.
-            victor: dict = {}
-            for transfer, clicks in victor_detection(setting, inputs, n_max, config.visibility, eta):
-                for n, occs in left.items():
-                    rows = transfer[[row[occ] for occ in occs]]
-                    reached = rows.any(axis=0)
-                    t, w = rows[:, reached].T, clicks[reached]
-                    acc = victor.get(n, (0.0, 0.0))
-                    victor[n] = (acc[0] + _povm(t, w, t.conj()), acc[1] + _povm(abs(t), w, abs(t)))
-            # Input loss in the Heisenberg picture: both pulled back onto
-            # each sector's occupations with the same nonnegative weights.
-            pulled = (pull_back_loss([(left[n], victor[n][part]) for n in left],
-                                     [occs for occs, _, _ in sectors.values()],
-                                     range(len(INPUT_REGISTER)), config.input_transmission)
-                      for part in (0, 1))
-            # G_p and its magnitudes per (n1, n4), as [p, x1, x4, y1, y4].
-            grams: dict = {}
-            for (n1, n4, _), (_, rho, mag), e, e_mag in zip(sectors, sectors.values(), *pulled):
-                gram = (np.einsum("abx,px->pab", rho, e.reshape(len(PATTERNS), -1)),
-                        np.einsum("abx,px->pab", mag, e_mag.reshape(len(PATTERNS), -1)))
-                shape = (len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
-                acc = grams.get((n1, n4), (0.0, 0.0))
-                grams[(n1, n4)] = tuple(s + g.reshape(shape) for s, g in zip(acc, gram))
-            # Every basis pair at once: [X, Y, a, b, p] for Alice's basis X
-            # and Bob's basis Y.
-            cat = scale = 0.0
-            for (n1, n4), (gram, gram_mag) in grams.items():
-                fa, fa_mag = party[(config.alice_bases, n1)]
-                fb, fb_mag = party[(config.bob_bases, n4)]
-                cat = cat + np.einsum("Yblk,Xapkl->XYabp", fb,
-                                      np.einsum("Xaji,pikjl->Xapkl", fa, gram)).real
-                scale = scale + np.einsum("Yblk,Xapkl->XYabp", fb_mag,
-                                          np.einsum("Xaji,pikjl->Xapkl", fa_mag, gram_mag))
-            cat[cat <= CANCELLATION_TOL * scale] = 0.0
-            cat = cat.reshape(-1, len(_CATEGORIES))[:, _CATEGORY_ORDER]
+        for setting, tables in zip(BisaSetting, cat):
             keys = itertools.product(config.alice_bases, config.bob_bases, [setting])
-            self._dist.update(zip(keys, cat))
+            self._dist.update(zip(keys, tables.reshape(-1, len(_CATEGORIES))[:, _CATEGORY_ORDER]))
 
     def _joint(self, ab: str, bb: str, commanded: BisaSetting):
         """(ab, bb)'s category probabilities under the ``commanded`` setting, the

@@ -6,8 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from swapsim import analysis, bisa, cli, fock, states, timeline
 from swapsim import experiment as ex
-from swapsim import fock, states
 from swapsim.analysis import coincidence_counts
 from swapsim.bisa import VICTOR_DETECTORS, BisaOutcome, BisaSetting, classify
 from swapsim.qrng import QrngConfig, QrngSimulator
@@ -743,3 +743,105 @@ def test_rotation_lift_is_a_fresh_lift_and_read_only():
             assert np.array_equal(cached, fock.lift(ex._axis_rotation(axis), n))
             with pytest.raises(ValueError):
                 cached[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d, m", [(9, 6), (12, 1), (1, 5), (4, 4)])
+def test_gram_equals_the_trace_against_the_density_block(d, m):
+    # The amplitude form psi E psi^dagger against Tr_bc[rho E] with the
+    # density block rho = psi psi^dagger formed, for Victor's complex E and
+    # for the real magnitudes; m = 1 is a sector with one input occupation.
+    rng = np.random.default_rng(19)
+    psi = rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m))
+    ops = rng.normal(size=(2, 16, m, m)) + 1j * rng.normal(size=(2, 16, m, m))
+    ops = ops + np.swapaxes(ops, -1, -2).conj()
+    for amp, e in ((psi, ops), (abs(psi), abs(ops))):
+        rho = np.einsum("ai,bj->abij", amp, amp.conj()).reshape(d, d, m * m)
+        expected = np.einsum("abx,spx->spab", rho, e.reshape(2, 16, m * m))
+        got = ex._gram(amp, e)
+        assert got.dtype == expected.dtype and got.shape == (2, 16, d, d)
+        assert np.abs(got - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
+    # Each setting's Gram blocks are Hermitian, and real for the magnitudes.
+    gram = ex._gram(psi, ops)
+    assert np.abs(gram - np.swapaxes(gram, -1, -2).conj()).max() <= 1e-13
+    assert ex._gram(abs(psi), abs(ops)).dtype == float
+
+
+def _per_process_caches():
+    """Every functools cache of the package, with the modules that name it."""
+    modules = (analysis, bisa, cli, ex, fock, states, timeline)
+    caches = {}
+    for mod in modules:
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_clear"):
+                caches.setdefault(value, []).append((mod, name))
+    return caches
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_build_caches_hold_structure_only(monkeypatch):
+    # A config of the default structure with every number the caches must
+    # not keep changed, visibility 1 dropping the tagged part, between two
+    # default builds: both equal each other and a build from empty caches.
+    default = ex.ExperimentConfig(mode="fock")
+    other = ex.ExperimentConfig(mode="fock", tau=0.3, detector_efficiency=0.6,
+                                mzi_visibility=1.0, gvm_overlap=1.0, input_transmission=0.7,
+                                fiber_polarization_fidelity=0.9)
+    caches = _per_process_caches()
+    results = []
+
+    def recorded(cached):
+        def call(*args, **kwargs):
+            out = cached(*args, **kwargs)
+            results.append(out)
+            return out
+        return call
+
+    for cached, names in caches.items():
+        for mod, name in names:
+            monkeypatch.setattr(mod, name, recorded(cached))
+    first = ex.build_engine(default)._dist
+    sizes = [cached.cache_info().currsize for cached in caches]
+    mid = ex.build_engine(other)._dist
+    # Keyed by structure alone, no cache grows for the second config.
+    assert [cached.cache_info().currsize for cached in caches] == sizes
+    again = ex.build_engine(default)._dist
+    for cached in caches:
+        cached.cache_clear()
+    fresh = ex.build_engine(default)._dist
+    for cached in caches:
+        cached.cache_clear()
+    fresh_mid = ex.build_engine(other)._dist
+    for dist in (again, fresh):
+        assert dist.keys() == first.keys()
+        assert all(np.array_equal(dist[k], first[k]) for k in first)
+    assert all(np.array_equal(fresh_mid[k], mid[k]) for k in mid)
+    assert any(not np.array_equal(mid[k], first[k]) for k in mid)
+    # Every array a cache hands out is read-only.
+    arrays = [a for out in results for a in _arrays(out)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(spdc_order=2, n_max=2, input_transmission=0.5)])
+def test_magnitude_gram_bounds_the_gram(monkeypatch, kw):
+    # The cancellation cut compares each entry with the same contraction on
+    # magnitudes.  Per sector the engine forms the Gram from the amplitudes
+    # and Victor's pulled-back E, then its bound from |psi| and E's real,
+    # nonnegative magnitudes, which bounds the Gram entry by entry.
+    calls = []
+    gram = ex._gram
+    monkeypatch.setattr(ex, "_gram", lambda psi, ops: calls.append((psi, ops)) or gram(psi, ops))
+    ex.build_engine(ex.ExperimentConfig(mode="fock", **kw))
+    assert calls and len(calls) % 2 == 0
+    for (psi, e), (mag, e_mag) in zip(calls[::2], calls[1::2]):
+        assert np.iscomplexobj(psi) and np.array_equal(mag, abs(psi))
+        assert e_mag.dtype == float and (e_mag >= 0.0).all()
+        assert e.shape == e_mag.shape == (2, len(bisa.PATTERNS), psi.shape[1], psi.shape[1])
+        bound = gram(mag, e_mag)
+        assert (abs(gram(psi, e)) <= bound * (1.0 + 1e-12)).all()

@@ -267,7 +267,7 @@ def test_victor_clicks_sum_to_part_weight(setting, eta):
     inputs = [b + c for b in split for c in split]
     parts = bisa.victor_detection(setting, inputs, 3, 0.7, eta)
     assert len(parts) == 2
-    for (transfer, clicks), (_, _, weight) in zip(parts, bisa.analyzer_mixture(0.7)):
+    for (transfer, clicks), (_, weight) in zip(parts, bisa.analyzer_mixture(0.7)):
         assert clicks.shape == (transfer.shape[1], len(bisa.PATTERNS))
         assert np.abs(clicks.sum(axis=1) - weight).max() < 1e-12
         assert (clicks >= 0).all()
