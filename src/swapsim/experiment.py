@@ -39,14 +39,7 @@ import numpy as np
 
 from . import states
 from .bisa import INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, classify, victor_detection
-from .fock import (
-    FockVector,
-    click_probability,
-    lift,
-    occupations,
-    pull_back_loss,
-    spdc_source,
-)
+from .fock import click_probability, lift, occupations, pull_back_loss
 from .qrng import QrngConfig, QrngSimulator
 from .timeline import DelayBudget, EventTimes, check_delayed_choice, event_times
 
@@ -241,7 +234,7 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # terms it is summed from (over losses, analyzer outputs, amplitudes and
 # rotation entries alike, each times its click probabilities) is the
 # rounding residue of an exact cancellation, and counts as absent.  That sum
-# is the table's contraction run on magnitudes: |psi| E'_mag |psi|^T, with
+# is the table's contraction run on magnitudes: |amp| E'_mag |amp|, with
 # E'_mag Victor's POVM built from |T| and pulled back with the loss's
 # nonnegative weights, then met by the parties' POVMs built from |R|.  In
 # exact arithmetic an entry is a sum of nonnegative probabilities, one per
@@ -252,53 +245,37 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with two-operand np.einsum calls,
 # never matmul, dot, tensordot or einsum(optimize=...): _povm's real weights
-# against the outer products "jk,jx->kx", the Gram from the amplitudes
-# "ai,spij->spaj" then "spaj,bj->spab", and the final contraction, Alice's
-# side "Xaji,spikjl->sXapkl" then Bob's "Yblk,sXapkl->sXYabp".  fock.lift
-# and bisa.transfer_map call no BLAS either: the first BLAS call of a
-# process keeps about 0.5 MiB resident for good.
+# against the outer products "jk,jx->kx", and the final contraction,
+# Alice's side "Xaji,spikjl->sXapkl" then Bob's "Yblk,sXapkl->sXYabp"; the
+# Gram is an elementwise product.  fock.lift and bisa.transfer_map call no
+# BLAS either: the first BLAS call of a process keeps about 0.5 MiB
+# resident for good.
 
 
-def _sector_amplitudes(state: FockVector) -> dict:
-    """The pure ``state``'s amplitudes on each photon-number sector.
+def _source_sectors(tau: float, order: int) -> dict:
+    """The two singlet sources' pure state in closed form, per photon numbers
+    (n1, n4) of modes 1 and 4: ``{(n1, n4): (occs, amp)}``.
 
-    A sector ``(n1, n4, n)`` holds the terms with n1 photons in mode 1, n4
-    in mode 4 and n at the analyzer inputs.  Returns ``{sector: (occs,
-    psi, mag)}`` with ``occs`` the analyzer input occupations (bH, bV, cH,
-    cV) met in the sector, ``psi[a, i]`` the amplitude of the product
-    basis occupation ``a`` of occupations(2, n1) x occupations(2, n4) on
-    (1H, 1V, 4H, 4V) with ``occs[i]`` at the inputs, and ``mag`` = |psi|.
-    The sector's density block is psi psi^dagger; blocks between sectors
-    are never needed: the basis rotations keep n1 and n4, and the analyzer
-    keeps n, which Victor's count vector reveals.
+    Source 1's N-pair term is (tau/sqrt2)^N sum_h (-1)^(N-h) |h, N-h>_1
+    |N-h, h>_b on (H, V), divided by the norm sqrt(sum_N (N+1) (tau^2/2)^N),
+    and likewise source 2's on (4, c).  So each H, V occupation (h1, h4) of
+    modes 1 and 4, indexed a = h1 (n4 + 1) + h4 as in occupations(2, n1) x
+    occupations(2, n4), meets exactly one analyzer input occupation occs[a]
+    = (n1 - h1, h1, n4 - h4, h4) on (bH, bV, cH, cV), with the real
+    amplitude amp[a].  Blocks between sectors are never needed: the basis
+    rotations keep n1 and n4, and the analyzer keeps n = n1 + n4.  Every
+    occupation below an emitted one is emitted too, so the inputs are closed
+    under loss.  (``fock.spdc_source`` builds the same state with creation
+    operators.)
     """
-    index = state.mode_index
-    one = [index(("1", p)) for p in "HV"]
-    four = [index(("4", p)) for p in "HV"]
-    ins = [index(m) for m in INPUT_REGISTER]
-    terms: dict = {}
-    for occ, amp in state.amp.items():
-        (h1, v1), (h4, v4) = (occ[i] for i in one), (occ[i] for i in four)
-        occ_in = tuple(occ[i] for i in ins)
-        a = h1 * (h4 + v4 + 1) + h4
-        terms.setdefault((h1 + v1, h4 + v4, sum(occ_in)), []).append((a, occ_in, amp))
+    norm = sum((n + 1) * (tau * tau / 2.0) ** n for n in range(order + 1))
     out = {}
-    for (n1, n4, n), entries in terms.items():
-        occs = sorted({e[1] for e in entries})
-        col = {occ: i for i, occ in enumerate(occs)}
-        psi = np.zeros(((n1 + 1) * (n4 + 1), len(occs)), dtype=complex)
-        for a, occ, amp in entries:
-            psi[a, col[occ]] = amp
-        out[(n1, n4, n)] = (occs, psi, abs(psi))
+    for n1, n4 in itertools.product(range(order + 1), repeat=2):
+        pairs = list(itertools.product(range(n1 + 1), range(n4 + 1)))
+        sign = np.array([(-1.0) ** (n1 - h1 + h4) for h1, h4 in pairs])
+        out[(n1, n4)] = ([(n1 - h1, h1, n4 - h4, h4) for h1, h4 in pairs],
+                         sign * ((tau / math.sqrt(2.0)) ** (n1 + n4) / norm))
     return out
-
-
-def _gram(psi: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Victor's side traced out of one sector: G[s, p, a, a'] = sum_ii'
-    psi[a, i] ops[s, p, i, i'] psi[a', i']*, that is Tr_bc[rho ops] for
-    rho = psi psi^dagger, without forming rho; ``ops`` is stacked over
-    settings s and patterns p."""
-    return np.einsum("spaj,bj->spab", np.einsum("ai,spij->spaj", psi, ops), psi.conj())
 
 
 # _povm forms the outer products of at most this many entries at a time, so
@@ -352,24 +329,22 @@ class FockEngine:
       weighted P of each part), then pulled back through the input loss:
       Tr[loss(rho) E_p] = Tr[rho loss^dagger(E_p)] (fock.pull_back_loss).
 
-    Rotations keep n1 and n4 and the analyzer keeps n, so the state enters
-    as its amplitudes psi[a, i] per (n1, n4, n) sector, a on modes 1 and 4
-    and i on the analyzer inputs; rho = psi psi^dagger is never formed.
-    E_p is formed per setting and n on the occupations the loss leaves,
-    and both settings, stacked on a leading axis, are pulled back at once
-    onto the occupations of each sector.  Victor's side is traced first,
-    leaving the Gram blocks G_p = Tr_bc[rho E_p] = psi E_p psi^dagger of
-    both settings per (n1, n4), which meet F_a of every Alice basis and
-    then F_b of every Bob basis in one pass; the tables are split per
-    setting at the end.
+    The state enters in closed form (``_source_sectors``): per (n1, n4)
+    sector each occupation a of modes 1 and 4 meets one analyzer input
+    occupation occs[a], with the real amplitude amp[a]; rho is never
+    formed.  E_p is formed per setting and n on the emitted occupations,
+    which the loss maps into themselves, and both settings, stacked on a
+    leading axis, are pulled back at once onto the occupations of each
+    sector, in the order of a.  Victor's side is traced first, leaving the Gram
+    blocks G_p[a, a'] = Tr_bc[rho E_p] = amp[a] E_p[a, a'] amp[a'] of both
+    settings, which meet F_a of every Alice basis and then F_b of every
+    Bob basis in one pass; the tables are split per setting at the end.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
         eta, n_max = config.detector_efficiency, config.n_max
-        src1 = spdc_source(config.tau, config.spdc_order, ("1", "b"), n_max)
-        src2 = spdc_source(config.tau, config.spdc_order, ("c", "4"), n_max)
-        sectors = _sector_amplitudes(src1.tensor(src2))
+        sectors = _source_sectors(config.tau, config.spdc_order)
         # Fiber depolarization on Victor's delay fibers b and c (each of the
         # three Paulis with probability p/3 on each fiber) is an exact flip of
         # Alice's and Bob's +1/-1 outcomes.  It needs two conditions: the
@@ -385,7 +360,7 @@ class FockEngine:
         flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
         # Alice's and Bob's POVMs, and their magnitudes, per (axis, n), then
         # stacked over each party's bases as [X, o, i, i'].
-        ns = {n for n1, n4, _ in sectors for n in (n1, n4)}
+        ns = range(config.spdc_order + 1)
         povms = {}
         for axis in {*config.alice_bases, *config.bob_bases}:
             for n in ns:
@@ -397,12 +372,10 @@ class FockEngine:
         for bases in (config.alice_bases, config.bob_bases):
             for n in ns:
                 party[(bases, n)] = tuple(map(np.stack, zip(*(povms[(axis, n)] for axis in bases))))
-        # The analyzer input occupations the input loss leaves of the emitted
-        # ones, every occupation at or below one, per photon number n.
-        inputs = sorted({below for occs, _, _ in sectors.values() for occ in occs
-                         for below in itertools.product(*(range(x + 1) for x in occ))})
+        # The emitted input occupations, closed under loss, per photon number n.
+        inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
         left = {n: [occ for occ in inputs if sum(occ) == n]
-                for n in range(max(map(sum, inputs)) + 1)}
+                for n in range(2 * config.spdc_order + 1)}
         # Victor's E_p, and its magnitudes, on the inputs of each n, summed
         # over the analyzer parts and stacked over the settings as [s, p, i, i'].
         victor = {}
@@ -419,24 +392,22 @@ class FockEngine:
         # Input loss in the Heisenberg picture: both pulled back onto each
         # sector's occupations with the same nonnegative weights.
         pulled = (pull_back_loss([(left[n], victor[n][part]) for n in left],
-                                 [occs for occs, _, _ in sectors.values()],
+                                 [occs for occs, _ in sectors.values()],
                                  range(len(INPUT_REGISTER)), config.input_transmission)
                   for part in (0, 1))
-        # G_p and its magnitudes per (n1, n4), as [s, p, x1, x4, y1, y4].
-        grams: dict = {}
-        for (n1, n4, _), (_, psi, mag), e, e_mag in zip(sectors, sectors.values(), *pulled):
-            shape = (len(BisaSetting), len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
-            acc = grams.get((n1, n4), (0.0, 0.0))
-            grams[(n1, n4)] = (acc[0] + _gram(psi, e).reshape(shape),
-                               acc[1] + _gram(mag, e_mag).reshape(shape))
-        # Every setting and basis pair at once: [s, X, Y, a, b, p] for Alice's
-        # basis X and Bob's basis Y.
+        # Per (n1, n4) the Gram G_p = amp E'_p amp, and its bound from |amp|
+        # and E'_mag, as [s, p, x1, x4, y1, y4], meet every basis pair at once:
+        # [s, X, Y, a, b, p] for Alice's basis X and Bob's basis Y.
         cat = scale = 0.0
-        for (n1, n4), (gram, gram_mag) in grams.items():
+        for ((n1, n4), (_, amp)), e, e_mag in zip(sectors.items(), *pulled):
+            shape = (len(BisaSetting), len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
             fa, fa_mag = party[(config.alice_bases, n1)]
             fb, fb_mag = party[(config.bob_bases, n4)]
+            gram = (amp[:, None] * e * amp).reshape(shape)
             cat = cat + np.einsum("Yblk,sXapkl->sXYabp", fb,
                                   np.einsum("Xaji,spikjl->sXapkl", fa, gram)).real
+            mag = abs(amp)
+            gram_mag = (mag[:, None] * e_mag * mag).reshape(shape)
             scale = scale + np.einsum("Yblk,sXapkl->sXYabp", fb_mag,
                                       np.einsum("Xaji,spikjl->sXapkl", fa_mag, gram_mag))
         cat[cat <= CANCELLATION_TOL * scale] = 0.0
@@ -448,6 +419,10 @@ class FockEngine:
     def _joint(self, ab: str, bb: str, commanded: BisaSetting):
         """(ab, bb)'s category probabilities under the ``commanded`` setting, the
         switching error folded in, and a mask of the categories either setting reaches."""
+        if (ab, bb, commanded) not in self._dist:
+            raise ValueError(f"bases ({ab!r}, {bb!r}) outside the configured alice_bases "
+                             f"{','.join(self.config.alice_bases)} and bob_bases "
+                             f"{','.join(self.config.bob_bases)}")
         flip = 1.0 - self.config.switching_fidelity
         other = BisaSetting.SSM if commanded is BisaSetting.BSM else BisaSetting.BSM
         mine, theirs = self._dist[(ab, bb, commanded)], self._dist[(ab, bb, other)]
@@ -643,7 +618,9 @@ def imperfection_product(factors) -> float:
 def calibrate_tau(pair_ratio: float) -> float:
     """Squeezing parameter whose 2-pair/1-pair emission ratio matches the
     supplied 4-fold/2-fold count ratio: the source's ratio is exactly
-    3 tau^2 / 4 for order >= 2 (see ``fock.spdc_source``).
+    3 tau^2 / 4 for order >= 2: the sector (n1, n4) = (2, 0) of
+    ``_source_sectors`` holds 3 terms of weight (tau^2 / 2)^2 and (1, 0)
+    holds 2 of weight tau^2 / 2.
     """
     if pair_ratio <= 0:
         raise ValueError("pair ratio must be positive")

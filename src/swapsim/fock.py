@@ -11,6 +11,13 @@ pure state meets it (the Heisenberg picture).
 Linear optics on n photons is the n-photon block of its mode matrix
 (:func:`lift`); threshold detectors click with :func:`click_probability`
 given the photons they see.
+
+The engines use only those matrix forms, with :func:`occupations` and
+:func:`pull_back_loss`; ``experiment._source_sectors`` writes the sources'
+state in closed form.  The FockVector layer (creation operators,
+:func:`spdc_source`, :func:`attenuate`, beam splitters and wave plates) is
+the reference the tests build states with, criterion 10's property suites
+and the fock engine's branch-enumeration oracle among them.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -262,10 +263,55 @@ def test_calibrate_tau_roundtrip():
             p[pairs] += abs(a) ** 2
     back = ex.calibrate_tau(p[2] / p[1])
     assert abs(back - tau) < 1e-12
+    # The same ratio from the engine's closed form, one source's pairs
+    # counted by the photons of its mode 1.
+    sectors = ex._source_sectors(tau, 2)
+    weight = {n1: (sectors[(n1, 0)][1] ** 2).sum() for n1 in (1, 2)}
+    assert abs(ex.calibrate_tau(weight[2] / weight[1]) - tau) < 1e-12
     with pytest.raises(ValueError):
         ex.calibrate_tau(-0.1)
     with pytest.raises(ValueError, match="outside the calibrated range"):
         ex.calibrate_tau(2.0)  # tau 1.63
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau", [1e-4, 0.1, 0.5])
+def test_source_sectors_match_the_creation_operator_source(tau, order):
+    # The closed form against the two sources built with creation operators,
+    # regrouped by (n1, n4), the index a of the (H, V) occupations of modes 1
+    # and 4, and the analyzer input occupation.  FockVector.add prunes
+    # amplitudes at or below PRUNE_TOL, which the closed form keeps, so a
+    # term missing on either side counts as 0.
+    state = fock.spdc_source(tau, order, ("1", "b"), order).tensor(
+        fock.spdc_source(tau, order, ("c", "4"), order))
+    assert [s for s, _ in state.modes] == ["1", "1", "b", "b", "c", "c", "4", "4"]
+    reference = {}
+    for (h1, v1, b_h, b_v, c_h, c_v, h4, v4), amp in state.amp.items():
+        reference[(h1 + v1, h4 + v4, h1 * (h4 + v4 + 1) + h4, (b_h, b_v, c_h, c_v))] = amp
+    sectors = ex._source_sectors(tau, order)
+    closed = {(n1, n4, a, occ): x for (n1, n4), (occs, amp) in sectors.items()
+              for a, (occ, x) in enumerate(zip(occs, amp, strict=True))}
+    assert len(closed) == sum((n1 + 1) * (n4 + 1) for n1, n4 in sectors)
+    for key in reference.keys() | closed.keys():
+        assert abs(closed.get(key, 0.0) - reference.get(key, 0.0)) <= 1e-15
+    # Normalized, up to the rounding of (tau / sqrt2)^8.
+    assert abs(math.fsum(x * x for x in closed.values()) - 1.0) <= 1e-14
+    # Loss leaves only emitted occupations.
+    emitted = {occ for _, _, _, occ in closed}
+    for occ in emitted:
+        assert set(itertools.product(*(range(x + 1) for x in occ))) <= emitted
+
+
+def test_expected_correlation_outside_the_configured_bases():
+    engine = ex.build_engine(ex.ExperimentConfig(mode="fock", alice_bases=("x", "z"),
+                                                 bob_bases=("z",)))
+    phi = [BisaOutcome.PHI_MINUS_23]
+    assert math.isfinite(engine.expected_correlation(BisaSetting.BSM, phi, "z"))
+    for basis in ("x", "y"):
+        with pytest.raises(ValueError, match=r"outside the configured alice_bases x,z and bob_bases z"):
+            engine.expected_correlation(BisaSetting.BSM, phi, basis)
+    with pytest.raises(ValueError, match=r"bases \('z', 'x'\) outside"):
+        engine.joint_distribution("z", "x", BisaSetting.SSM)
 
 
 def test_log_roundtrip(tmp_path):
@@ -745,27 +791,6 @@ def test_rotation_lift_is_a_fresh_lift_and_read_only():
                 cached[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("d, m", [(9, 6), (12, 1), (1, 5), (4, 4)])
-def test_gram_equals_the_trace_against_the_density_block(d, m):
-    # The amplitude form psi E psi^dagger against Tr_bc[rho E] with the
-    # density block rho = psi psi^dagger formed, for Victor's complex E and
-    # for the real magnitudes; m = 1 is a sector with one input occupation.
-    rng = np.random.default_rng(19)
-    psi = rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m))
-    ops = rng.normal(size=(2, 16, m, m)) + 1j * rng.normal(size=(2, 16, m, m))
-    ops = ops + np.swapaxes(ops, -1, -2).conj()
-    for amp, e in ((psi, ops), (abs(psi), abs(ops))):
-        rho = np.einsum("ai,bj->abij", amp, amp.conj()).reshape(d, d, m * m)
-        expected = np.einsum("abx,spx->spab", rho, e.reshape(2, 16, m * m))
-        got = ex._gram(amp, e)
-        assert got.dtype == expected.dtype and got.shape == (2, 16, d, d)
-        assert np.abs(got - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
-    # Each setting's Gram blocks are Hermitian, and real for the magnitudes.
-    gram = ex._gram(psi, ops)
-    assert np.abs(gram - np.swapaxes(gram, -1, -2).conj()).max() <= 1e-13
-    assert ex._gram(abs(psi), abs(ops)).dtype == float
-
-
 def _per_process_caches():
     """Every functools cache of the package, with the modules that name it."""
     modules = (analysis, bisa, cli, ex, fock, states, timeline)
@@ -831,17 +856,18 @@ def test_build_caches_hold_structure_only(monkeypatch):
 @pytest.mark.parametrize("kw", [dict(), dict(spdc_order=2, n_max=2, input_transmission=0.5)])
 def test_magnitude_gram_bounds_the_gram(monkeypatch, kw):
     # The cancellation cut compares each entry with the same contraction on
-    # magnitudes.  Per sector the engine forms the Gram from the amplitudes
-    # and Victor's pulled-back E, then its bound from |psi| and E's real,
-    # nonnegative magnitudes, which bounds the Gram entry by entry.
+    # magnitudes.  The engine pulls Victor's E and its magnitudes E_mag back
+    # onto each sector; E_mag is real, nonnegative and bounds |E| entry by
+    # entry, so |amp| E_mag |amp| bounds the Gram amp E amp.
     calls = []
-    gram = ex._gram
-    monkeypatch.setattr(ex, "_gram", lambda psi, ops: calls.append((psi, ops)) or gram(psi, ops))
-    ex.build_engine(ex.ExperimentConfig(mode="fock", **kw))
-    assert calls and len(calls) % 2 == 0
-    for (psi, e), (mag, e_mag) in zip(calls[::2], calls[1::2]):
-        assert np.iscomplexobj(psi) and np.array_equal(mag, abs(psi))
+    pull = ex.pull_back_loss
+    monkeypatch.setattr(ex, "pull_back_loss", lambda *a: calls.append(pull(*a)) or calls[-1])
+    cfg = ex.ExperimentConfig(mode="fock", **kw)
+    ex.build_engine(cfg)
+    assert len(calls) == 2
+    sectors = ex._source_sectors(cfg.tau, cfg.spdc_order)
+    assert len(calls[0]) == len(calls[1]) == len(sectors)
+    for e, e_mag, (occs, _) in zip(*calls, sectors.values()):
+        assert e.shape == e_mag.shape == (2, len(bisa.PATTERNS), len(occs), len(occs))
         assert e_mag.dtype == float and (e_mag >= 0.0).all()
-        assert e.shape == e_mag.shape == (2, len(bisa.PATTERNS), psi.shape[1], psi.shape[1])
-        bound = gram(mag, e_mag)
-        assert (abs(gram(psi, e)) <= bound * (1.0 + 1e-12)).all()
+        assert (abs(e) <= e_mag * (1.0 + 1e-12)).all()
