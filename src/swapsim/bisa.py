@@ -9,10 +9,14 @@ photon entering input b exits output b''.
 
 Spatial labels: inputs "b"/"c", outputs "b2"/"c2" (for b'' and c'').
 
-The analyzer's optics are its transfer maps on input occupations
-(:func:`transfer_map`), and its four threshold detectors are read out by
-one click model (:func:`victor_detection`), which both the fock engine and
-:func:`verify_evolution` use.
+The analyzer's optics are its coherent transfer map on input occupations
+(:func:`transfer_map`).  At finite visibility Victor's detectors see a
+mixture of two passes in one column space (:func:`victor_detection`): the
+coherent pass's outputs, then the distinguishable pass's, in which the b
+and c photons pass separate copies of the analyzer, so its map is the
+product of two coherent passes and each detector counts the photons of
+both.  One click model reads out the four threshold detectors, for the
+fock engine and :func:`verify_evolution` alike.
 """
 
 from __future__ import annotations
@@ -50,20 +54,13 @@ class BisaOutcome(enum.Enum):
     DISCARD = "discard"
 
 
-# The analyzer's registers: its inputs, the outputs of the coherent pass,
-# and those of the distinguishable pass, whose tagged population leaves on
-# the twins b2~ and c2~ (the input c becomes c2~ in place; c2 and b2~ follow).
+# The analyzer's registers: its inputs and the outputs of a coherent pass.
 INPUT_REGISTER = (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V"))
 OUTPUT_REGISTER = (("b2", "H"), ("b2", "V"), ("c2", "H"), ("c2", "V"))
-TAGGED_REGISTER = (("b2", "H"), ("b2", "V"), ("c2~", "H"), ("c2~", "V"),
-                   ("c2", "H"), ("c2", "V"), ("b2~", "H"), ("b2~", "V"))
 
-# Victor's detectors, and the output modes each one watches in the coherent
-# pass ("b2H" watches ("b2", "H")) and in the distinguishable one (the
-# untagged output and its twin, ("b2~", "H")).
+# Victor's detectors, each watching the output mode of its name ("b2H"
+# watches ("b2", "H")), in OUTPUT_REGISTER order.
 VICTOR_DETECTORS = ("b2H", "b2V", "c2H", "c2V")
-DETECTOR_BANK = {d: ((d[:2], d[2]),) for d in VICTOR_DETECTORS}
-DETECTOR_BANK_TAGGED = {d: ((d[:2], d[2]), (d[:2] + "~", d[2])) for d in VICTOR_DETECTORS}
 # Victor's click patterns: which of VICTOR_DETECTORS click, one row of
 # _MASKS each, and the detectors that click, one tuple of PATTERNS each.
 _MASKS = np.array(list(itertools.product((False, True), repeat=len(VICTOR_DETECTORS))))
@@ -96,7 +93,7 @@ def _capped_pass(setting: BisaSetting, n: int, n_max: int):
     photons: ``(outputs, T)``, the output occupations of OUTPUT_REGISTER
     with no mode above ``n_max``, and ``T[i, j]``, the amplitude of
     ``outputs[j]`` for ``occupations(4, n)[i]``, not pruned.  Builds read
-    it through :func:`_detector_view`, which keeps the passes they use.
+    it through :func:`transfer_map`.
 
     The optics keep the photon number n, so the pass is the n-photon lifts
     of the steps (:func:`_lifted_steps`).  Every step drops the occupations
@@ -115,11 +112,17 @@ def _capped_pass(setting: BisaSetting, n: int, n_max: int):
     return [occ for occ, drop in zip(occs, capped) if not drop], transfer
 
 
-def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
-    """The coherent pass of the basis states ``inputs`` of INPUT_REGISTER, at
-    most ``n_max`` each: ``(outputs, T)``, the output occupations of
-    :func:`_capped_pass` for the photon numbers of the inputs, and
-    ``T[i, j]``, the amplitude of ``outputs[j]`` for ``inputs[i]``."""
+def transfer_map(setting: BisaSetting, inputs, n_max: int):
+    """Dense transfer map of the analyzer's coherent pass on input occupations.
+
+    ``inputs`` are occupations of INPUT_REGISTER, at most ``n_max`` each.
+    Returns ``(outputs, T)``: the output occupations of OUTPUT_REGISTER
+    reached, sorted, and ``T[i, j]``, the amplitude of ``outputs[j]`` for
+    ``inputs[i]``; amplitudes of at most PRUNE_TOL count as unreached.  By
+    linearity, a state sum_i psi_i |inputs[i]> (spectators included) leaves
+    as sum_ij psi_i T[i, j] |outputs[j]>, reading :func:`_capped_pass` per n.
+    """
+    inputs = [tuple(occ) for occ in inputs]
     outputs: list = []
     blocks = [np.zeros((len(inputs), 0), dtype=complex)]
     for n in sorted({sum(occ) for occ in inputs}):
@@ -130,42 +133,10 @@ def _coherent_pass(setting: BisaSetting, inputs: list, n_max: int):
         block[rows] = transfer[[occs.index(inputs[r]) for r in rows]]
         blocks.append(block)
         outputs += outs
-    return outputs, np.concatenate(blocks, axis=1)
-
-
-def transfer_map(setting: BisaSetting, inputs, n_max: int, distinguishable: bool = False):
-    """Dense transfer map of one analyzer pass on input occupations.
-
-    ``inputs`` are occupations of INPUT_REGISTER, at most ``n_max`` each.
-    Returns ``(modes, outputs, T)``: the output register (OUTPUT_REGISTER,
-    or TAGGED_REGISTER for the distinguishable pass), the output occupations
-    reached, sorted, and ``T[i, j]``, the amplitude of ``outputs[j]`` for
-    ``inputs[i]``; amplitudes of at most PRUNE_TOL count as unreached.  By
-    linearity, a state sum_i psi_i |inputs[i]> (spectators included) leaves
-    as sum_ij psi_i T[i, j] |outputs[j]>.
-    """
-    inputs = [tuple(occ) for occ in inputs]
-    if not distinguishable:
-        modes = OUTPUT_REGISTER
-        outputs, transfer = _coherent_pass(setting, inputs, n_max)
-    else:
-        # The two populations pass tagged copies of the analyzer, so the map
-        # is the product of the coherent passes of the b population alone and
-        # of the c population alone.  Every amplitude is at most 1, so an
-        # output of one factor that no amplitude reaches above PRUNE_TOL stays
-        # below it in the product, and is dropped first.
-        factors = []
-        for part in (lambda occ: occ[:2] + (0, 0), lambda occ: (0, 0) + occ[2:]):
-            outs, psi = _coherent_pass(setting, [part(occ) for occ in inputs], n_max)
-            cols = np.flatnonzero((abs(psi) > PRUNE_TOL).any(axis=0))
-            factors.append((psi[:, cols], [outs[j] for j in cols]))
-        (t_b, out_b), (t_c, out_c) = factors
-        modes = TAGGED_REGISTER
-        outputs = [(x[0], x[1], y[2], y[3], x[2], x[3], y[0], y[1]) for x in out_b for y in out_c]
-        transfer = np.einsum("ij,ik->ijk", t_b, t_c).reshape(len(inputs), len(outputs))
+    transfer = np.concatenate(blocks, axis=1)
     transfer[abs(transfer) <= PRUNE_TOL] = 0.0
     reached = sorted(np.flatnonzero(transfer.any(axis=0)), key=outputs.__getitem__)
-    return modes, [outputs[j] for j in reached], transfer[:, reached]
+    return [outputs[j] for j in reached], transfer[:, reached]
 
 
 _BSM_TABLE = {
@@ -207,36 +178,54 @@ def analyzer_mixture(visibility: float):
 @functools.cache  # structure only: two settings, a few input lists and caps per process
 def _detector_view(setting: BisaSetting, inputs: tuple, n_max: int, distinguishable: bool):
     """One analyzer pass of ``inputs`` as Victor's detectors see it:
-    ``(T, counts)``, the pass's transfer map (:func:`transfer_map`) and
-    ``counts[j, d]``, the photons detector d of VICTOR_DETECTORS sees in
-    output occupation j of ``T``, both read-only.  It holds no detection
-    probability, so every efficiency and visibility shares it."""
-    modes, outputs, transfer = transfer_map(setting, inputs, n_max, distinguishable)
-    bank = DETECTOR_BANK_TAGGED if distinguishable else DETECTOR_BANK
-    watched = np.array([[modes.index(m) for m in bank[d]] for d in VICTOR_DETECTORS])
-    counts = np.array(outputs, dtype=int).reshape(-1, len(modes))[:, watched].sum(axis=-1)
+    ``(T, counts)``, the pass's transfer map, ``T[i, j]`` the amplitude of
+    output j for ``inputs[i]``, and ``counts[j, d]``, the photons detector d
+    of VICTOR_DETECTORS sees in output j, both read-only.  It holds no
+    detection probability, so every efficiency and visibility shares it.
+
+    The coherent pass's outputs are those of :func:`transfer_map`, so its
+    counts are the output occupations themselves.  In the distinguishable
+    pass the b photons and the c photons pass separate copies of the
+    analyzer: output (j_b, j_c), in row-major order, is output j_b of the
+    coherent pass of the b photons alone and j_c of the c photons alone, so
+    T is the product of those two maps and each detector counts the photons
+    of both.  Outputs that no input reaches above PRUNE_TOL are dropped.
+    """
+    if not distinguishable:
+        outputs, transfer = transfer_map(setting, inputs, n_max)
+        counts = np.array(outputs, dtype=int).reshape(-1, len(VICTOR_DETECTORS))
+    else:
+        (out_b, t_b), (out_c, t_c) = (
+            transfer_map(setting, [part(occ) for occ in inputs], n_max)
+            for part in (lambda occ: occ[:2] + (0, 0), lambda occ: (0, 0) + occ[2:]))
+        transfer = np.einsum("ij,ik->ijk", t_b, t_c).reshape(len(inputs), -1)
+        counts = (np.array(out_b)[:, None] + np.array(out_c)).reshape(-1, len(VICTOR_DETECTORS))
+        transfer[abs(transfer) <= PRUNE_TOL] = 0.0
+        reached = transfer.any(axis=0)
+        transfer, counts = transfer[:, reached], counts[reached]
     transfer.flags.writeable = counts.flags.writeable = False
     return transfer, counts
 
 
 def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float, eta: float):
     """Victor's detection of the analyzer inputs ``inputs`` (occupations of
-    INPUT_REGISTER): one ``(T, clicks)`` per part of the analyzer mixture at
-    ``visibility``, with ``T`` the part's transfer map (read-only) and
-    ``clicks[j, k]`` the part's weight times the probability of click
-    pattern PATTERNS[k] given output occupation j of ``T``.  Each detector
-    is a threshold detector of efficiency ``eta`` on the photons of the
-    modes it watches.  The passes are built once per process
+    INPUT_REGISTER) at ``visibility``: ``(T, clicks)``, whose columns are
+    the outputs of each part of the analyzer mixture in turn (the coherent
+    pass's, then the distinguishable pass's), with ``T[i, j]`` the part's
+    amplitude of output j for ``inputs[i]`` and ``clicks[j, k]`` the part's
+    weight times the probability of click pattern PATTERNS[k] given output
+    j.  Each detector is a threshold detector of efficiency ``eta`` on the
+    photons it counts.  The passes are built once per process
     (:func:`_detector_view`); the clicks on every call.
     """
     inputs = tuple(map(tuple, inputs))
-    parts = []
+    transfers, clicks = [], []
     for distinguishable, weight in analyzer_mixture(visibility):
         transfer, counts = _detector_view(setting, inputs, n_max, distinguishable)
         silent, click = click_probability(counts, eta)
-        clicks = weight * np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1)
-        parts.append((transfer, clicks))
-    return parts
+        transfers.append(transfer)
+        clicks.append(weight * np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1))
+    return np.concatenate(transfers, axis=1), np.concatenate(clicks)
 
 
 def verify_evolution(kind: str, setting: BisaSetting, visibility: float = 1.0) -> dict[BisaOutcome, float]:
@@ -246,10 +235,9 @@ def verify_evolution(kind: str, setting: BisaSetting, visibility: float = 1.0) -
     psi = states.bell_state(kind).amplitudes
     # Basis state |pq> of the Bell state: polarization p on b, q on c (H = 0).
     inputs = [(1 - p, p, 1 - q, q) for p in (0, 1) for q in (0, 1)]
-    probs = 0.0
     # Two photons never exceed a cap of 2.
-    for transfer, clicks in victor_detection(setting, inputs, 2, visibility, 1.0):
-        probs = probs + np.einsum("j,jk->k", abs(np.einsum("i,ij->j", psi, transfer)) ** 2, clicks)
+    transfer, clicks = victor_detection(setting, inputs, 2, visibility, 1.0)
+    probs = np.einsum("j,jk->k", abs(np.einsum("i,ij->j", psi, transfer)) ** 2, clicks)
     out: dict[BisaOutcome, float] = {}
     for pattern, p in zip(PATTERNS, probs):
         if p > 0.0:

@@ -55,6 +55,21 @@ def _field_types(cls) -> MappingProxyType:
     return MappingProxyType(get_type_hints(cls))
 
 
+# The config field types, as config errors name them.
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               tuple[str, ...]: "a tuple of strings", DelayBudget: "a DelayBudget"}
+
+
+def _is_a(kind, value) -> bool:
+    """Whether ``value`` has the field type ``kind``; a bool is no number
+    here, and an int is a float too."""
+    if kind == tuple[str, ...]:
+        return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+    if kind in (int, float):
+        return not isinstance(value, bool) and isinstance(value, (int, kind))
+    return isinstance(value, kind)
+
+
 @dataclass
 class ExperimentConfig:
     mode: str = "ideal"  # "ideal" or "fock"
@@ -78,8 +93,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, kind in _field_types(type(self)).items():
-            if kind is float and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_a(kind, value):
+                raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mode not in ("ideal", "fock"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
@@ -247,8 +265,8 @@ CANCELLATION_TOL = 1e-12
 # never matmul, dot, tensordot or einsum(optimize=...): _povm's real weights
 # against the outer products "jk,jx->kx", and the final contraction,
 # Alice's side "Xaji,spikjl->sXapkl" then Bob's "Yblk,sXapkl->sXYabp"; the
-# Gram is an elementwise product.  fock.lift and bisa.transfer_map call no
-# BLAS either: the first BLAS call of a process keeps about 0.5 MiB
+# Gram is an elementwise product.  fock.lift and bisa._detector_view call
+# no BLAS either: the first BLAS call of a process keeps about 0.5 MiB
 # resident for good.
 
 
@@ -324,9 +342,9 @@ class FockEngine:
       photons of mode 1 or 4, R the lift of the axis rotation to them;
       fiber depolarization folds into P as a flip of +1/-1.
     * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
-      transfer map on the b/c input occupations, summed over the analyzer
-      parts with their weights (bisa.victor_detection gives T and the
-      weighted P of each part), then pulled back through the input loss:
+      transfer map on the b/c input occupations with the outputs of both
+      analyzer parts as columns, and P weighted by each output's part
+      (bisa.victor_detection), then pulled back through the input loss:
       Tr[loss(rho) E_p] = Tr[rho loss^dagger(E_p)] (fock.pull_back_loss).
 
     The state enters in closed form (``_source_sectors``): per (n1, n4)
@@ -376,18 +394,15 @@ class FockEngine:
         inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
         left = {n: [occ for occ in inputs if sum(occ) == n]
                 for n in range(2 * config.spdc_order + 1)}
-        # Victor's E_p, and its magnitudes, on the inputs of each n, summed
-        # over the analyzer parts and stacked over the settings as [s, p, i, i'].
+        # Victor's E_p, and its magnitudes, on the inputs of each n, stacked
+        # over the settings as [s, p, i, i'].
         victor = {}
         for n, occs in left.items():
             per_setting = []
             for setting in BisaSetting:
-                e = e_mag = 0.0
-                for transfer, clicks in victor_detection(setting, occs, n_max, config.visibility, eta):
-                    t = transfer.T
-                    e = e + _povm(t, clicks, t.conj())
-                    e_mag = e_mag + _povm(abs(t), clicks, abs(t))
-                per_setting.append((e, e_mag))
+                transfer, clicks = victor_detection(setting, occs, n_max, config.visibility, eta)
+                t = transfer.T
+                per_setting.append((_povm(t, clicks, t.conj()), _povm(abs(t), clicks, abs(t))))
             victor[n] = tuple(map(np.stack, zip(*per_setting)))
         # Input loss in the Heisenberg picture: both pulled back onto each
         # sector's occupations with the same nonnegative weights.
@@ -917,26 +932,20 @@ def _from_fields(cls, values, section: str):
 def _coerce(section: str, key: str, kind, value):
     if is_dataclass(kind):
         return _from_fields(kind, value, key)
-    name = f"{section}.{key}"
-    if kind == tuple[str, ...]:
-        if isinstance(value, str):
-            value = [part.strip() for part in value.split(",") if part.strip()]
-        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-            raise ValueError(f"{name} must be a list of strings, got {value!r}")
-        return tuple(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string, got {value!r}")
-        return value
-    expected = "an integer" if kind is int else "a number"
-    if isinstance(value, str):
+    # Config files give strings, the bases comma-separated; log headers lists.
+    typed = value
+    if kind == tuple[str, ...] and isinstance(value, str):
+        typed = tuple(filter(None, map(str.strip, value.split(","))))
+    elif kind == tuple[str, ...] and isinstance(value, list):
+        typed = tuple(value)
+    elif kind in (int, float) and isinstance(value, str):
         try:
-            value = kind(value)
+            typed = kind(value)
         except ValueError:
-            raise ValueError(f"{name} must be {expected}, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
-        raise ValueError(f"{name} must be {expected}, got {value!r}")
-    return kind(value)
+            pass  # reported below
+    if not _is_a(kind, typed):
+        raise ValueError(f"{section}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(typed) if kind is float else typed
 
 
 def run_summary(log: TrialLog) -> dict:

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from swapsim import bisa, fock, states
 from swapsim.bisa import BisaOutcome, BisaSetting
-from step_oracle import analyzer_pass
+from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass
 
 
 def test_setting_from_bit():
@@ -20,13 +22,13 @@ def _bell_output(kind, setting):
     """Output amplitudes of the coherent pass of a Bell state of one photon
     on each of b and c, by output occupation."""
     inputs = [(1 - p, p, 1 - q, q) for p in (0, 1) for q in (0, 1)]
-    _, outputs, transfer = bisa.transfer_map(setting, inputs, 3)
+    outputs, transfer = bisa.transfer_map(setting, inputs, 3)
     return dict(zip(outputs, states.bell_state(kind).amplitudes @ transfer))
 
 
 def test_ssm_acts_as_mirror():
     # Every photon entering input b exits output b'' (up to a sign).
-    _, outputs, transfer = bisa.transfer_map(BisaSetting.SSM, SINGLE_PHOTONS[:3], 3)
+    outputs, transfer = bisa.transfer_map(BisaSetting.SSM, SINGLE_PHOTONS[:3], 3)
     for row, out_occ in zip(transfer, SINGLE_PHOTONS[:3]):
         amps = dict(zip(outputs, row))
         assert abs(abs(amps.pop(out_occ)) - 1.0) < 1e-12
@@ -69,7 +71,7 @@ def test_bsm_single_photon_transfer_matrix_oracle():
     lock = np.diag([-1.0, -1.0, 1.0, 1.0])
     transfer = bs @ lock @ qwp @ bs
 
-    _, outputs, got = bisa.transfer_map(BisaSetting.BSM, SINGLE_PHOTONS, 3)
+    outputs, got = bisa.transfer_map(BisaSetting.BSM, SINGLE_PHOTONS, 3)
     assert outputs == sorted(SINGLE_PHOTONS)
     # got[i, j]: the amplitude of output occupation j for input photon i.
     rows = [outputs.index(occ) for occ in SINGLE_PHOTONS]
@@ -146,22 +148,46 @@ def _engine_inputs(order):
     return [b + c for b in split for c in split]
 
 
+# The oracle's tagged output x of the distinguishable pass is the coherent
+# output (x0, x1, x4, x5) of the b photons and (x6, x7, x2, x3) of the c photons.
+def _untagged(x):
+    return (x[0], x[1], x[4], x[5]), (x[6], x[7], x[2], x[3])
+
+
 @pytest.mark.parametrize("distinguishable", [False, True], ids=["coherent", "tagged"])
 @pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
 @pytest.mark.parametrize("n_max", [2, 3, 4])
 def test_transfer_map_equals_step_oracle(n_max, setting, distinguishable):
+    # Each pass as Victor's detectors see it, column by column, against the
+    # oracle's outputs and its detector banks.
     inputs = _engine_inputs(min(3, n_max))
-    modes, outputs, transfer = bisa.transfer_map(setting, inputs, n_max, distinguishable)
+    transfer, counts = bisa._detector_view(setting, tuple(inputs), n_max, distinguishable)
     passed = [analyzer_pass(fock.FockVector(bisa.INPUT_REGISTER, n_max, {occ: 1.0}),
                            setting, distinguishable) for occ in inputs]
-    assert modes == passed[0].modes
-    assert outputs == sorted({occ for out in passed for occ in out.amp})
-    column = {occ: j for j, occ in enumerate(outputs)}
-    expected = np.zeros_like(transfer)
+    bank = VICTOR_BANK_TAGGED if distinguishable else VICTOR_BANK
+    assert list(bank) == list(bisa.VICTOR_DETECTORS)
+    watched = [[passed[0].mode_index(m) for m in modes] for modes in bank.values()]
+    if distinguishable:
+        label = _untagged
+        # Columns (j_b, j_c) in row-major order over the coherent outputs of
+        # the b photons alone and of the c photons alone.
+        halves = [bisa.transfer_map(setting, [part(occ) for occ in inputs], n_max)[0]
+                  for part in (lambda occ: occ[:2] + (0, 0), lambda occ: (0, 0) + occ[2:])]
+        columns = list(itertools.product(*halves))
+    else:
+        assert passed[0].modes == bisa.OUTPUT_REGISTER
+        label = tuple
+        columns, coherent = bisa.transfer_map(setting, inputs, n_max)
+        assert columns == sorted(columns) and np.array_equal(coherent, transfer)
+    expected, seen = {}, {}
     for i, out in enumerate(passed):
         for occ, a in out.amp.items():
-            expected[i, column[occ]] = a
-    assert np.abs(transfer - expected).max() <= 1e-14
+            expected.setdefault(label(occ), np.zeros(len(inputs), dtype=complex))[i] = a
+            seen[label(occ)] = [sum(occ[m] for m in idx) for idx in watched]
+    columns = [c for c in columns if c in expected]
+    assert set(columns) == set(expected) and transfer.shape == (len(inputs), len(columns))
+    assert np.array_equal(counts, [seen[c] for c in columns])
+    assert np.abs(transfer - np.array([expected[c] for c in columns]).T).max() <= 1e-14
     # The weight each input loses to the photon cap.
     lost = 1.0 - (np.abs(transfer) ** 2).sum(axis=1)
     assert np.abs(lost - np.array([1.0 - out.norm_sq() for out in passed])).max() <= 1e-14
@@ -172,14 +198,14 @@ def test_transfer_map_truncates_at_the_cap(setting):
     # Two H photons on each input bunch into one mode at the first splitter
     # (Hong-Ou-Mandel), and the cap of 3 drops the 4-photon terms.
     inputs = [(2, 0, 2, 0)]
-    _, _, transfer = bisa.transfer_map(setting, inputs, 3)
+    _, transfer = bisa.transfer_map(setting, inputs, 3)
     state = fock.FockVector(bisa.INPUT_REGISTER, 3, {inputs[0]: 1.0})
     oracle = analyzer_pass(state, setting, False)
     lost = 1.0 - (np.abs(transfer) ** 2).sum()
     assert lost > 0.1
     assert abs(lost - (1.0 - oracle.norm_sq())) <= 1e-14
     # Below the cap nothing is lost.
-    _, _, transfer = bisa.transfer_map(setting, inputs, 4)
+    _, transfer = bisa.transfer_map(setting, inputs, 4)
     assert abs((np.abs(transfer) ** 2).sum() - 1.0) <= 1e-14
 
 

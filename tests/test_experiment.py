@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -53,6 +54,27 @@ def test_config_validation():
     with pytest.raises(ValueError, match=r"spdc_order must not exceed n_max \(1\), got 2"):
         ex.ExperimentConfig(mode="fock", n_max=1)
     ex.ExperimentConfig(mode="fock", spdc_order=1, n_max=1)
+    # An int is a valid float.
+    ex.ExperimentConfig(tau=1, duty_cycle=1)
+
+
+@pytest.mark.parametrize("kw, message", [
+    # A string is no tuple of bases: "zx" would run as z and x.
+    (dict(alice_bases="zx"), "alice_bases must be a tuple of strings, got 'zx'"),
+    (dict(bob_bases=["z"]), "bob_bases must be a tuple of strings"),
+    (dict(bob_bases=("z", 1)), "bob_bases must be a tuple of strings"),
+    (dict(trials=2.5), "trials must be an integer, got 2.5"),
+    (dict(trials=True), "trials must be an integer, got True"),
+    (dict(master_seed=1.0), "master_seed must be an integer"),
+    (dict(tau="0.5"), "tau must be a number, got '0.5'"),
+    (dict(detector_efficiency=False), "detector_efficiency must be a number"),
+    (dict(mode=1), "mode must be a string"),
+    (dict(budget=None), "budget must be a DelayBudget"),
+], ids=["bases-str", "bases-list", "bases-int", "trials-float", "trials-bool", "seed-float",
+        "tau-str", "efficiency-bool", "mode-int", "budget-none"])
+def test_config_validation_of_field_types(kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ex.ExperimentConfig(**kw)
 
 
 def test_run_trials_positive():
@@ -871,3 +893,25 @@ def test_magnitude_gram_bounds_the_gram(monkeypatch, kw):
         assert e.shape == e_mag.shape == (2, len(bisa.PATTERNS), len(occs), len(occs))
         assert e_mag.dtype == float and (e_mag >= 0.0).all()
         assert (abs(e) <= e_mag * (1.0 + 1e-12)).all()
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(spdc_order=2, n_max=2, input_transmission=0.5)])
+def test_tables_ignore_the_phases_of_victors_outputs(monkeypatch, kw):
+    # E_p = T diag(P) T^dagger keeps no phase of an output of T.  The
+    # analyzer's T happens to be real, so only outputs that carry random unit
+    # phases show that the engine conjugates T where E_p needs it.
+    cfg = ex.ExperimentConfig(mode="fock", **kw)
+    expected = ex.build_engine(cfg)._dist
+    rng = np.random.default_rng(21)
+    view = bisa._detector_view
+
+    def phased(*args):
+        transfer, counts = view(*args)
+        return transfer * np.exp(2j * np.pi * rng.random(transfer.shape[1])), counts
+
+    monkeypatch.setattr(bisa, "_detector_view", phased)
+    got = ex.build_engine(cfg)._dist
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert np.array_equal(got[key] > 0.0, expected[key] > 0.0)
+        assert np.abs(got[key] - expected[key]).max() <= 1e-15

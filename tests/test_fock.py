@@ -206,10 +206,8 @@ def test_pull_back_loss_of_victor_povm_where_the_cap_binds(eta, setting):
     by_n = [[occ for occ in inputs if sum(occ) == n] for n in range(5)]
     blocks = []
     for occs in by_n:
-        ops = 0.0
-        for transfer, clicks in bisa.victor_detection(setting, occs, 2, 0.7, 0.6):
-            ops = ops + np.einsum("ij,jp,kj->pik", transfer, clicks, transfer.conj())
-        blocks.append((occs, ops))
+        transfer, clicks = bisa.victor_detection(setting, occs, 2, 0.7, 0.6)
+        blocks.append((occs, np.einsum("ij,jp,kj->pik", transfer, clicks, transfer.conj())))
     # The cap drops weight: E summed over the patterns is not the identity.
     assert max(abs(ops.sum(axis=0) - np.eye(len(occs))).max() for occs, ops in blocks) > 0.1
     pulled = fock.pull_back_loss(blocks, by_n, range(4), eta)
@@ -250,10 +248,9 @@ def test_pattern_distribution_normalized():
     inputs = list(s.amp)
     psi = np.array([s.amp[occ] for occ in inputs])
     for setting in BisaSetting:
-        dist = 0.0
         # A cap of 4 keeps every output of the two pairs.
-        for transfer, clicks in bisa.victor_detection(setting, inputs, 4, 0.7, 0.6):
-            dist = dist + (np.abs(psi @ transfer) ** 2) @ clicks
+        transfer, clicks = bisa.victor_detection(setting, inputs, 4, 0.7, 0.6)
+        dist = (np.abs(psi @ transfer) ** 2) @ clicks
         assert abs(dist.sum() - s.norm_sq()) < 1e-12
         assert (dist >= 0).all()
 
@@ -262,15 +259,17 @@ def test_pattern_distribution_normalized():
 @pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
 def test_victor_clicks_sum_to_part_weight(setting, eta):
     # Every output occupation makes exactly one click pattern, so each row
-    # of a part's clicks sums to the part's weight.
+    # of a part's column block of clicks sums to the part's weight.
     split = [(h, n - h) for n in range(3) for h in range(n + 1)]
     inputs = [b + c for b in split for c in split]
-    parts = bisa.victor_detection(setting, inputs, 3, 0.7, eta)
-    assert len(parts) == 2
-    for (transfer, clicks), (_, weight) in zip(parts, bisa.analyzer_mixture(0.7)):
-        assert clicks.shape == (transfer.shape[1], len(bisa.PATTERNS))
-        assert np.abs(clicks.sum(axis=1) - weight).max() < 1e-12
-        assert (clicks >= 0).all()
+    transfer, clicks = bisa.victor_detection(setting, inputs, 3, 0.7, eta)
+    assert clicks.shape == (transfer.shape[1], len(bisa.PATTERNS))
+    assert (clicks >= 0).all()
+    widths = [bisa._detector_view(setting, tuple(inputs), 3, d)[0].shape[1] for d in (False, True)]
+    assert sum(widths) == len(clicks)
+    parts = bisa.analyzer_mixture(0.7)
+    for rows, (_, weight) in zip(np.split(clicks.sum(axis=1), widths[:1]), parts, strict=True):
+        assert np.abs(rows - weight).max() < 1e-12
 
 
 def test_threshold_efficiency():
