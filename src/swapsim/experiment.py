@@ -32,8 +32,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
-from types import MappingProxyType
-from typing import get_type_hints
 
 import numpy as np
 
@@ -41,33 +39,13 @@ from . import states
 from .bisa import INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, classify, victor_detection
 from .fock import click_probability, lift, occupations, pull_back_loss
 from .qrng import QrngConfig, QrngSimulator
-from .timeline import DelayBudget, EventTimes, check_delayed_choice, event_times
+from .timeline import (DelayBudget, EventTimes, _check_field_types, _field_types, _is_a,
+                       _KIND_NAMES, check_delayed_choice, event_times)
 
 KEPT_OUTCOMES = {
     BisaSetting.BSM: (BisaOutcome.PHI_PLUS_23, BisaOutcome.PHI_MINUS_23),
     BisaSetting.SSM: (BisaOutcome.HH_23, BisaOutcome.VV_23),
 }
-
-
-@functools.cache  # a few dataclasses per process
-def _field_types(cls) -> MappingProxyType:
-    """The resolved type hints of ``cls``, read-only."""
-    return MappingProxyType(get_type_hints(cls))
-
-
-# The config field types, as config errors name them.
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
-               tuple[str, ...]: "a tuple of strings", DelayBudget: "a DelayBudget"}
-
-
-def _is_a(kind, value) -> bool:
-    """Whether ``value`` has the field type ``kind``; a bool is no number
-    here, and an int is a float too."""
-    if kind == tuple[str, ...]:
-        return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
-    if kind in (int, float):
-        return not isinstance(value, bool) and isinstance(value, (int, kind))
-    return isinstance(value, kind)
 
 
 @dataclass
@@ -92,12 +70,7 @@ class ExperimentConfig:
     budget: DelayBudget = field(default_factory=DelayBudget)
 
     def __post_init__(self):
-        for name, kind in _field_types(type(self)).items():
-            value = getattr(self, name)
-            if not _is_a(kind, value):
-                raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-            if kind is float and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _check_field_types(self)
         if self.mode not in ("ideal", "fock"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
@@ -252,9 +225,9 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # terms it is summed from (over losses, analyzer outputs, amplitudes and
 # rotation entries alike, each times its click probabilities) is the
 # rounding residue of an exact cancellation, and counts as absent.  That sum
-# is the table's contraction run on magnitudes: |amp| E'_mag |amp|, with
-# E'_mag Victor's POVM built from |T| and pulled back with the loss's
-# nonnegative weights, then met by the parties' POVMs built from |R|.  In
+# is the table's own trace run on the magnitudes |amp|, |R| and |T| of the
+# amplitudes, rotation lifts and transfer maps: every other factor (click
+# probabilities, loss weights) is nonnegative already.  In
 # exact arithmetic an entry is a sum of nonnegative probabilities, one per
 # photon-number sector and analyzer part, so no cancellation happens between
 # them and one test per entry suffices.  Rounding leaves at most a few
@@ -357,6 +330,9 @@ class FockEngine:
     blocks G_p[a, a'] = Tr_bc[rho E_p] = amp[a] E_p[a, a'] amp[a'] of both
     settings, which meet F_a of every Alice basis and then F_b of every
     Bob basis in one pass; the tables are split per setting at the end.
+    That contraction is written once, as ``trace(part)``, and run twice: on
+    amp, R and T for the tables, and on their ``abs`` for the bound that
+    CANCELLATION_TOL scales.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -376,56 +352,46 @@ class FockEngine:
         # and 0 stays 0; flip[i, j] is P(j | i) over _PARTY_OUTCOMES.
         q = 2.0 * (1.0 - config.fiber_polarization_fidelity) / 3.0
         flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
-        # Alice's and Bob's POVMs, and their magnitudes, per (axis, n), then
-        # stacked over each party's bases as [X, o, i, i'].
         ns = range(config.spdc_order + 1)
-        povms = {}
-        for axis in {*config.alice_bases, *config.bob_bases}:
-            for n in ns:
-                block = _rotation_lift(axis, n)
-                clicks = np.einsum("io,op->ip", _party_clicks(n, eta), flip)
-                povms[(axis, n)] = (_povm(block.conj(), clicks, block),
-                                   _povm(abs(block), clicks, abs(block)))
-        party = {}
-        for bases in (config.alice_bases, config.bob_bases):
-            for n in ns:
-                party[(bases, n)] = tuple(map(np.stack, zip(*(povms[(axis, n)] for axis in bases))))
-        # The emitted input occupations, closed under loss, per photon number n.
+        party_clicks = {n: np.einsum("io,op->ip", _party_clicks(n, eta), flip) for n in ns}
+        # The emitted input occupations, closed under loss, per photon number
+        # n, and Victor's (T, clicks) on them per setting.
         inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
         left = {n: [occ for occ in inputs if sum(occ) == n]
                 for n in range(2 * config.spdc_order + 1)}
-        # Victor's E_p, and its magnitudes, on the inputs of each n, stacked
-        # over the settings as [s, p, i, i'].
-        victor = {}
-        for n, occs in left.items():
-            per_setting = []
-            for setting in BisaSetting:
-                transfer, clicks = victor_detection(setting, occs, n_max, config.visibility, eta)
-                t = transfer.T
-                per_setting.append((_povm(t, clicks, t.conj()), _povm(abs(t), clicks, abs(t))))
-            victor[n] = tuple(map(np.stack, zip(*per_setting)))
-        # Input loss in the Heisenberg picture: both pulled back onto each
-        # sector's occupations with the same nonnegative weights.
-        pulled = (pull_back_loss([(left[n], victor[n][part]) for n in left],
-                                 [occs for occs, _ in sectors.values()],
-                                 range(len(INPUT_REGISTER)), config.input_transmission)
-                  for part in (0, 1))
-        # Per (n1, n4) the Gram G_p = amp E'_p amp, and its bound from |amp|
-        # and E'_mag, as [s, p, x1, x4, y1, y4], meet every basis pair at once:
-        # [s, X, Y, a, b, p] for Alice's basis X and Bob's basis Y.
-        cat = scale = 0.0
-        for ((n1, n4), (_, amp)), e, e_mag in zip(sectors.items(), *pulled):
-            shape = (len(BisaSetting), len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
-            fa, fa_mag = party[(config.alice_bases, n1)]
-            fb, fb_mag = party[(config.bob_bases, n4)]
-            gram = (amp[:, None] * e * amp).reshape(shape)
-            cat = cat + np.einsum("Yblk,sXapkl->sXYabp", fb,
-                                  np.einsum("Xaji,spikjl->sXapkl", fa, gram)).real
-            mag = abs(amp)
-            gram_mag = (mag[:, None] * e_mag * mag).reshape(shape)
-            scale = scale + np.einsum("Yblk,sXapkl->sXYabp", fb_mag,
-                                      np.einsum("Xaji,spikjl->sXapkl", fa_mag, gram_mag))
-        cat[cat <= CANCELLATION_TOL * scale] = 0.0
+        detection = {n: [victor_detection(setting, occs, n_max, config.visibility, eta)
+                         for setting in BisaSetting] for n, occs in left.items()}
+
+        def trace(part):
+            """The tables [s, X, Y, a, b, p] for Alice's basis X and Bob's basis
+            Y, with ``part`` applied to the amplitudes, lifts and transfer maps."""
+            # Alice's and Bob's POVMs per n, stacked over the bases as [X, o, i, i'].
+            party = {}
+            for bases, n in itertools.product({config.alice_bases, config.bob_bases}, ns):
+                lifts = [part(_rotation_lift(axis, n)) for axis in bases]
+                party[(bases, n)] = np.stack([_povm(r.conj(), party_clicks[n], r) for r in lifts])
+            # Victor's E_p on the inputs of each n, stacked over the settings as
+            # [s, p, i, i'], pulled back through the input loss onto each sector.
+            victor = []
+            for n, occs in left.items():
+                maps = [(part(transfer.T), clicks) for transfer, clicks in detection[n]]
+                victor.append((occs, np.stack([_povm(t, clicks, t.conj()) for t, clicks in maps])))
+            pulled = pull_back_loss(victor, [occs for occs, _ in sectors.values()],
+                                    range(len(INPUT_REGISTER)), config.input_transmission)
+            # Per (n1, n4) the Gram G_p = amp E'_p amp as [s, p, x1, x4, y1, y4]
+            # meets every basis pair at once.
+            out = 0.0
+            for ((n1, n4), (_, amp)), e in zip(sectors.items(), pulled):
+                amp = part(amp)
+                gram = (amp[:, None] * e * amp).reshape(
+                    len(BisaSetting), len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
+                out = out + np.einsum("Yblk,sXapkl->sXYabp", party[(config.bob_bases, n4)],
+                                      np.einsum("Xaji,spikjl->sXapkl",
+                                                party[(config.alice_bases, n1)], gram))
+            return out
+
+        cat = trace(lambda x: x).real
+        cat[cat <= CANCELLATION_TOL * trace(abs)] = 0.0
         self._dist, self.columns = {}, dict.fromkeys(BisaSetting, _CATEGORY_COLUMNS)
         for setting, tables in zip(BisaSetting, cat):
             keys = itertools.product(config.alice_bases, config.bob_bases, [setting])

@@ -69,6 +69,10 @@ def autocorrelation(stream, lag: float, sample_period: float) -> float:
 
     The lag is rounded to the nearest whole number of sample periods.
     """
+    if lag < 0:
+        raise ValueError(f"lag must be non-negative, got {lag}")
+    if sample_period <= 0:
+        raise ValueError(f"sample_period must be positive, got {sample_period}")
     bits_arr = np.asarray(stream, dtype=float)
     k = int(round(lag / sample_period))
     if k == 0:

@@ -9,8 +9,11 @@ allowance, and its width equals the modulator on-time.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import get_type_hints
 
 
 @dataclass(frozen=True)
@@ -26,9 +29,7 @@ class DelayBudget:
     pair2_generation_offset: float = 1.6  # ns
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        _check_field_types(self)
         if self.fiber_speed <= 0:
             raise ValueError("fiber_speed must be positive")
         for name in (
@@ -43,6 +44,39 @@ class DelayBudget:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+
+@functools.cache  # a few dataclasses per process
+def _field_types(cls) -> MappingProxyType:
+    """The resolved type hints of ``cls``, read-only."""
+    return MappingProxyType(get_type_hints(cls))
+
+
+# The config field types, as config errors name them.
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               tuple[str, ...]: "a tuple of strings", DelayBudget: "a DelayBudget"}
+
+
+def _is_a(kind, value) -> bool:
+    """Whether ``value`` has the field type ``kind``; a bool is no number
+    here, and an int is a float too."""
+    if kind == tuple[str, ...]:
+        return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+    if kind in (int, float):
+        return not isinstance(value, bool) and isinstance(value, (int, kind))
+    return isinstance(value, kind)
+
+
+def _check_field_types(obj) -> None:
+    """Raise ValueError, naming the field, for the first field of the
+    dataclass ``obj`` whose value is not of its type or, for a float field,
+    not finite."""
+    for name, kind in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if not _is_a(kind, value):
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

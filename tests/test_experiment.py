@@ -915,3 +915,29 @@ def test_tables_ignore_the_phases_of_victors_outputs(monkeypatch, kw):
     for key in expected:
         assert np.array_equal(got[key] > 0.0, expected[key] > 0.0)
         assert np.abs(got[key] - expected[key]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kw", [dict(), dict(spdc_order=2, n_max=2, input_transmission=0.5)])
+def test_a_phase_on_input_bv_turns_alices_x_into_y(monkeypatch, kw):
+    # The sources pair every bV photon with a 1H photon, so a phase i per bV
+    # photon at the analyzer input is the same phase on Alice's H mode: her
+    # z counts stay, her x measurement becomes y, and her y becomes -x.
+    # Unlike a phase on an output of T, a phase on an input row stays in
+    # E_p = T diag(P) T^dagger, so a T conjugated on the wrong side shows.
+    cfg = ex.ExperimentConfig(mode="fock", **kw)
+    plain = ex.build_engine(cfg)._dist
+    view = bisa._detector_view
+
+    def phased(setting, inputs, *args):
+        transfer, counts = view(setting, inputs, *args)
+        return transfer * np.array([1j ** occ[1] for occ in inputs])[:, None], counts
+
+    monkeypatch.setattr(bisa, "_detector_view", phased)
+    got = ex.build_engine(cfg)._dist
+    negated = [ex._CATEGORY_KEYS.index((-a, b, p)) for a, b, p in ex._CATEGORY_KEYS]
+    for bb, setting in itertools.product(cfg.bob_bases, BisaSetting):
+        for ab, expected in (("z", plain[("z", bb, setting)]), ("x", plain[("y", bb, setting)]),
+                             ("y", plain[("x", bb, setting)][negated])):
+            table = got[(ab, bb, setting)]
+            assert np.array_equal(table > 0.0, expected > 0.0)
+            assert np.abs(table - expected).max() <= 1e-15

@@ -35,6 +35,11 @@ def test_autocorrelation_errors():
         qrng.autocorrelation([0, 0, 0, 0], 1.0, 1.0)
     with pytest.raises(ValueError):
         qrng.autocorrelation([0, 1], 5.0, 1.0)
+    # A negative lag would correlate the stream's first and last samples.
+    with pytest.raises(ValueError, match="lag must be non-negative"):
+        qrng.autocorrelation([0, 1, 1, 0, 1, 0], -1.0, 1.0)
+    with pytest.raises(ValueError, match="sample_period must be positive"):
+        qrng.autocorrelation([0, 1, 1, 0, 1, 0], 1.0, 0.0)
     with pytest.raises(ValueError):
         qrng.bias([])
 

@@ -48,6 +48,11 @@ def test_budget_validation():
         timeline.DelayBudget(fiber_speed=-0.2)
     with pytest.raises(ValueError):
         timeline.DelayBudget(qrng_delay=-1.0)
+    # A bool is no delay: eom_on_time=True would open a 1 ns choice window.
+    with pytest.raises(ValueError, match="eom_on_time must be a number, got True"):
+        timeline.DelayBudget(eom_on_time=True)
+    with pytest.raises(ValueError, match="fiber_speed must be a number, got '0.2'"):
+        timeline.DelayBudget(fiber_speed="0.2")
 
 
 def test_event_times_invariants():
