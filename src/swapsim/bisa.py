@@ -15,8 +15,9 @@ mixture of two passes in one column space (:func:`victor_detection`): the
 coherent pass's outputs, then the distinguishable pass's, in which the b
 and c photons pass separate copies of the analyzer, so its map is the
 product of two coherent passes and each detector counts the photons of
-both.  One click model reads out the four threshold detectors, for the
-fock engine and :func:`verify_evolution` alike.
+both.  One click model (:func:`pattern_probabilities`) reads out the four
+threshold detectors, for the fock engine (:func:`victor_povm`) and
+:func:`verify_evolution` alike.
 """
 
 from __future__ import annotations
@@ -207,6 +208,96 @@ def _detector_view(setting: BisaSetting, inputs: tuple, n_max: int, distinguisha
     return transfer, counts
 
 
+# Outer products are formed at most this many entries at a time, so their
+# scratch stays within 4 MiB at any photon order.
+_POVM_BLOCK = 1 << 18
+
+
+def _outer_blocks(left: np.ndarray, right: np.ndarray):
+    """The outer products ``left[j, :, None] * right[j, None, :]`` of the rows
+    of two maps, a block of rows at a time: yields ``(lo, outer)``, with
+    ``outer[j]`` the product of rows ``lo + j``."""
+    step = max(1, _POVM_BLOCK // (left.shape[1] * right.shape[1]))
+    for lo in range(0, len(left), step):
+        yield lo, np.multiply(left[lo:lo + step, :, None], right[lo:lo + step, None, :], order="C")
+
+
+@functools.cache  # structure only: every efficiency and visibility shares it
+def _povm_parts(inputs: tuple, n_max: int):
+    """Victor's POVM on ``inputs`` before detection, summed per analyzer
+    part, detector count vector and setting: ``(counts, O, O_mag)``.
+    ``counts[c, d]`` are the distinct count vectors of the outputs of every
+    pass of :func:`_detector_view`, in lexicographic order; ``O[part, c,
+    s]`` is the sum of T[:, j] T[:, j]^dagger over the outputs j with counts
+    c of the part (the coherent one first) at BisaSetting s, and ``O_mag``
+    the same sum on |T|.  All are read-only.  The clicks depend on an output
+    only through its counts, so :func:`victor_povm` reads no output of its
+    own.  O is real where T is, as the analyzer's T is.
+
+    The outputs of every pass are sorted by (part, count vector, setting),
+    and their outer products formed a block at a time and summed per run of
+    equal keys; |T[i, j]| |T[i', j]| is the magnitude of the outer product.
+    """
+    settings = list(BisaSetting)
+    passes = [(part, s) for part in (0, 1) for s in range(len(settings))]
+    views = [_detector_view(settings[s], inputs, n_max, bool(part)) for part, s in passes]
+    transfer = np.concatenate([t for t, _ in views], axis=1)
+    if not transfer.imag.any():
+        transfer = transfer.real
+    counts = np.concatenate([c for _, c in views])
+    # Each count vector as one integer, in the vectors' lexicographic order.
+    digits = (counts.max() + 1) ** np.arange(len(VICTOR_DETECTORS) - 1, -1, -1)
+    codes = (counts * digits).sum(axis=1)
+    _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
+    counts = counts[first]
+    # Each output's place in O flattened: (part, count vector, setting).
+    part, s = np.repeat(np.array(passes), [len(c) for _, c in views], axis=0).T
+    ids = (part * len(counts) + ids.reshape(-1)) * len(settings) + s
+    order = np.argsort(ids, kind="stable")
+    rows, ids = transfer.T[order], ids[order]
+    shape = (2 * len(counts) * len(settings), len(inputs), len(inputs))
+    povm, povm_mag = np.zeros(shape, rows.dtype), np.zeros(shape)
+    for lo, outer in _outer_blocks(rows, rows.conj()):
+        keys = ids[lo:lo + len(outer)]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        povm[keys[starts]] += np.add.reduceat(outer, starts)
+        povm_mag[keys[starts]] += np.add.reduceat(abs(outer), starts)
+    shape = (2, len(counts), len(settings), *shape[1:])
+    povm, povm_mag = povm.reshape(shape), povm_mag.reshape(shape)
+    for a in (counts, povm, povm_mag):
+        a.flags.writeable = False
+    return counts, povm, povm_mag
+
+
+def pattern_probabilities(counts: np.ndarray, eta: float) -> np.ndarray:
+    """``P[j, k]``, the probability of click pattern PATTERNS[k] when detector
+    d of VICTOR_DETECTORS sees ``counts[j, d]`` photons; each is a threshold
+    detector of efficiency ``eta``."""
+    silent, click = click_probability(counts, eta)
+    return np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1)
+
+
+def victor_povm(inputs, n_max: int, visibility: float, eta: float):
+    """Victor's POVM on the analyzer inputs ``inputs`` at ``visibility``, per
+    setting: ``(E, E_mag)``, ``E[s, k, i, i']`` = sum_j T[i, j] P(PATTERNS[k]
+    | j) conj(T[i', j]) over the outputs j of both parts of the analyzer
+    mixture at BisaSetting s, each P weighted by its part (T and P as
+    :func:`victor_detection` gives them), and ``E_mag`` the same sum on |T|,
+    which bounds |E| entry by entry.  Read from the per-count sums of
+    :func:`_povm_parts`, with the clicks computed once per count vector."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
+    counts, povm, povm_mag = _povm_parts(tuple(map(tuple, inputs)), n_max)
+    weights = np.multiply.outer([visibility, 1.0 - visibility], pattern_probabilities(counts, eta))
+    weights = weights.reshape(-1, len(PATTERNS))
+    out = []
+    for parts in (povm, povm_mag):
+        flat = parts.reshape(len(weights), -1).view(float)
+        e = np.einsum("kp,kx->px", weights, flat).view(parts.dtype)
+        out.append(e.reshape(len(PATTERNS), *parts.shape[2:]).swapaxes(0, 1))
+    return out
+
+
 def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float, eta: float):
     """Victor's detection of the analyzer inputs ``inputs`` (occupations of
     INPUT_REGISTER) at ``visibility``: ``(T, clicks)``, whose columns are
@@ -222,9 +313,8 @@ def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float
     transfers, clicks = [], []
     for distinguishable, weight in analyzer_mixture(visibility):
         transfer, counts = _detector_view(setting, inputs, n_max, distinguishable)
-        silent, click = click_probability(counts, eta)
         transfers.append(transfer)
-        clicks.append(weight * np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1))
+        clicks.append(weight * pattern_probabilities(counts, eta))
     return np.concatenate(transfers, axis=1), np.concatenate(clicks)
 
 

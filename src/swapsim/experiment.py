@@ -36,7 +36,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 import numpy as np
 
 from . import states
-from .bisa import INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, classify, victor_detection
+from .bisa import (INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, _outer_blocks, classify,
+                   victor_povm)
 from .fock import click_probability, lift, occupations, pull_back_loss
 from .qrng import QrngConfig, QrngSimulator
 from .timeline import (DelayBudget, EventTimes, _check_field_types, _field_types, _is_a,
@@ -225,9 +226,10 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # terms it is summed from (over losses, analyzer outputs, amplitudes and
 # rotation entries alike, each times its click probabilities) is the
 # rounding residue of an exact cancellation, and counts as absent.  That sum
-# is the table's own trace run on the magnitudes |amp|, |R| and |T| of the
-# amplitudes, rotation lifts and transfer maps: every other factor (click
-# probabilities, loss weights) is nonnegative already.  In
+# is the table's own trace run on the magnitudes |amp| and |R| of the
+# amplitudes and rotation lifts, and on Victor's POVM summed on |T|, the
+# magnitudes of the transfer maps (bisa.victor_povm's E_mag): every other
+# factor (click probabilities, loss weights) is nonnegative already.  In
 # exact arithmetic an entry is a sum of nonnegative probabilities, one per
 # photon-number sector and analyzer part, so no cancellation happens between
 # them and one test per entry suffices.  Rounding leaves at most a few
@@ -235,12 +237,13 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # the only ones lost.
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with two-operand np.einsum calls,
-# never matmul, dot, tensordot or einsum(optimize=...): _povm's real weights
-# against the outer products "jk,jx->kx", and the final contraction,
-# Alice's side "Xaji,spikjl->sXapkl" then Bob's "Yblk,sXapkl->sXYabp"; the
-# Gram is an elementwise product.  fock.lift and bisa._detector_view call
-# no BLAS either: the first BLAS call of a process keeps about 0.5 MiB
-# resident for good.
+# never matmul, dot, tensordot or einsum(optimize=...): the real weights
+# against the outer products "jk,jx->kx" (_povm) or against Victor's sums
+# per count vector "kp,kx->px" (bisa.victor_povm), and the final
+# contraction, Bob's side "Ybq,qr->Ybr" then Alice's "Xaq,Ybqsp->sXYabp";
+# the Gram entries are a gather and an elementwise product.  fock.lift,
+# bisa._detector_view and bisa._povm_parts call no BLAS either: the first
+# BLAS call of a process keeps about 0.5 MiB resident for good.
 
 
 def _source_sectors(tau: float, order: int) -> dict:
@@ -269,9 +272,36 @@ def _source_sectors(tau: float, order: int) -> dict:
     return out
 
 
-# _povm forms the outer products of at most this many entries at a time, so
-# its scratch stays within 4 MiB at any photon order.
-_POVM_BLOCK = 1 << 18
+@functools.cache  # one per spdc_order, shared by every build
+def _pair_index(order: int) -> np.ndarray:
+    """Where the tables' contraction reads each pair of occupations of
+    modes 1 and 4: ``(pos, ia, ib)``, three read-only rows over the pairs.
+
+    Every (n1, n4) with both at most ``order`` is a sector of
+    ``_source_sectors``, so the pairs (a, a') within a sector, a = x1 (n4 +
+    1) + x4 and a' = y1 (n4 + 1) + y4, factor as q1 x q4: q1 runs over
+    (n1, y1, x1) in that order, as the party POVMs F_n1[y1, x1] flatten
+    when concatenated over n1, and q4 over (n4, y4, x4) likewise.  Pair q4
+    * len(q1) + q1 is entry [a, a'] of its sector's block, ``pos`` its
+    place in the sectors' blocks flattened end to end in the order of
+    ``_source_sectors``, and ``ia`` and ``ib`` the places of a and a' in
+    their amplitudes concatenated likewise.
+    """
+    start, pair_start = np.zeros((2, order + 1, order + 1), dtype=int)
+    lo = pair_lo = 0
+    for n1, n4 in _source_sectors(1.0, order):
+        start[n1, n4], pair_start[n1, n4] = lo, pair_lo
+        lo += (n1 + 1) * (n4 + 1)
+        pair_lo += ((n1 + 1) * (n4 + 1)) ** 2
+    n, y, x = np.array([(n, y, x) for n in range(order + 1)
+                        for y in range(n + 1) for x in range(n + 1)]).T
+    # Rows q4, columns q1.
+    (n4, y4, x4), (n1, y1, x1) = (n[:, None], y[:, None], x[:, None]), (n, y, x)
+    a, b = x1 * (n4 + 1) + x4, y1 * (n4 + 1) + y4
+    index = np.stack([pair_start[n1, n4] + a * (n1 + 1) * (n4 + 1) + b,
+                      start[n1, n4] + a, start[n1, n4] + b]).reshape(3, -1)
+    index.flags.writeable = False
+    return index
 
 
 def _povm(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -279,15 +309,14 @@ def _povm(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarra
     the real detection weights on the outputs ``j`` pulled back through a
     linear map, one element per outcome ``k``.  The outer products of the
     rows of ``left`` and ``right`` are formed once, a block of outputs at a
-    time, and a complex one is contracted with the weights as its real and
-    imaginary parts."""
-    (j, i), (_, l), k = left.shape, right.shape, weights.shape[1]
-    step = max(1, _POVM_BLOCK // (i * l))
+    time (bisa._outer_blocks), and a complex one is contracted with the
+    weights as its real and imaginary parts."""
+    (_, i), (_, l), k = left.shape, right.shape, weights.shape[1]
     out = np.zeros((k, i, l), dtype=np.result_type(left, right))
-    for lo in range(0, j, step):
-        outer = np.multiply(left[lo:lo + step, :, None], right[lo:lo + step, None, :], order="C")
+    for lo, outer in _outer_blocks(left, right):
         flat = outer.reshape(len(outer), i * l).view(float)
-        out += np.einsum("jk,jx->kx", weights[lo:lo + step], flat).view(out.dtype).reshape(k, i, l)
+        summed = np.einsum("jk,jx->kx", weights[lo:lo + len(outer)], flat)
+        out += summed.view(out.dtype).reshape(k, i, l)
     return out
 
 
@@ -316,23 +345,29 @@ class FockEngine:
       fiber depolarization folds into P as a flip of +1/-1.
     * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
       transfer map on the b/c input occupations with the outputs of both
-      analyzer parts as columns, and P weighted by each output's part
-      (bisa.victor_detection), then pulled back through the input loss:
-      Tr[loss(rho) E_p] = Tr[rho loss^dagger(E_p)] (fock.pull_back_loss).
+      analyzer parts as columns, and P weighted by each output's part, then
+      pulled back through the input loss: Tr[loss(rho) E_p] = Tr[rho
+      loss^dagger(E_p)] (fock.pull_back_loss).  P depends on an output
+      only through its detector counts, so E_p is read from the sums of
+      T[:, j] T[:, j]^dagger per part and count vector, which depend on the
+      structure alone and are built once per process (bisa.victor_povm).
 
     The state enters in closed form (``_source_sectors``): per (n1, n4)
     sector each occupation a of modes 1 and 4 meets one analyzer input
     occupation occs[a], with the real amplitude amp[a]; rho is never
-    formed.  E_p is formed per setting and n on the emitted occupations,
-    which the loss maps into themselves, and both settings, stacked on a
-    leading axis, are pulled back at once onto the occupations of each
-    sector, in the order of a.  Victor's side is traced first, leaving the Gram
-    blocks G_p[a, a'] = Tr_bc[rho E_p] = amp[a] E_p[a, a'] amp[a'] of both
-    settings, which meet F_a of every Alice basis and then F_b of every
-    Bob basis in one pass; the tables are split per setting at the end.
-    That contraction is written once, as ``trace(part)``, and run twice: on
-    amp, R and T for the tables, and on their ``abs`` for the bound that
-    CANCELLATION_TOL scales.
+    formed.  E_p is formed per n on the emitted occupations, which the loss
+    maps into themselves, with both settings on a leading axis, and pulled
+    back at once onto the occupations of each sector, in the order of a.
+    Victor's side is traced first, leaving the Gram entries G_p[a, a'] =
+    Tr_bc[rho E_p] = amp[a] E_p[a, a'] amp[a'] of both settings.  Every
+    (n1, n4) up to ``spdc_order`` is a sector, so the pairs (a, a') of all
+    sectors factor into the pairs of modes 1 and 4 (``_pair_index``): the
+    Gram entries of every sector, gathered into one array, meet F_b of
+    every Bob basis and then F_a of every Alice basis in two contractions,
+    and the tables are split per setting at the end.  That contraction is
+    written once, as ``trace(part, povms)``, and run twice: on amp, R and
+    E_p for the tables, and on |amp|, |R| and the same sum on |T| for the
+    bound that CANCELLATION_TOL scales.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -355,43 +390,44 @@ class FockEngine:
         ns = range(config.spdc_order + 1)
         party_clicks = {n: np.einsum("io,op->ip", _party_clicks(n, eta), flip) for n in ns}
         # The emitted input occupations, closed under loss, per photon number
-        # n, and Victor's (T, clicks) on them per setting.
+        # n, and Victor's E_p on them and its bound, both [s, p, i, i'].
         inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
-        left = {n: [occ for occ in inputs if sum(occ) == n]
-                for n in range(2 * config.spdc_order + 1)}
-        detection = {n: [victor_detection(setting, occs, n_max, config.visibility, eta)
-                         for setting in BisaSetting] for n, occs in left.items()}
+        victor, victor_mag = [], []
+        for n in range(2 * config.spdc_order + 1):
+            occs = [occ for occ in inputs if sum(occ) == n]
+            povm, povm_mag = victor_povm(occs, n_max, config.visibility, eta)
+            victor.append((occs, povm))
+            victor_mag.append((occs, povm_mag))
+        pos, ia, ib = _pair_index(config.spdc_order)
+        amp = np.concatenate([amp for _, amp in sectors.values()])
+        pair_bases = (config.alice_bases, config.bob_bases)
 
-        def trace(part):
-            """The tables [s, X, Y, a, b, p] for Alice's basis X and Bob's basis
-            Y, with ``part`` applied to the amplitudes, lifts and transfer maps."""
-            # Alice's and Bob's POVMs per n, stacked over the bases as [X, o, i, i'].
-            party = {}
-            for bases, n in itertools.product({config.alice_bases, config.bob_bases}, ns):
+        def party(bases, part):
+            """The POVMs F_o of each basis, [X, o, q] over q1 or q4 (_pair_index),
+            with ``part`` applied to the lifts."""
+            blocks = []
+            for n in ns:
                 lifts = [part(_rotation_lift(axis, n)) for axis in bases]
-                party[(bases, n)] = np.stack([_povm(r.conj(), party_clicks[n], r) for r in lifts])
-            # Victor's E_p on the inputs of each n, stacked over the settings as
-            # [s, p, i, i'], pulled back through the input loss onto each sector.
-            victor = []
-            for n, occs in left.items():
-                maps = [(part(transfer.T), clicks) for transfer, clicks in detection[n]]
-                victor.append((occs, np.stack([_povm(t, clicks, t.conj()) for t, clicks in maps])))
-            pulled = pull_back_loss(victor, [occs for occs, _ in sectors.values()],
-                                    range(len(INPUT_REGISTER)), config.input_transmission)
-            # Per (n1, n4) the Gram G_p = amp E'_p amp as [s, p, x1, x4, y1, y4]
-            # meets every basis pair at once.
-            out = 0.0
-            for ((n1, n4), (_, amp)), e in zip(sectors.items(), pulled):
-                amp = part(amp)
-                gram = (amp[:, None] * e * amp).reshape(
-                    len(BisaSetting), len(PATTERNS), n1 + 1, n4 + 1, n1 + 1, n4 + 1)
-                out = out + np.einsum("Yblk,sXapkl->sXYabp", party[(config.bob_bases, n4)],
-                                      np.einsum("Xaji,spikjl->sXapkl",
-                                                party[(config.alice_bases, n1)], gram))
-            return out
+                blocks.append(np.stack([_povm(r.conj(), party_clicks[n], r) for r in lifts]))
+            return np.concatenate([b.reshape(*b.shape[:2], -1) for b in blocks], axis=2)
 
-        cat = trace(lambda x: x).real
-        cat[cat <= CANCELLATION_TOL * trace(abs)] = 0.0
+        def trace(part, povms):
+            """The tables [s, X, Y, a, b, p] for Alice's basis X and Bob's basis
+            Y, from Victor's POVMs ``povms``, with ``part`` applied to the
+            amplitudes and lifts."""
+            pulled = pull_back_loss(povms, [occs for occs, _ in sectors.values()],
+                                    range(len(INPUT_REGISTER)), config.input_transmission)
+            # The Gram entries of every sector, [q4, q1, s, p].
+            gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in pulled])[pos]
+            gram *= (part(amp)[ia] * part(amp)[ib])[:, None]
+            parties = {bases: party(bases, part) for bases in set(pair_bases)}
+            alice, bob = (parties[bases] for bases in pair_bases)
+            traced = np.einsum("Ybq,qr->Ybr", bob, gram.reshape(bob.shape[2], -1))
+            return np.einsum("Xaq,Ybqsp->sXYabp", alice, traced.reshape(
+                *traced.shape[:2], alice.shape[2], len(BisaSetting), len(PATTERNS)))
+
+        cat = trace(lambda x: x, victor).real
+        cat[cat <= CANCELLATION_TOL * trace(abs, victor_mag)] = 0.0
         self._dist, self.columns = {}, dict.fromkeys(BisaSetting, _CATEGORY_COLUMNS)
         for setting, tables in zip(BisaSetting, cat):
             keys = itertools.product(config.alice_bases, config.bob_bases, [setting])

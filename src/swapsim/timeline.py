@@ -70,13 +70,17 @@ def _is_a(kind, value) -> bool:
 def _check_field_types(obj) -> None:
     """Raise ValueError, naming the field, for the first field of the
     dataclass ``obj`` whose value is not of its type or, for a float field,
-    not finite."""
+    not finite.  An int in a float field is stored as a float, so that equal
+    configs write equal logs."""
     for name, kind in _field_types(type(obj)).items():
         value = getattr(obj, name)
         if not _is_a(kind, value):
             raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
         if kind is float and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if kind is float and isinstance(value, int):
+            # object.__setattr__ writes the frozen DelayBudget too.
+            object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,21 @@ def test_config_validation_of_field_types(kw, message):
         ex.ExperimentConfig(**kw)
 
 
+def test_an_int_in_a_float_field_is_stored_as_a_float(tmp_path):
+    # Configs that compare equal write the same log: the header would write
+    # an int 1 as "1" and the float 1.0 as "1.0".
+    logs = []
+    for number in (int, float):
+        cfg = ex.ExperimentConfig(trials=100, duty_cycle=number(1),
+                                  budget=timeline.DelayBudget(cable_delay=number(20)))
+        assert type(cfg.duty_cycle) is float and type(cfg.budget.cable_delay) is float
+        assert type(cfg.trials) is int
+        path = tmp_path / f"{number.__name__}.jsonl"
+        ex.write_log(path, ex.run_trials(cfg))
+        logs.append(path.read_bytes())
+    assert logs[0] == logs[1]
+
+
 def test_run_trials_positive():
     with pytest.raises(ValueError):
         ex.run_trials(ex.ExperimentConfig(trials=0))
@@ -779,10 +794,10 @@ def test_fock_engine_depolarization_equals_pauli_branches():
     _assert_tables_match(ex.build_engine(cfg), ALL_BASIS_PAIRS)
 
 
-@pytest.mark.parametrize("block", [ex._POVM_BLOCK, 60, 1])
+@pytest.mark.parametrize("block", [bisa._POVM_BLOCK, 60, 1])
 def test_povm_equals_its_definition(monkeypatch, block):
     # Small blocks split the outputs into several outer-product blocks.
-    monkeypatch.setattr(ex, "_POVM_BLOCK", block)
+    monkeypatch.setattr(bisa, "_POVM_BLOCK", block)
     rng = np.random.default_rng(14)
 
     def matrix(rows, cols, complex_):
@@ -801,6 +816,44 @@ def test_povm_equals_its_definition(monkeypatch, block):
             expected = np.einsum("ji,jk,jl->kil", *args)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert abs(got - expected).max() <= 1e-13 * abs(expected).max()
+
+
+@pytest.mark.parametrize("block", [bisa._POVM_BLOCK, 100])
+@pytest.mark.parametrize("order, cap", [(2, 3), (2, 2), (3, 4)])
+def test_victor_povm_equals_the_povm_of_each_output(monkeypatch, order, cap, block):
+    # The per-count sums of bisa._povm_parts, weighted by the clicks, against
+    # Victor's POVM summed output by output from bisa.victor_detection, on
+    # the inputs of each n that a build reads; small blocks split a fill.
+    monkeypatch.setattr(bisa, "_POVM_BLOCK", block)
+    bisa._povm_parts.cache_clear()
+    cfg = ex.ExperimentConfig(mode="fock", spdc_order=order, n_max=cap)
+    eta, visibility = cfg.detector_efficiency, cfg.visibility
+    sectors = ex._source_sectors(cfg.tau, order)
+    inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
+    try:
+        for n in range(2 * order + 1):
+            occs = [occ for occ in inputs if sum(occ) == n]
+            povm, povm_mag = bisa.victor_povm(occs, cap, visibility, eta)
+            assert povm.shape == povm_mag.shape == (2, len(bisa.PATTERNS), len(occs), len(occs))
+            for e, e_mag, setting in zip(povm, povm_mag, BisaSetting):
+                transfer, clicks = bisa.victor_detection(setting, occs, cap, visibility, eta)
+                t = transfer.T
+                assert abs(e - ex._povm(t, clicks, t.conj())).max() <= 1e-15
+                assert abs(e_mag - ex._povm(abs(t), clicks, abs(t))).max() <= 1e-15
+    finally:
+        bisa._povm_parts.cache_clear()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_pair_index_holds_each_pair_of_each_sector_once(order):
+    pos, ia, ib = ex._pair_index(order)
+    expected, lo, pair_lo = [], 0, 0
+    for occs, _ in ex._source_sectors(1.0, order).values():
+        size = len(occs)
+        expected += [(pair_lo + a * size + b, lo + a, lo + b)
+                     for a in range(size) for b in range(size)]
+        lo, pair_lo = lo + size, pair_lo + size * size
+    assert sorted(zip(pos, ia, ib)) == expected
 
 
 def test_rotation_lift_is_a_fresh_lift_and_read_only():
@@ -895,6 +948,23 @@ def test_magnitude_gram_bounds_the_gram(monkeypatch, kw):
         assert (abs(e) <= e_mag * (1.0 + 1e-12)).all()
 
 
+def _build_through(monkeypatch, view, cfg):
+    """The tables of ``cfg`` built with ``view`` in place of
+    bisa._detector_view.  Every package cache is emptied before the build,
+    so the caches built on the analyzer's passes read ``view``, and after it,
+    so no later build reads what ``view`` left there."""
+    caches = _per_process_caches()
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(bisa, "_detector_view", view)
+            return ex.build_engine(cfg)._dist
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+
+
 @pytest.mark.parametrize("kw", [dict(), dict(spdc_order=2, n_max=2, input_transmission=0.5)])
 def test_tables_ignore_the_phases_of_victors_outputs(monkeypatch, kw):
     # E_p = T diag(P) T^dagger keeps no phase of an output of T.  The
@@ -909,8 +979,7 @@ def test_tables_ignore_the_phases_of_victors_outputs(monkeypatch, kw):
         transfer, counts = view(*args)
         return transfer * np.exp(2j * np.pi * rng.random(transfer.shape[1])), counts
 
-    monkeypatch.setattr(bisa, "_detector_view", phased)
-    got = ex.build_engine(cfg)._dist
+    got = _build_through(monkeypatch, phased, cfg)
     assert got.keys() == expected.keys()
     for key in expected:
         assert np.array_equal(got[key] > 0.0, expected[key] > 0.0)
@@ -932,8 +1001,7 @@ def test_a_phase_on_input_bv_turns_alices_x_into_y(monkeypatch, kw):
         transfer, counts = view(setting, inputs, *args)
         return transfer * np.array([1j ** occ[1] for occ in inputs])[:, None], counts
 
-    monkeypatch.setattr(bisa, "_detector_view", phased)
-    got = ex.build_engine(cfg)._dist
+    got = _build_through(monkeypatch, phased, cfg)
     negated = [ex._CATEGORY_KEYS.index((-a, b, p)) for a, b, p in ex._CATEGORY_KEYS]
     for bb, setting in itertools.product(cfg.bob_bases, BisaSetting):
         for ab, expected in (("z", plain[("z", bb, setting)]), ("x", plain[("y", bb, setting)]),
