@@ -11,13 +11,14 @@ Spatial labels: inputs "b"/"c", outputs "b2"/"c2" (for b'' and c'').
 
 The analyzer's optics are its coherent transfer map on input occupations
 (:func:`transfer_map`).  At finite visibility Victor's detectors see a
-mixture of two passes in one column space (:func:`victor_detection`): the
-coherent pass's outputs, then the distinguishable pass's, in which the b
-and c photons pass separate copies of the analyzer, so its map is the
-product of two coherent passes and each detector counts the photons of
-both.  One click model (:func:`pattern_probabilities`) reads out the four
-threshold detectors, for the fock engine (:func:`victor_povm`) and
-:func:`verify_evolution` alike.
+mixture of two passes (:func:`_detector_view`): the coherent pass, and the
+distinguishable one, in which the b and c photons pass separate copies of
+the analyzer, so its map is the product of two coherent passes and each
+detector counts the photons of both.  One click model
+(:func:`pattern_probabilities`) reads out the four threshold detectors,
+and one POVM (:func:`victor_povm`), those clicks against the passes'
+outer-product sums per detector count vector (fock.detector_povm), serves
+the fock engine and :func:`verify_evolution` alike.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from math import sqrt
 import numpy as np
 
 from . import states
-from .fock import JONES_QWP_M45, JONES_QWP_P45, PRUNE_TOL, click_probability, lift, occupations
+from .fock import (JONES_QWP_M45, JONES_QWP_P45, PRUNE_TOL, click_probability, detector_povm,
+                   lift, occupations)
 
 
 class BisaSetting(enum.Enum):
@@ -89,30 +91,6 @@ def _lifted_steps(setting: BisaSetting, n: int) -> np.ndarray:
     return steps
 
 
-def _capped_pass(setting: BisaSetting, n: int, n_max: int):
-    """The coherent pass of every occupation of INPUT_REGISTER with ``n``
-    photons: ``(outputs, T)``, the output occupations of OUTPUT_REGISTER
-    with no mode above ``n_max``, and ``T[i, j]``, the amplitude of
-    ``outputs[j]`` for ``occupations(4, n)[i]``, not pruned.  Builds read
-    it through :func:`transfer_map`.
-
-    The optics keep the photon number n, so the pass is the n-photon lifts
-    of the steps (:func:`_lifted_steps`).  Every step drops the occupations
-    with a mode above ``n_max``: the H and V splitters, and the two plates,
-    act on disjoint modes and the cap is per mode, so this is the cap after
-    each 2x2 step of fock.apply_pair_matrix.  The products are np.einsum
-    calls (see the BLAS note in experiment.py).
-    """
-    occs = occupations(4, n)
-    capped = (np.array(occs) > n_max).any(axis=1)
-    psi = np.eye(len(occs), dtype=complex)
-    for step in _lifted_steps(setting, n):
-        psi = np.einsum("ij,jk->ik", step, psi)
-        psi[capped] = 0.0
-    transfer = np.ascontiguousarray(psi[~capped].T)
-    return [occ for occ, drop in zip(occs, capped) if not drop], transfer
-
-
 def transfer_map(setting: BisaSetting, inputs, n_max: int):
     """Dense transfer map of the analyzer's coherent pass on input occupations.
 
@@ -121,19 +99,31 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int):
     reached, sorted, and ``T[i, j]``, the amplitude of ``outputs[j]`` for
     ``inputs[i]``; amplitudes of at most PRUNE_TOL count as unreached.  By
     linearity, a state sum_i psi_i |inputs[i]> (spectators included) leaves
-    as sum_ij psi_i T[i, j] |outputs[j]>, reading :func:`_capped_pass` per n.
+    as sum_ij psi_i T[i, j] |outputs[j]>.
+
+    The optics keep the photon number n, so the inputs of n photons pass
+    the n-photon lifts of the steps (:func:`_lifted_steps`), run on every
+    occupation of n photons.  Every step drops the occupations with a mode
+    above ``n_max``: the H and V splitters, and the two plates, act on
+    disjoint modes and the cap is per mode, so this is the cap after each
+    2x2 step of fock.apply_pair_matrix.  The products are np.einsum calls
+    (see the BLAS note in experiment.py).
     """
     inputs = [tuple(occ) for occ in inputs]
     outputs: list = []
     blocks = [np.zeros((len(inputs), 0), dtype=complex)]
     for n in sorted({sum(occ) for occ in inputs}):
         occs = occupations(4, n)
-        outs, transfer = _capped_pass(setting, n, n_max)
+        capped = (np.array(occs) > n_max).any(axis=1)
+        psi = np.eye(len(occs), dtype=complex)
+        for step in _lifted_steps(setting, n):
+            psi = np.einsum("ij,jk->ik", step, psi)
+            psi[capped] = 0.0
         rows = [r for r, occ in enumerate(inputs) if sum(occ) == n]
-        block = np.zeros((len(inputs), len(outs)), dtype=complex)
-        block[rows] = transfer[[occs.index(inputs[r]) for r in rows]]
+        block = np.zeros((len(inputs), len(occs) - capped.sum()), dtype=complex)
+        block[rows] = psi[~capped][:, [occs.index(inputs[r]) for r in rows]].T
         blocks.append(block)
-        outputs += outs
+        outputs += itertools.compress(occs, ~capped)
     transfer = np.concatenate(blocks, axis=1)
     transfer[abs(transfer) <= PRUNE_TOL] = 0.0
     reached = sorted(np.flatnonzero(transfer.any(axis=0)), key=outputs.__getitem__)
@@ -166,23 +156,12 @@ def classify(pattern, setting: BisaSetting) -> BisaOutcome:
     return table.get(clicked, BisaOutcome.DISCARD)
 
 
-def analyzer_mixture(visibility: float):
-    """The analyzer at finite two-photon visibility, as a weighted mixture of
-    passes: ``(distinguishable, weight)`` for the coherent pass (weight
-    ``visibility``) and the distinguishable one (``1 - visibility``).  Parts
-    of zero weight are left out."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    return [part for part in ((False, visibility), (True, 1.0 - visibility)) if part[1] > 0.0]
-
-
-@functools.cache  # structure only: two settings, a few input lists and caps per process
 def _detector_view(setting: BisaSetting, inputs: tuple, n_max: int, distinguishable: bool):
     """One analyzer pass of ``inputs`` as Victor's detectors see it:
     ``(T, counts)``, the pass's transfer map, ``T[i, j]`` the amplitude of
     output j for ``inputs[i]``, and ``counts[j, d]``, the photons detector d
-    of VICTOR_DETECTORS sees in output j, both read-only.  It holds no
-    detection probability, so every efficiency and visibility shares it.
+    of VICTOR_DETECTORS sees in output j.  It holds no detection
+    probability, so every efficiency and visibility shares it.
 
     The coherent pass's outputs are those of :func:`transfer_map`, so its
     counts are the output occupations themselves.  In the distinguishable
@@ -204,22 +183,12 @@ def _detector_view(setting: BisaSetting, inputs: tuple, n_max: int, distinguisha
         transfer[abs(transfer) <= PRUNE_TOL] = 0.0
         reached = transfer.any(axis=0)
         transfer, counts = transfer[:, reached], counts[reached]
-    transfer.flags.writeable = counts.flags.writeable = False
     return transfer, counts
 
 
 # Outer products are formed at most this many entries at a time, so their
 # scratch stays within 4 MiB at any photon order.
 _POVM_BLOCK = 1 << 18
-
-
-def _outer_blocks(left: np.ndarray, right: np.ndarray):
-    """The outer products ``left[j, :, None] * right[j, None, :]`` of the rows
-    of two maps, a block of rows at a time: yields ``(lo, outer)``, with
-    ``outer[j]`` the product of rows ``lo + j``."""
-    step = max(1, _POVM_BLOCK // (left.shape[1] * right.shape[1]))
-    for lo in range(0, len(left), step):
-        yield lo, np.multiply(left[lo:lo + step, :, None], right[lo:lo + step, None, :], order="C")
 
 
 @functools.cache  # structure only: every efficiency and visibility shares it
@@ -257,7 +226,9 @@ def _povm_parts(inputs: tuple, n_max: int):
     rows, ids = transfer.T[order], ids[order]
     shape = (2 * len(counts) * len(settings), len(inputs), len(inputs))
     povm, povm_mag = np.zeros(shape, rows.dtype), np.zeros(shape)
-    for lo, outer in _outer_blocks(rows, rows.conj()):
+    step = max(1, _POVM_BLOCK // len(inputs) ** 2)
+    for lo in range(0, len(rows), step):
+        outer = np.multiply(rows[lo:lo + step, :, None], rows[lo:lo + step, None, :].conj(), order="C")
         keys = ids[lo:lo + len(outer)]
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         povm[keys[starts]] += np.add.reduceat(outer, starts)
@@ -278,56 +249,35 @@ def pattern_probabilities(counts: np.ndarray, eta: float) -> np.ndarray:
 
 
 def victor_povm(inputs, n_max: int, visibility: float, eta: float):
-    """Victor's POVM on the analyzer inputs ``inputs`` at ``visibility``, per
-    setting: ``(E, E_mag)``, ``E[s, k, i, i']`` = sum_j T[i, j] P(PATTERNS[k]
-    | j) conj(T[i', j]) over the outputs j of both parts of the analyzer
-    mixture at BisaSetting s, each P weighted by its part (T and P as
-    :func:`victor_detection` gives them), and ``E_mag`` the same sum on |T|,
-    which bounds |E| entry by entry.  Read from the per-count sums of
-    :func:`_povm_parts`, with the clicks computed once per count vector."""
+    """Victor's POVM on the analyzer inputs ``inputs`` (occupations of
+    INPUT_REGISTER) at ``visibility``, per setting: ``(E, E_mag)``,
+    ``E[s, k, i, i']`` = sum_j T[i, j] P(PATTERNS[k] | j) conj(T[i', j])
+    over the outputs j of both analyzer parts (:func:`_detector_view`) at
+    BisaSetting s, P weighted by ``visibility`` for the coherent part and
+    ``1 - visibility`` for the distinguishable one, each detector a
+    threshold detector of efficiency ``eta``; ``E_mag`` is the same sum on
+    |T|, which bounds |E| entry by entry.  fock.detector_povm of the clicks
+    per count vector against the sums of :func:`_povm_parts`."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
     counts, povm, povm_mag = _povm_parts(tuple(map(tuple, inputs)), n_max)
-    weights = np.multiply.outer([visibility, 1.0 - visibility], pattern_probabilities(counts, eta))
-    weights = weights.reshape(-1, len(PATTERNS))
-    out = []
-    for parts in (povm, povm_mag):
-        flat = parts.reshape(len(weights), -1).view(float)
-        e = np.einsum("kp,kx->px", weights, flat).view(parts.dtype)
-        out.append(e.reshape(len(PATTERNS), *parts.shape[2:]).swapaxes(0, 1))
-    return out
-
-
-def victor_detection(setting: BisaSetting, inputs, n_max: int, visibility: float, eta: float):
-    """Victor's detection of the analyzer inputs ``inputs`` (occupations of
-    INPUT_REGISTER) at ``visibility``: ``(T, clicks)``, whose columns are
-    the outputs of each part of the analyzer mixture in turn (the coherent
-    pass's, then the distinguishable pass's), with ``T[i, j]`` the part's
-    amplitude of output j for ``inputs[i]`` and ``clicks[j, k]`` the part's
-    weight times the probability of click pattern PATTERNS[k] given output
-    j.  Each detector is a threshold detector of efficiency ``eta`` on the
-    photons it counts.  The passes are built once per process
-    (:func:`_detector_view`); the clicks on every call.
-    """
-    inputs = tuple(map(tuple, inputs))
-    transfers, clicks = [], []
-    for distinguishable, weight in analyzer_mixture(visibility):
-        transfer, counts = _detector_view(setting, inputs, n_max, distinguishable)
-        transfers.append(transfer)
-        clicks.append(weight * pattern_probabilities(counts, eta))
-    return np.concatenate(transfers, axis=1), np.concatenate(clicks)
+    clicks = np.multiply.outer([visibility, 1.0 - visibility], pattern_probabilities(counts, eta))
+    clicks = clicks.reshape(-1, len(PATTERNS))
+    return [detector_povm(clicks, parts.reshape(len(clicks), *parts.shape[2:])).swapaxes(0, 1)
+            for parts in (povm, povm_mag)]
 
 
 def verify_evolution(kind: str, setting: BisaSetting, visibility: float = 1.0) -> dict[BisaOutcome, float]:
     """Outcome distribution for the Bell state ``kind`` of one photon on each
-    of the inputs b and c, seen by ideal detectors; classes of probability 0
-    are left out."""
+    of the inputs b and c, seen by ideal detectors: P(k) = psi^dagger E[k]
+    psi with Victor's POVM E as the fock engine reads it
+    (:func:`victor_povm`); classes of probability 0 are left out."""
     psi = states.bell_state(kind).amplitudes
     # Basis state |pq> of the Bell state: polarization p on b, q on c (H = 0).
     inputs = [(1 - p, p, 1 - q, q) for p in (0, 1) for q in (0, 1)]
     # Two photons never exceed a cap of 2.
-    transfer, clicks = victor_detection(setting, inputs, 2, visibility, 1.0)
-    probs = np.einsum("j,jk->k", abs(np.einsum("i,ij->j", psi, transfer)) ** 2, clicks)
+    povm, _ = victor_povm(inputs, 2, visibility, 1.0)
+    probs = np.einsum("i,kij,j->k", psi.conj(), povm[list(BisaSetting).index(setting)], psi).real
     out: dict[BisaOutcome, float] = {}
     for pattern, p in zip(PATTERNS, probs):
         if p > 0.0:

@@ -125,10 +125,11 @@ _REPORTS = {
 
 def cmd_analyze(args) -> int:
     log = read_log(args.log)
+    name, report_csv = _REPORTS[args.report]
+    # The report comes first, so a log it cannot analyze leaves no directory.
+    text = report_csv(analysis.coincidence_counts(log))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name, report_csv = _REPORTS[args.report]
-    text = report_csv(analysis.coincidence_counts(log))
     path = out_dir / name
     path.write_text(text)
     _write_manifest(out_dir, log.config, [name])

@@ -36,9 +36,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 import numpy as np
 
 from . import states
-from .bisa import (INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, _outer_blocks, classify,
-                   victor_povm)
-from .fock import click_probability, lift, occupations, pull_back_loss
+from .bisa import INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, classify, victor_povm
+from .fock import click_probability, detector_povm, lift, occupations, pull_back_loss
 from .qrng import QrngConfig, QrngSimulator
 from .timeline import (DelayBudget, EventTimes, _check_field_types, _field_types, _is_a,
                        _KIND_NAMES, check_delayed_choice, event_times)
@@ -157,11 +156,17 @@ def _axis_rotation(axis: str) -> np.ndarray:
 
 
 @functools.cache  # three axes and a few n per process, shared by every build
-def _rotation_lift(axis: str, n: int) -> np.ndarray:
-    """The lift of ``_axis_rotation(axis)`` to ``n`` photons, read-only."""
-    block = lift(_axis_rotation(axis), n)
-    block.flags.writeable = False
-    return block
+def _rotation_outers(axis: str, n: int) -> tuple:
+    """The outer products conj(R[j]) x R[j] of the rows j of R, the lift of
+    ``_axis_rotation(axis)`` to ``n`` photons, as [j, i, i'], and the same
+    products of |R|, both read-only: a party's POVM is fock.detector_povm of
+    its clicks per row against them."""
+    rotation = lift(_axis_rotation(axis), n)
+    outers = tuple(np.multiply(r.conj()[:, :, None], r[:, None, :], order="C")
+                   for r in (rotation, abs(rotation)))
+    for outer in outers:
+        outer.flags.writeable = False
+    return outers
 
 
 def _category_columns(keys, victor_class) -> tuple:
@@ -237,13 +242,13 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # the only ones lost.
 CANCELLATION_TOL = 1e-12
 # The engine contracts its (small) arrays with two-operand np.einsum calls,
-# never matmul, dot, tensordot or einsum(optimize=...): the real weights
-# against the outer products "jk,jx->kx" (_povm) or against Victor's sums
-# per count vector "kp,kx->px" (bisa.victor_povm), and the final
-# contraction, Bob's side "Ybq,qr->Ybr" then Alice's "Xaq,Ybqsp->sXYabp";
-# the Gram entries are a gather and an elementwise product.  fock.lift,
-# bisa._detector_view and bisa._povm_parts call no BLAS either: the first
-# BLAS call of a process keeps about 0.5 MiB resident for good.
+# never matmul, dot, tensordot or einsum(optimize=...): every POVM, the
+# real clicks against its outer-product sums "ck,cx->kx"
+# (fock.detector_povm), and the final contraction, Bob's side
+# "Ybq,qr->Ybr" then Alice's "Xaq,Ybqsp->sXYabp"; the Gram entries are a
+# gather and an elementwise product.  fock.lift, bisa.transfer_map and
+# bisa._povm_parts call no BLAS either: the first BLAS call of a process
+# keeps about 0.5 MiB resident for good.
 
 
 def _source_sectors(tau: float, order: int) -> dict:
@@ -304,22 +309,6 @@ def _pair_index(order: int) -> np.ndarray:
     return index
 
 
-def _povm(left: np.ndarray, weights: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """POVM elements E[k, i, i'] = sum_j left[j, i] weights[j, k] right[j, i']:
-    the real detection weights on the outputs ``j`` pulled back through a
-    linear map, one element per outcome ``k``.  The outer products of the
-    rows of ``left`` and ``right`` are formed once, a block of outputs at a
-    time (bisa._outer_blocks), and a complex one is contracted with the
-    weights as its real and imaginary parts."""
-    (_, i), (_, l), k = left.shape, right.shape, weights.shape[1]
-    out = np.zeros((k, i, l), dtype=np.result_type(left, right))
-    for lo, outer in _outer_blocks(left, right):
-        flat = outer.reshape(len(outer), i * l).view(float)
-        summed = np.einsum("jk,jx->kx", weights[lo:lo + len(outer)], flat)
-        out += summed.view(out.dtype).reshape(k, i, l)
-    return out
-
-
 def _party_clicks(n: int, eta: float) -> np.ndarray:
     """P(outcome) per _PARTY_OUTCOMES for each (H, V) occupation of a party's
     photon in occupations(2, n)."""
@@ -341,8 +330,9 @@ class FockEngine:
     given their photon counts):
 
     * Alice's and Bob's F_o = R^dagger diag(P(o | H, V counts)) R on the n
-      photons of mode 1 or 4, R the lift of the axis rotation to them;
-      fiber depolarization folds into P as a flip of +1/-1.
+      photons of mode 1 or 4, R the lift of the axis rotation to them
+      (``_rotation_outers``); fiber depolarization folds into P as a flip
+      of +1/-1.
     * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
       transfer map on the b/c input occupations with the outputs of both
       analyzer parts as columns, and P weighted by each output's part, then
@@ -365,9 +355,10 @@ class FockEngine:
     Gram entries of every sector, gathered into one array, meet F_b of
     every Bob basis and then F_a of every Alice basis in two contractions,
     and the tables are split per setting at the end.  That contraction is
-    written once, as ``trace(part, povms)``, and run twice: on amp, R and
-    E_p for the tables, and on |amp|, |R| and the same sum on |T| for the
-    bound that CANCELLATION_TOL scales.
+    written once, as ``trace(amp, povms, parties)``, and run twice: on amp,
+    E_p and the F_o from R for the tables, and on |amp|, the same sums on
+    |T| and the F_o from |R| for the bound that CANCELLATION_TOL scales.
+    Every POVM is the one contraction fock.detector_povm.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -402,32 +393,32 @@ class FockEngine:
         amp = np.concatenate([amp for _, amp in sectors.values()])
         pair_bases = (config.alice_bases, config.bob_bases)
 
-        def party(bases, part):
-            """The POVMs F_o of each basis, [X, o, q] over q1 or q4 (_pair_index),
-            with ``part`` applied to the lifts."""
-            blocks = []
-            for n in ns:
-                lifts = [part(_rotation_lift(axis, n)) for axis in bases]
-                blocks.append(np.stack([_povm(r.conj(), party_clicks[n], r) for r in lifts]))
-            return np.concatenate([b.reshape(*b.shape[:2], -1) for b in blocks], axis=2)
+        def party_povms(form):
+            """Per bases tuple, the POVMs F_o of each basis, [X, o, q] over q1 or
+            q4 (_pair_index), from the outer products of R (form 0) or |R| (1)."""
+            out = {}
+            for bases in set(pair_bases):
+                blocks = [np.stack([detector_povm(party_clicks[n], _rotation_outers(axis, n)[form])
+                                    for axis in bases]) for n in ns]
+                out[bases] = np.concatenate([b.reshape(*b.shape[:2], -1) for b in blocks], axis=2)
+            return out
 
-        def trace(part, povms):
+        def trace(amp, povms, parties):
             """The tables [s, X, Y, a, b, p] for Alice's basis X and Bob's basis
-            Y, from Victor's POVMs ``povms``, with ``part`` applied to the
-            amplitudes and lifts."""
+            Y, from the amplitudes ``amp``, Victor's POVMs ``povms`` and
+            Alice's and Bob's, ``parties`` (party_povms)."""
             pulled = pull_back_loss(povms, [occs for occs, _ in sectors.values()],
                                     range(len(INPUT_REGISTER)), config.input_transmission)
             # The Gram entries of every sector, [q4, q1, s, p].
             gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in pulled])[pos]
-            gram *= (part(amp)[ia] * part(amp)[ib])[:, None]
-            parties = {bases: party(bases, part) for bases in set(pair_bases)}
+            gram *= (amp[ia] * amp[ib])[:, None]
             alice, bob = (parties[bases] for bases in pair_bases)
             traced = np.einsum("Ybq,qr->Ybr", bob, gram.reshape(bob.shape[2], -1))
             return np.einsum("Xaq,Ybqsp->sXYabp", alice, traced.reshape(
                 *traced.shape[:2], alice.shape[2], len(BisaSetting), len(PATTERNS)))
 
-        cat = trace(lambda x: x, victor).real
-        cat[cat <= CANCELLATION_TOL * trace(abs, victor_mag)] = 0.0
+        cat = trace(amp, victor, party_povms(0)).real
+        cat[cat <= CANCELLATION_TOL * trace(abs(amp), victor_mag, party_povms(1))] = 0.0
         self._dist, self.columns = {}, dict.fromkeys(BisaSetting, _CATEGORY_COLUMNS)
         for setting, tables in zip(BisaSetting, cat):
             keys = itertools.product(config.alice_bases, config.bob_bases, [setting])
@@ -947,7 +938,7 @@ def _coerce(section: str, key: str, kind, value):
             pass  # reported below
     if not _is_a(kind, typed):
         raise ValueError(f"{section}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return float(typed) if kind is float else typed
+    return typed
 
 
 def run_summary(log: TrialLog) -> dict:

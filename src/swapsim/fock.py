@@ -10,7 +10,9 @@ unnormalized FockVectors; the weight of a branch is its squared norm.
 pure state meets it (the Heisenberg picture).
 Linear optics on n photons is the n-photon block of its mode matrix
 (:func:`lift`); threshold detectors click with :func:`click_probability`
-given the photons they see.
+given the photons they see, and every detector's POVM is those click
+probabilities against outer-product sums of the optics
+(:func:`detector_povm`).
 
 The engines use only those matrix forms, with :func:`occupations` and
 :func:`pull_back_loss`; ``experiment._source_sectors`` writes the sources'
@@ -441,3 +443,15 @@ def click_probability(n, eta):
     (1 - eta)^n.  ``n`` may be a numpy array."""
     p_silent = (1.0 - eta) ** n
     return p_silent, 1.0 - p_silent
+
+
+def detector_povm(clicks: np.ndarray, outers: np.ndarray) -> np.ndarray:
+    """A detector's POVM E[k] = sum_c clicks[c, k] outers[c]: the real
+    probabilities of outcome k given photon counts c against ``outers[c]``,
+    the sum of T[:, j] T[:, j]^dagger over the outputs j of the optics with
+    counts c (real or complex, any trailing shape).  A complex sum is
+    contracted as its real and imaginary parts in one two-operand np.einsum
+    (see the BLAS note in experiment.py)."""
+    flat = outers.reshape(len(outers), -1).view(float)
+    summed = np.einsum("ck,cx->kx", clicks, flat)
+    return summed.view(outers.dtype).reshape(clicks.shape[1], *outers.shape[1:])

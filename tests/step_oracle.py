@@ -3,7 +3,7 @@
 The analyzer is applied step by step with fock.beam_splitter, wave_plate
 and phase_shift, and threshold detection is expanded detector by detector,
 and the detectors' modes are spelled out here, so none of it shares code
-with bisa.transfer_map or bisa.victor_detection.
+with bisa.transfer_map or bisa.victor_povm.
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ import pytest
 
 from swapsim import bisa, fock, states
 from swapsim.bisa import BisaOutcome, BisaSetting
-from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass
+from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass, click_patterns
 
 
 def test_setting_from_bit():
@@ -207,6 +207,33 @@ def test_transfer_map_truncates_at_the_cap(setting):
     # Below the cap nothing is lost.
     _, transfer = bisa.transfer_map(setting, inputs, 4)
     assert abs((np.abs(transfer) ** 2).sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [2, 4])
+@pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
+def test_victor_povm_equals_step_oracle(setting, n_max):
+    # psi^dagger E[s, k] psi of random states of up to 4 photons against the
+    # visibility-weighted click patterns of the oracle's coherent and tagged
+    # passes: at cap 2 the analyzer drops what bunches past it, at cap 4
+    # nothing.
+    rng = np.random.default_rng(26)
+    inputs = [occ for occ in np.ndindex(*(n_max + 1,) * 4) if sum(occ) <= 4]
+    s = list(BisaSetting).index(setting)
+    for _ in range(2):
+        psi = rng.normal(size=len(inputs)) + 1j * rng.normal(size=len(inputs))
+        psi /= np.linalg.norm(psi)
+        state = fock.FockVector(bisa.INPUT_REGISTER, n_max, dict(zip(inputs, psi)))
+        passes = [analyzer_pass(state, setting, tagged) for tagged in (False, True)]
+        for visibility, eta in itertools.product((0.0, 0.7, 1.0), (0.6, 1.0)):
+            povm, _ = bisa.victor_povm(inputs, n_max, visibility, eta)
+            got = np.einsum("i,kij,j->k", psi.conj(), povm[s], psi)
+            expected = np.zeros(len(bisa.PATTERNS))
+            for out, bank, weight in zip(passes, (VICTOR_BANK, VICTOR_BANK_TAGGED),
+                                         (visibility, 1.0 - visibility)):
+                for clicked, p in click_patterns([out], bank, eta).items():
+                    k = bisa.PATTERNS.index(tuple(d for d in bisa.VICTOR_DETECTORS if d in clicked))
+                    expected[k] += weight * p
+            assert np.abs(got - expected).max() <= 1e-13
 
 
 @pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)

@@ -232,6 +232,21 @@ def test_analyze_pooled_on_ssm_only_log_fails(tmp_path, capsys):
     assert "no coincidences in the bsm_pooled group" in capsys.readouterr().err
 
 
+def test_failed_analyze_leaves_no_output_directory(tmp_path, capsys):
+    # table1 needs all three bases, so a z-only log fails before any output.
+    path = tmp_path / "z.cfg"
+    path.write_text("experiment.alice_bases = z\nexperiment.bob_bases = z\n"
+                    "experiment.trials = 2000\n")
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(path), "--out", str(run)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(run / "trials.jsonl"), "--report", "table1", "--out", str(out)])
+    assert rc == 1
+    assert "table1 needs all three bases" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row, error", [
     ('[1,"z",1,"x",-1,"BSM"]', "error: line 3: expected an array of the 8 values"),
     ('[1,"q",1,"x",-1,"BSM","phi-23",true]', 'error: line 3: alice_basis "q" is not one of'),

@@ -794,36 +794,32 @@ def test_fock_engine_depolarization_equals_pauli_branches():
     _assert_tables_match(ex.build_engine(cfg), ALL_BASIS_PAIRS)
 
 
-@pytest.mark.parametrize("block", [bisa._POVM_BLOCK, 60, 1])
-def test_povm_equals_its_definition(monkeypatch, block):
-    # Small blocks split the outputs into several outer-product blocks.
-    monkeypatch.setattr(bisa, "_POVM_BLOCK", block)
+def test_povm_equals_its_definition():
+    # fock.detector_povm, the one contraction of every detector's POVM,
+    # against its definition E[k] = sum_c clicks[c, k] outers[c].
     rng = np.random.default_rng(14)
-
-    def matrix(rows, cols, complex_):
-        m = rng.normal(size=(rows, cols))
-        return m + 1j * rng.normal(size=(rows, cols)) if complex_ else abs(m)
-
-    # (outputs, left columns, right columns, complex): the engine's complex
-    # maps and real magnitudes, one output, rectangular shapes.
-    for j, i, l, complex_ in ((100, 9, 9, True), (80, 12, 12, False), (1, 4, 4, True),
-                              (1, 3, 3, False), (30, 5, 7, True), (30, 7, 3, False)):
-        left, right = matrix(j, i, complex_), matrix(j, l, complex_)
-        weights = rng.random((j, 16))
-        # The engine passes transposed (column-major) maps too.
-        for args in ((left, weights, right), (np.asfortranarray(left), weights, right.conj())):
-            got = ex._povm(*args)
-            expected = np.einsum("ji,jk,jl->kil", *args)
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert abs(got - expected).max() <= 1e-13 * abs(expected).max()
+    # (count vectors, trailing shape, complex): Victor's complex and real
+    # sums, the parties' products, one count vector, rectangular shapes.
+    for c, shape, complex_ in ((100, (2, 9, 9), True), (80, (2, 12, 12), False),
+                               (1, (4, 4), True), (1, (3, 3), False), (30, (5, 7), True),
+                               (30, (7, 3), False)):
+        outers = rng.normal(size=(c, *shape))
+        if complex_:
+            outers = outers + 1j * rng.normal(size=(c, *shape))
+        clicks = rng.random((c, 16))
+        got = fock.detector_povm(clicks, outers)
+        expected = np.einsum("kp,k...->p...", clicks, outers)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert abs(got - expected).max() <= 1e-13 * abs(expected).max()
 
 
 @pytest.mark.parametrize("block", [bisa._POVM_BLOCK, 100])
 @pytest.mark.parametrize("order, cap", [(2, 3), (2, 2), (3, 4)])
 def test_victor_povm_equals_the_povm_of_each_output(monkeypatch, order, cap, block):
     # The per-count sums of bisa._povm_parts, weighted by the clicks, against
-    # Victor's POVM summed output by output from bisa.victor_detection, on
-    # the inputs of each n that a build reads; small blocks split a fill.
+    # Victor's POVM summed output by output from each analyzer part's
+    # bisa._detector_view and bisa.pattern_probabilities, on the inputs of
+    # each n that a build reads; small blocks split a fill.
     monkeypatch.setattr(bisa, "_POVM_BLOCK", block)
     bisa._povm_parts.cache_clear()
     cfg = ex.ExperimentConfig(mode="fock", spdc_order=order, n_max=cap)
@@ -836,10 +832,14 @@ def test_victor_povm_equals_the_povm_of_each_output(monkeypatch, order, cap, blo
             povm, povm_mag = bisa.victor_povm(occs, cap, visibility, eta)
             assert povm.shape == povm_mag.shape == (2, len(bisa.PATTERNS), len(occs), len(occs))
             for e, e_mag, setting in zip(povm, povm_mag, BisaSetting):
-                transfer, clicks = bisa.victor_detection(setting, occs, cap, visibility, eta)
-                t = transfer.T
-                assert abs(e - ex._povm(t, clicks, t.conj())).max() <= 1e-15
-                assert abs(e_mag - ex._povm(abs(t), clicks, abs(t))).max() <= 1e-15
+                expected = expected_mag = 0.0
+                for distinguishable, weight in ((False, visibility), (True, 1.0 - visibility)):
+                    t, counts = bisa._detector_view(setting, tuple(occs), cap, distinguishable)
+                    clicks = weight * bisa.pattern_probabilities(counts, eta)
+                    expected = expected + np.einsum("ij,jk,lj->kil", t, clicks, t.conj())
+                    expected_mag = expected_mag + np.einsum("ij,jk,lj->kil", abs(t), clicks, abs(t))
+                assert abs(e - expected).max() <= 1e-15
+                assert abs(e_mag - expected_mag).max() <= 1e-15
     finally:
         bisa._povm_parts.cache_clear()
 
@@ -857,13 +857,17 @@ def test_pair_index_holds_each_pair_of_each_sector_once(order):
 
 
 def test_rotation_lift_is_a_fresh_lift_and_read_only():
+    # The cache holds the outer products of the rows of a fresh lift and of
+    # its magnitudes, read-only.
     for axis in states.PAULI_AXES:
         for n in range(5):
-            cached = ex._rotation_lift(axis, n)
-            assert cached is ex._rotation_lift(axis, n)
-            assert np.array_equal(cached, fock.lift(ex._axis_rotation(axis), n))
-            with pytest.raises(ValueError):
-                cached[0, 0] = 0.0
+            cached = ex._rotation_outers(axis, n)
+            assert cached is ex._rotation_outers(axis, n)
+            lifted = fock.lift(ex._axis_rotation(axis), n)
+            for outer, rows in zip(cached, (lifted, abs(lifted)), strict=True):
+                assert np.array_equal(outer, np.einsum("ji,jk->jik", rows.conj(), rows))
+                with pytest.raises(ValueError):
+                    outer[0, 0, 0] = 0.0
 
 
 def _per_process_caches():

@@ -204,10 +204,8 @@ def test_pull_back_loss_of_victor_povm_where_the_cap_binds(eta, setting):
     rng = np.random.default_rng(81)
     inputs = [occ for occ in np.ndindex(3, 3, 3, 3) if sum(occ) <= 4]
     by_n = [[occ for occ in inputs if sum(occ) == n] for n in range(5)]
-    blocks = []
-    for occs in by_n:
-        transfer, clicks = bisa.victor_detection(setting, occs, 2, 0.7, 0.6)
-        blocks.append((occs, np.einsum("ij,jp,kj->pik", transfer, clicks, transfer.conj())))
+    s = list(BisaSetting).index(setting)
+    blocks = [(occs, bisa.victor_povm(occs, 2, 0.7, 0.6)[0][s]) for occs in by_n]
     # The cap drops weight: E summed over the patterns is not the identity.
     assert max(abs(ops.sum(axis=0) - np.eye(len(occs))).max() for occs, ops in blocks) > 0.1
     pulled = fock.pull_back_loss(blocks, by_n, range(4), eta)
@@ -242,15 +240,16 @@ def test_pull_back_loss_rejects_bad_input():
 
 def test_pattern_distribution_normalized():
     # Victor's pattern distribution of a pair source on the analyzer inputs,
-    # through both parts of the analyzer mixture, keeps the source's weight.
+    # psi^dagger E_p psi through both parts of the analyzer mixture, keeps
+    # the source's weight.
     s = fock.spdc_source(0.4, order=2, spatial=("b", "c"))
     assert s.modes == bisa.INPUT_REGISTER
     inputs = list(s.amp)
     psi = np.array([s.amp[occ] for occ in inputs])
-    for setting in BisaSetting:
-        # A cap of 4 keeps every output of the two pairs.
-        transfer, clicks = bisa.victor_detection(setting, inputs, 4, 0.7, 0.6)
-        dist = (np.abs(psi @ transfer) ** 2) @ clicks
+    # A cap of 4 keeps every output of the two pairs.
+    povm, _ = bisa.victor_povm(inputs, 4, 0.7, 0.6)
+    for e in povm:
+        dist = np.einsum("i,kij,j->k", psi.conj(), e, psi).real
         assert abs(dist.sum() - s.norm_sq()) < 1e-12
         assert (dist >= 0).all()
 
@@ -259,17 +258,21 @@ def test_pattern_distribution_normalized():
 @pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
 def test_victor_clicks_sum_to_part_weight(setting, eta):
     # Every output occupation makes exactly one click pattern, so each row
-    # of a part's column block of clicks sums to the part's weight.
+    # of a part's clicks sums to 1, and Victor's POVM summed over the
+    # patterns is each part's T T^dagger times the part's weight.
     split = [(h, n - h) for n in range(3) for h in range(n + 1)]
     inputs = [b + c for b in split for c in split]
-    transfer, clicks = bisa.victor_detection(setting, inputs, 3, 0.7, eta)
-    assert clicks.shape == (transfer.shape[1], len(bisa.PATTERNS))
-    assert (clicks >= 0).all()
-    widths = [bisa._detector_view(setting, tuple(inputs), 3, d)[0].shape[1] for d in (False, True)]
-    assert sum(widths) == len(clicks)
-    parts = bisa.analyzer_mixture(0.7)
-    for rows, (_, weight) in zip(np.split(clicks.sum(axis=1), widths[:1]), parts, strict=True):
-        assert np.abs(rows - weight).max() < 1e-12
+    povm, _ = bisa.victor_povm(inputs, 3, 0.7, eta)
+    expected = 0.0
+    for distinguishable, weight in ((False, 0.7), (True, 0.3)):
+        transfer, counts = bisa._detector_view(setting, tuple(inputs), 3, distinguishable)
+        clicks = bisa.pattern_probabilities(counts, eta)
+        assert clicks.shape == (transfer.shape[1], len(bisa.PATTERNS))
+        assert (clicks >= 0).all()
+        assert np.abs(clicks.sum(axis=1) - 1.0).max() < 1e-12
+        expected = expected + weight * transfer @ transfer.conj().T
+    total = povm[list(BisaSetting).index(setting)].sum(axis=0)
+    assert np.abs(total - expected).max() < 1e-12
 
 
 def test_threshold_efficiency():
