@@ -794,9 +794,33 @@ def test_fock_engine_depolarization_equals_pauli_branches():
     _assert_tables_match(ex.build_engine(cfg), ALL_BASIS_PAIRS)
 
 
-def test_povm_equals_its_definition():
+@pytest.mark.parametrize("block", [bisa._POVM_BLOCK, 60, 1])
+def test_povm_equals_its_definition(monkeypatch, block):
     # fock.detector_povm, the one contraction of every detector's POVM,
-    # against its definition E[k] = sum_c clicks[c, k] outers[c].
+    # against its definition E[k] = sum_c clicks[c, k] outers[c]; and the
+    # outers of Victor's POVM, bisa._povm_parts, against theirs: the sum of
+    # T[:, j] T[:, j]^dagger over the outputs j of _detector_view with counts
+    # c.  Small blocks split the outputs into several outer-product blocks.
+    monkeypatch.setattr(bisa, "_POVM_BLOCK", block)
+    bisa._povm_parts.cache_clear()
+    try:
+        cfg = ex.ExperimentConfig(mode="fock", spdc_order=2, n_max=3)
+        sectors = ex._source_sectors(cfg.tau, cfg.spdc_order)
+        inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
+        for n in (2, 4):
+            occs = tuple(occ for occ in inputs if sum(occ) == n)
+            counts, outers, outers_mag = bisa._povm_parts(occs, cfg.n_max)
+            for part in (0, 1):
+                for s, setting in enumerate(BisaSetting):
+                    t, out_counts = bisa._detector_view(setting, occs, cfg.n_max, bool(part))
+                    for c, o, o_mag in zip(counts, outers[part, :, s], outers_mag[part, :, s]):
+                        j = (out_counts == c).all(axis=1)
+                        expected = np.einsum("ij,lj->il", t[:, j], t[:, j].conj())
+                        expected_mag = np.einsum("ij,lj->il", abs(t[:, j]), abs(t[:, j]))
+                        assert abs(o - expected).max() <= 1e-13 * max(1.0, abs(expected).max())
+                        assert abs(o_mag - expected_mag).max() <= 1e-13 * max(1.0, expected_mag.max())
+    finally:
+        bisa._povm_parts.cache_clear()
     rng = np.random.default_rng(14)
     # (count vectors, trailing shape, complex): Victor's complex and real
     # sums, the parties' products, one count vector, rectangular shapes.
