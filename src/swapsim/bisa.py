@@ -39,10 +39,6 @@ class BisaSetting(enum.Enum):
     BSM = "BSM"
     SSM = "SSM"
 
-    @property
-    def phase(self) -> float:
-        return np.pi / 2 if self is BisaSetting.BSM else 0.0
-
     @classmethod
     def from_bit(cls, bit: int) -> "BisaSetting":
         # Random bit 1 -> pi/2 phase (BSM), bit 0 -> no phase change (SSM).

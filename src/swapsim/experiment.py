@@ -26,6 +26,7 @@ row per trial under a header (log version 2).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -564,29 +565,20 @@ def conditional_state(choice: BisaSetting, outcome: BisaOutcome | None,
     """
     if pair not in _PAIR_INDICES:
         raise ValueError(f"unsupported pair {pair}")
-    if outcome is not None:
-        kept = KEPT_OUTCOMES[choice]
-        if outcome not in kept:
-            raise ValueError(f"outcome {outcome} inconsistent with choice {choice}")
-    psi = states.source_state()
-    keep = _PAIR_INDICES[pair]
+    if outcome is not None and outcome not in KEPT_OUTCOMES[choice]:
+        raise ValueError(f"outcome {outcome} inconsistent with choice {choice}")
+    psi = states.source_state().amplitudes.reshape(2, 2, 2, 2)
     if choice is BisaSetting.SSM and pair in ((1, 2), (3, 4)):
-        return states.partial_trace(psi.density_matrix(), keep)
-    vectors = dict(_victor_projections(choice))
-    mixed, total = 0.0, 0.0
-    for o in [outcome] if outcome is not None else KEPT_OUTCOMES[choice]:
-        vec = vectors[o]
-        remaining, prob = states.project(psi, (1, 2), vec)
-        if prob == 0.0:
-            continue
-        # The full post-measurement 4-qubit state: the remaining state lives
-        # on photons (1,4), the projector on photons (2,3).
-        rem = remaining.amplitudes.reshape(2, 2)
-        v23 = vec.amplitudes.reshape(2, 2)
-        full = states.QubitRegisterState(np.einsum("ad,bc->abcd", rem, v23).reshape(-1))
-        mixed = mixed + prob * states.partial_trace(full.density_matrix(), keep).matrix
-        total += prob
-    return states.DensityMatrix(mixed / total)
+        posts = [psi]
+    else:
+        vectors = dict(_victor_projections(choice))
+        v23 = [vectors[o].amplitudes.reshape(2, 2)
+               for o in (KEPT_OUTCOMES[choice] if outcome is None else [outcome])]
+        # Each outcome's unnormalized post-state: photons (2,3) projected onto its vector.
+        posts = [np.einsum("bc,BC,aBCd->abcd", v, v.conj(), psi) for v in v23]
+    mixed = sum(np.outer(post, post.conj()) for post in map(np.ravel, posts))
+    return states.partial_trace(states.DensityMatrix(mixed / np.trace(mixed).real),
+                                _PAIR_INDICES[pair])
 
 
 @dataclass(frozen=True)
@@ -789,11 +781,10 @@ def read_log(path) -> TrialLog:
     """The run a write_log file holds.  Raises ValueError unless its rows
     are trials 0, 1, ..., config.trials - 1 in turn.
 
-    Rows with the written head ``"[" + trial index + ","`` are read per
-    distinct tail: each tail new to this call is validated once, and the
-    rows are gathered from a table of their codes.  Any other valid JSON
-    spacing is accepted too; a chunk holding such a row is decoded row by
-    row.
+    Rows written as ``"[" + trial index`` and one of the tails write_log
+    renders are gathered from a table of every such tail and its codes.
+    Any other valid JSON spacing is accepted too; a chunk holding such a row
+    is decoded row by row.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -809,12 +800,34 @@ def read_log(path) -> TrialLog:
         if header.get("columns") != list(COLUMNS):
             raise ValueError(f"unsupported trial log columns {header.get('columns')!r}")
         codes = _column_codes(config)
-        tails = _TailTable(codes)
+        texts = _code_texts(codes)
+        # Every tail write_log can render, in mixed-radix key order, and the
+        # codes of each key; a column's codes sort as its texts do, modulo
+        # their count, which puts the outcome code -1 last.
+        tails = ["]\n"]
+        for text in reversed(texts):
+            tails = ["," + t + tail for t in text for tail in tails]
+        tails = {tail: key for key, tail in enumerate(tails)}
+        keys = np.unravel_index(np.arange(len(tails)), list(map(len, texts)))
+        table = {name: np.array(sorted(lut.values(), key=lambda c: c % len(lut)), COLUMNS[name])[k]
+                 for (name, lut), k in zip(codes.items(), keys)}
         parts = []
-        for first_line in itertools.count(2, CHUNK_TRIALS):
+        for lo in itertools.count(0, CHUNK_TRIALS):
             lines = list(itertools.islice(fh, CHUNK_TRIALS))
-            part = tails.decode(lines, first_line - 2)
-            parts.append(_decode_rows(lines, first_line, codes) if part is None else part)
+            if lines and not lines[-1].endswith("\n"):
+                lines[-1] += "\n"  # the file's last line
+            heads = list(map("[{}".format, range(lo, lo + len(lines))))
+            rest = list(map(str.removeprefix, lines, heads))
+            rows = None
+            # Each line loses its whole head or nothing, so the lengths add
+            # up only if every line had its head.
+            if sum(map(len, lines)) - sum(map(len, rest)) == sum(map(len, heads)):
+                with contextlib.suppress(KeyError):
+                    rows = np.fromiter(map(tails.__getitem__, rest), np.intp, len(rest))
+            # Row lo is line lo + 2 of the file.
+            parts.append(_decode_rows(lines, lo + 2, codes) if rows is None else
+                         {"trial_index": np.arange(lo, lo + len(lines), dtype=np.int64),
+                          **{name: col[rows] for name, col in table.items()}})
             if len(lines) < CHUNK_TRIALS:
                 break
     columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
@@ -826,43 +839,6 @@ def read_log(path) -> TrialLog:
     if len(index) != config.trials:
         raise ValueError(f"{len(index)} trial rows, but config.trials is {config.trials}")
     return TrialLog(config, columns)
-
-
-class _TailTable:
-    """The distinct row tails one read_log call has met, each validated by
-    _decode_rows as the row ``"[0" + tail``, and the codes of each."""
-
-    def __init__(self, codes: dict):
-        self.codes = codes
-        self.ids = {}
-        self.columns = {name: np.empty(0, COLUMNS[name]) for name in codes}
-
-    def decode(self, lines: list[str], lo: int) -> dict | None:
-        """Columns of ``lines``, rows lo, lo + 1, ... of the log, or None
-        unless each line is its head ``"[" + row number`` and a valid tail."""
-        heads = list(map("[".__add__, map(str, range(lo, lo + len(lines)))))
-        rest = list(map(str.removeprefix, lines, heads))
-        # Each line loses its whole head or nothing, so this holds only if
-        # every line had its head.
-        if sum(map(len, lines)) - sum(map(len, rest)) != sum(map(len, heads)):
-            return None
-        new = [tail for tail in dict.fromkeys(rest) if tail not in self.ids]
-        if new:
-            if not all(tail.startswith(",") for tail in new):
-                return None
-            try:
-                # Each of these lines opens a row with its "[0" and no valid
-                # value holds a bracket, so a joint decode that finds one row
-                # per line found each line's row alone.
-                found = _decode_rows(["[0" + tail for tail in new], 0, self.codes)
-            except ValueError:
-                return None
-            self.ids.update(zip(new, range(len(self.ids), len(self.ids) + len(new))))
-            self.columns = {name: np.concatenate([self.columns[name], found[name]])
-                            for name in self.codes}
-        ids = np.fromiter(map(self.ids.__getitem__, rest), np.intp, len(rest))
-        columns = {name: col[ids] for name, col in self.columns.items()}
-        return {"trial_index": np.arange(lo, lo + len(lines), dtype=np.int64), **columns}
 
 
 def _decode_rows(lines: list[str], first_line: int, codes: dict) -> dict:
@@ -917,6 +893,8 @@ def _from_fields(cls, values, section: str):
         raise ValueError(f"{section} must map keys to values, got {values!r}")
     hints = _field_types(cls)
     unknown = sorted(set(values) - set(hints))
+    if unknown and isinstance(values[unknown[0]], dict):
+        raise ValueError(f"unknown config section {unknown[0]}")
     if unknown:
         raise ValueError(f"unknown config key {section}.{unknown[0]}")
     return cls(**{key: _coerce(section, key, hints[key], v) for key, v in values.items()})

@@ -203,14 +203,6 @@ def fidelity(rho: DensityMatrix, target: QubitRegisterState) -> float:
     return float(val.real)
 
 
-def _bell_basis_element(kind14: str, kind23: str) -> np.ndarray:
-    """Four-qubit basis vector: Bell(kind14) on qubits (1,4), Bell(kind23) on (2,3)."""
-    b14 = bell_state(kind14).amplitudes.reshape(2, 2)
-    b23 = bell_state(kind23).amplitudes.reshape(2, 2)
-    amp = np.einsum("ad,bc->abcd", b14, b23)
-    return amp.reshape(-1)
-
-
 def bell_decompose_14_23(state: QubitRegisterState) -> np.ndarray:
     """Coefficients of a 4-qubit state in the Bell(1,4) x Bell(2,3) basis.
 
@@ -219,12 +211,8 @@ def bell_decompose_14_23(state: QubitRegisterState) -> np.ndarray:
     """
     if state.n != 4:
         raise ValueError("bell_decompose_14_23 requires a 4-qubit state")
-    coeffs = np.zeros((4, 4), dtype=complex)
-    for i, k14 in enumerate(BELL_KINDS):
-        for j, k23 in enumerate(BELL_KINDS):
-            basis = _bell_basis_element(k14, k23)
-            coeffs[i, j] = np.vdot(basis, state.amplitudes)
-    return coeffs
+    bra = np.array([bell_state(kind).amplitudes.conj().reshape(2, 2) for kind in BELL_KINDS])
+    return np.einsum("iad,jbc,abcd->ij", bra, bra, state.amplitudes.reshape(2, 2, 2, 2))
 
 
 def source_state() -> QubitRegisterState:

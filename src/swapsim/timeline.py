@@ -44,6 +44,7 @@ class DelayBudget:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        event_times(self)  # raises on a negative choice window
 
 
 @functools.cache  # a few dataclasses per process
@@ -119,7 +120,9 @@ def fiber_delay(length: float, speed: float = 0.2) -> float:
     return length / speed
 
 
-def event_times(budget: DelayBudget = DelayBudget()) -> EventTimes:
+def event_times(budget: DelayBudget | None = None) -> EventTimes:
+    """The chronology of ``budget``, by default ``DelayBudget()``."""
+    budget = DelayBudget() if budget is None else budget
     m_ab = fiber_delay(budget.fiber_length_ab, budget.fiber_speed)
     m_v = fiber_delay(budget.fiber_length_v, budget.fiber_speed)
     upper = (

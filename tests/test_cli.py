@@ -28,7 +28,7 @@ def test_parse_config_text():
 def test_unknown_key_is_hard_error():
     with pytest.raises(ConfigError):
         cli.parse_config_text("experiment.nonsense = 1")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown config section physics"):
         cli.parse_config_text("physics.tau = 0.1")
     with pytest.raises(ConfigError):
         cli.parse_config_text("trials = 10")
@@ -188,7 +188,9 @@ def test_simulate_bad_flag_fails_before_building(tmp_path, capsys, monkeypatch, 
     (["--workers", "0"], "", "error: workers must be at least 1, got 0"),
     ([], "experiment.mode = fock\nexperiment.n_max = 1\n",
      "error: spdc_order must not exceed n_max (1), got 2"),
-], ids=["workers", "photon_cap"])
+    (["--trials", "10"], "budget.fiber_length_v = 1\n",
+     "error: delay budget yields a negative choice window"),
+], ids=["workers", "photon_cap", "negative_choice_window"])
 def test_failed_simulate_leaves_no_output_directory(tmp_path, capsys, flags, text, error):
     path = tmp_path / "cfg.txt"
     path.write_text(text + "experiment.trials = 20\n")

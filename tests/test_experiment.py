@@ -412,6 +412,33 @@ def test_log_roundtrip_across_chunks_with_new_tails(tmp_path, monkeypatch):
     assert_same_trials(ex.read_log(path), log)
 
 
+@pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no_final_newline"])
+@pytest.mark.parametrize("kw, rows", [
+    (dict(), 1944),
+    (dict(alice_bases=("z",), bob_bases=("x", "z")), 432),
+], ids=["full_bases", "basis_subset"])
+def test_every_tail_is_read_from_the_table(tmp_path, monkeypatch, kw, rows, final_newline):
+    # One row per combination of column codes, the outcome code -1 and
+    # Victor's void stage 0 among them.
+    cfg = ex.ExperimentConfig(trials=rows, **kw)
+    codes = ex._column_codes(cfg)
+    combos = np.array(list(itertools.product(*(list(lut.values()) for lut in codes.values()))))
+    assert len(combos) == rows
+    columns = {"trial_index": np.arange(rows, dtype=np.int64)}
+    columns.update({name: combos[:, k].astype(ex.COLUMNS[name]) for k, name in enumerate(codes)})
+    log = ex.TrialLog(cfg, columns)
+    path = tmp_path / "log.jsonl"
+    ex.write_log(path, log)
+    if not final_newline:
+        path.write_text(path.read_text()[:-1])
+
+    def no_decode(*args):
+        raise AssertionError("a row was decoded as JSON")
+
+    monkeypatch.setattr(ex, "_decode_rows", no_decode)
+    assert_same_trials(ex.read_log(path), log)
+
+
 def _spaced(line: str) -> str:
     """The log line ``line`` in default JSON spacing."""
     return json.dumps(json.loads(line)) + "\n"

@@ -38,9 +38,8 @@ def test_fiber_delay():
 
 
 def test_negative_window_rejected():
-    budget = timeline.DelayBudget(fiber_length_v=10.0)
-    with pytest.raises(ValueError):
-        timeline.event_times(budget)
+    with pytest.raises(ValueError, match="negative choice window"):
+        timeline.DelayBudget(fiber_length_v=10.0)
 
 
 def test_budget_validation():
