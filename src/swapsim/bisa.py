@@ -102,8 +102,8 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int):
     occupation of n photons.  Every step drops the occupations with a mode
     above ``n_max``: the H and V splitters, and the two plates, act on
     disjoint modes and the cap is per mode, so this is the cap after each
-    2x2 step of fock.apply_pair_matrix.  The products are np.einsum calls
-    (see the BLAS note in experiment.py).
+    2x2 step of fock.apply_pair_matrix.  The products stay np.einsum calls,
+    as the BLAS note in experiment.py lists.
     """
     inputs = [tuple(occ) for occ in inputs]
     outputs: list = []
@@ -190,18 +190,20 @@ _POVM_BLOCK = 1 << 18
 @functools.cache  # structure only: every efficiency and visibility shares it
 def _povm_parts(inputs: tuple, n_max: int):
     """Victor's POVM on ``inputs`` before detection, summed per analyzer
-    part, detector count vector and setting: ``(counts, O, O_mag)``.
-    ``counts[c, d]`` are the distinct count vectors of the outputs of every
-    pass of :func:`_detector_view`, in lexicographic order; ``O[part, c,
-    s]`` is the sum of T[:, j] T[:, j]^dagger over the outputs j with counts
-    c of the part (the coherent one first) at BisaSetting s, and ``O_mag``
-    the same sum on |T|.  All are read-only.  The clicks depend on an output
-    only through its counts, so :func:`victor_povm` reads no output of its
-    own.  O is real where T is, as the analyzer's T is.
+    part, detector count vector and setting: ``(parts, counts, O, O_mag)``.
+    Row r holds the outputs of analyzer part ``parts[r]`` (0 the coherent
+    one) with detector counts ``counts[r]``; the rows are the (part, count
+    vector) pairs some output of :func:`_detector_view` has at either
+    setting, sorted.  ``O[r, s]`` is the sum of T[:, j] T[:, j]^dagger over
+    those outputs j at BisaSetting s, and ``O_mag`` the same sum on |T|.
+    All are read-only.  The clicks depend on an output only through its
+    counts, so :func:`victor_povm` reads no output of its own.  O is real
+    where T is, as the analyzer's T is.  Every output is reached, so the
+    sums of each row are nonzero at one setting at least.
 
-    The outputs of every pass are sorted by (part, count vector, setting),
-    and their outer products formed a block at a time and summed per run of
-    equal keys; |T[i, j]| |T[i', j]| is the magnitude of the outer product.
+    The outputs of every pass are sorted by (row, setting), and their outer
+    products formed a block at a time and summed per run of equal keys;
+    |T[i, j]| |T[i', j]| is the magnitude of the outer product.
     """
     settings = list(BisaSetting)
     passes = [(part, s) for part in (0, 1) for s in range(len(settings))]
@@ -210,17 +212,14 @@ def _povm_parts(inputs: tuple, n_max: int):
     if not transfer.imag.any():
         transfer = transfer.real
     counts = np.concatenate([c for _, c in views])
-    # Each count vector as one integer, in the vectors' lexicographic order.
-    digits = (counts.max() + 1) ** np.arange(len(VICTOR_DETECTORS) - 1, -1, -1)
-    codes = (counts * digits).sum(axis=1)
-    _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
-    counts = counts[first]
-    # Each output's place in O flattened: (part, count vector, setting).
     part, s = np.repeat(np.array(passes), [len(c) for _, c in views], axis=0).T
-    ids = (part * len(counts) + ids.reshape(-1)) * len(settings) + s
+    pairs, ids = np.unique(np.column_stack((part, counts)), axis=0, return_inverse=True)
+    parts, counts = pairs[:, 0], pairs[:, 1:]
+    # Each output's place in O flattened: (row, setting).
+    ids = ids.reshape(-1) * len(settings) + s
     order = np.argsort(ids, kind="stable")
     rows, ids = transfer.T[order], ids[order]
-    shape = (2 * len(counts) * len(settings), len(inputs), len(inputs))
+    shape = (len(counts) * len(settings), len(inputs), len(inputs))
     povm, povm_mag = np.zeros(shape, rows.dtype), np.zeros(shape)
     step = max(1, _POVM_BLOCK // len(inputs) ** 2)
     for lo in range(0, len(rows), step):
@@ -229,11 +228,11 @@ def _povm_parts(inputs: tuple, n_max: int):
         starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         povm[keys[starts]] += np.add.reduceat(outer, starts)
         povm_mag[keys[starts]] += np.add.reduceat(abs(outer), starts)
-    shape = (2, len(counts), len(settings), *shape[1:])
+    shape = (len(counts), len(settings), *shape[1:])
     povm, povm_mag = povm.reshape(shape), povm_mag.reshape(shape)
-    for a in (counts, povm, povm_mag):
+    for a in (parts, counts, povm, povm_mag):
         a.flags.writeable = False
-    return counts, povm, povm_mag
+    return parts, counts, povm, povm_mag
 
 
 def pattern_probabilities(counts: np.ndarray, eta: float) -> np.ndarray:
@@ -253,14 +252,13 @@ def victor_povm(inputs, n_max: int, visibility: float, eta: float):
     ``1 - visibility`` for the distinguishable one, each detector a
     threshold detector of efficiency ``eta``; ``E_mag`` is the same sum on
     |T|, which bounds |E| entry by entry.  fock.detector_povm of the clicks
-    per count vector against the sums of :func:`_povm_parts`."""
+    per (part, count vector) row against the sums of :func:`_povm_parts`."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    counts, povm, povm_mag = _povm_parts(tuple(map(tuple, inputs)), n_max)
-    clicks = np.multiply.outer([visibility, 1.0 - visibility], pattern_probabilities(counts, eta))
-    clicks = clicks.reshape(-1, len(PATTERNS))
-    return [detector_povm(clicks, parts.reshape(len(clicks), *parts.shape[2:])).swapaxes(0, 1)
-            for parts in (povm, povm_mag)]
+    parts, counts, povm, povm_mag = _povm_parts(tuple(map(tuple, inputs)), n_max)
+    weights = np.array([visibility, 1.0 - visibility])[parts]
+    clicks = weights[:, None] * pattern_probabilities(counts, eta)
+    return [detector_povm(clicks, sums).swapaxes(0, 1) for sums in (povm, povm_mag)]
 
 
 def verify_evolution(kind: str, setting: BisaSetting, visibility: float = 1.0) -> dict[BisaOutcome, float]:

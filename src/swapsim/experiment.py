@@ -170,6 +170,18 @@ def _rotation_outers(axis: str, n: int) -> tuple:
     return outers
 
 
+@functools.cache  # one bases tuple or two per process, shared by every build
+def _bases_outers(bases: tuple, n: int) -> tuple:
+    """``_rotation_outers(axis, n)`` of each axis of ``bases``, stacked as
+    [j, X, i, i'], both forms read-only: a party's POVMs of all its bases
+    are one fock.detector_povm per photon number."""
+    outers = tuple(np.stack(form, axis=1)
+                   for form in zip(*(_rotation_outers(axis, n) for axis in bases)))
+    for outer in outers:
+        outer.flags.writeable = False
+    return outers
+
+
 def _category_columns(keys, victor_class) -> tuple:
     """Per category (a, b, v) of ``keys``: Alice's and Bob's outcomes and, per choice
     bit, the VICTOR_OUTCOMES index of ``victor_class(v, BisaSetting.from_bit(bit))``."""
@@ -242,14 +254,17 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # machine epsilons of that sum, so true entries smaller than 1e-12 of it are
 # the only ones lost.
 CANCELLATION_TOL = 1e-12
-# The engine contracts its (small) arrays with two-operand np.einsum calls,
-# never matmul, dot, tensordot or einsum(optimize=...): every POVM, the
-# real clicks against its outer-product sums "ck,cx->kx"
-# (fock.detector_povm), and the final contraction, Bob's side
-# "Ybq,qr->Ybr" then Alice's "Xaq,Ybqsp->sXYabp"; the Gram entries are a
-# gather and an elementwise product.  fock.lift, bisa.transfer_map and
-# bisa._povm_parts call no BLAS either: the first BLAS call of a process
-# keeps about 0.5 MiB resident for good.
+# The build's two-operand contractions are np.matmul on 2-D views, which
+# calls BLAS (np.einsum without optimize never does, and ran the trace 4-5
+# times slower at the default config): every POVM, the real clicks against
+# its outer-product sums (fock.detector_povm), the depolarization flip
+# folded into the parties' clicks, and the trace, Bob's side then Alice's.
+# An operand is complex only where its values are; the Gram entries are a
+# gather and an elementwise product.  fock.lift, bisa.transfer_map,
+# bisa._povm_parts and the ideal engine keep np.einsum.  The first BLAS call
+# of a process keeps its memory for good: a process that builds the default
+# config once peaks about 0.85 MiB higher (VmHWM 31.2-31.3 -> 32.0-32.1 MiB,
+# Python 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31), on one BLAS thread as on two.
 
 
 def _source_sectors(tau: float, order: int) -> dict:
@@ -332,8 +347,9 @@ class FockEngine:
 
     * Alice's and Bob's F_o = R^dagger diag(P(o | H, V counts)) R on the n
       photons of mode 1 or 4, R the lift of the axis rotation to them
-      (``_rotation_outers``); fiber depolarization folds into P as a flip
-      of +1/-1.
+      (``_rotation_outers``, stacked over a party's bases by
+      ``_bases_outers``); fiber depolarization folds into P as a flip of
+      +1/-1.
     * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
       transfer map on the b/c input occupations with the outputs of both
       analyzer parts as columns, and P weighted by each output's part, then
@@ -354,11 +370,13 @@ class FockEngine:
     (n1, n4) up to ``spdc_order`` is a sector, so the pairs (a, a') of all
     sectors factor into the pairs of modes 1 and 4 (``_pair_index``): the
     Gram entries of every sector, gathered into one array, meet F_b of
-    every Bob basis and then F_a of every Alice basis in two contractions,
-    and the tables are split per setting at the end.  That contraction is
-    written once, as ``trace(amp, povms, parties)``, and run twice: on amp,
-    E_p and the F_o from R for the tables, and on |amp|, the same sums on
-    |T| and the F_o from |R| for the bound that CANCELLATION_TOL scales.
+    every Bob basis and then F_a of every Alice basis in two matrix
+    products, [Y b, q4] x [q4, q1 s p] and then, q1-major, [X a, q1] x
+    [q1, Y b s p], and the tables are split per setting at the end.  That
+    contraction is written once, as ``trace(amp, povms, parties)``, and run
+    twice: on amp, E_p and the F_o from R for the tables, and on |amp|, the
+    same sums on |T| and the F_o from |R| for the bound that
+    CANCELLATION_TOL scales.
     Every POVM is the one contraction fock.detector_povm.
     """
 
@@ -380,7 +398,7 @@ class FockEngine:
         q = 2.0 * (1.0 - config.fiber_polarization_fidelity) / 3.0
         flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
         ns = range(config.spdc_order + 1)
-        party_clicks = {n: np.einsum("io,op->ip", _party_clicks(n, eta), flip) for n in ns}
+        party_clicks = {n: _party_clicks(n, eta) @ flip for n in ns}
         # The emitted input occupations, closed under loss, per photon number
         # n, and Victor's E_p on them and its bound, both [s, p, i, i'].
         inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
@@ -399,9 +417,9 @@ class FockEngine:
             q4 (_pair_index), from the outer products of R (form 0) or |R| (1)."""
             out = {}
             for bases in set(pair_bases):
-                blocks = [np.stack([detector_povm(party_clicks[n], _rotation_outers(axis, n)[form])
-                                    for axis in bases]) for n in ns]
-                out[bases] = np.concatenate([b.reshape(*b.shape[:2], -1) for b in blocks], axis=2)
+                blocks = [detector_povm(party_clicks[n], _bases_outers(bases, n)[form]) for n in ns]
+                out[bases] = np.concatenate([b.swapaxes(0, 1).reshape(len(bases), b.shape[0], -1)
+                                             for b in blocks], axis=2)
             return out
 
         def trace(amp, povms, parties):
@@ -414,9 +432,12 @@ class FockEngine:
             gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in pulled])[pos]
             gram *= (amp[ia] * amp[ib])[:, None]
             alice, bob = (parties[bases] for bases in pair_bases)
-            traced = np.einsum("Ybq,qr->Ybr", bob, gram.reshape(bob.shape[2], -1))
-            return np.einsum("Xaq,Ybqsp->sXYabp", alice, traced.reshape(
-                *traced.shape[:2], alice.shape[2], len(BisaSetting), len(PATTERNS)))
+            (x, a, q1), (y, b, q4) = alice.shape, bob.shape
+            traced = bob.reshape(y * b, q4) @ gram.reshape(q4, -1)
+            # Bob's side, [Y b, q1, s p], to q1-major [q1, Y b s p], then Alice's.
+            traced = traced.reshape(y * b, q1, -1).swapaxes(0, 1).reshape(q1, -1)
+            tables = alice.reshape(x * a, q1) @ traced
+            return tables.reshape(x, a, y, b, len(BisaSetting), -1).transpose(4, 0, 2, 1, 3, 5)
 
         cat = trace(amp, victor, party_povms(0)).real
         cat[cat <= CANCELLATION_TOL * trace(abs(amp), victor_mag, party_povms(1))] = 0.0

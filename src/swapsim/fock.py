@@ -450,8 +450,8 @@ def detector_povm(clicks: np.ndarray, outers: np.ndarray) -> np.ndarray:
     probabilities of outcome k given photon counts c against ``outers[c]``,
     the sum of T[:, j] T[:, j]^dagger over the outputs j of the optics with
     counts c (real or complex, any trailing shape).  A complex sum is
-    contracted as its real and imaginary parts in one two-operand np.einsum
-    (see the BLAS note in experiment.py)."""
+    contracted as its real and imaginary parts in one real np.matmul (see
+    the BLAS note in experiment.py)."""
     flat = outers.reshape(len(outers), -1).view(float)
-    summed = np.einsum("ck,cx->kx", clicks, flat)
+    summed = clicks.T @ flat
     return summed.view(outers.dtype).reshape(clicks.shape[1], *outers.shape[1:])

@@ -827,7 +827,9 @@ def test_povm_equals_its_definition(monkeypatch, block):
     # against its definition E[k] = sum_c clicks[c, k] outers[c]; and the
     # outers of Victor's POVM, bisa._povm_parts, against theirs: the sum of
     # T[:, j] T[:, j]^dagger over the outputs j of _detector_view with counts
-    # c.  Small blocks split the outputs into several outer-product blocks.
+    # c, one sorted row for each (part, counts) that an output has at either
+    # setting.  Small blocks split the outputs into several outer-product
+    # blocks.
     monkeypatch.setattr(bisa, "_POVM_BLOCK", block)
     bisa._povm_parts.cache_clear()
     try:
@@ -836,16 +838,22 @@ def test_povm_equals_its_definition(monkeypatch, block):
         inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
         for n in (2, 4):
             occs = tuple(occ for occ in inputs if sum(occ) == n)
-            counts, outers, outers_mag = bisa._povm_parts(occs, cfg.n_max)
+            parts, counts, outers, outers_mag = bisa._povm_parts(occs, cfg.n_max)
+            rows = [(part, tuple(c)) for part, c in zip(parts, counts)]
+            assert rows == sorted(set(rows))
+            reached = set()
             for part in (0, 1):
                 for s, setting in enumerate(BisaSetting):
                     t, out_counts = bisa._detector_view(setting, occs, cfg.n_max, bool(part))
-                    for c, o, o_mag in zip(counts, outers[part, :, s], outers_mag[part, :, s]):
+                    reached.update((part, tuple(c)) for c in out_counts)
+                    mine = [r for r, (p, _) in enumerate(rows) if p == part]
+                    for c, o, o_mag in zip(counts[mine], outers[mine, s], outers_mag[mine, s]):
                         j = (out_counts == c).all(axis=1)
                         expected = np.einsum("ij,lj->il", t[:, j], t[:, j].conj())
                         expected_mag = np.einsum("ij,lj->il", abs(t[:, j]), abs(t[:, j]))
                         assert abs(o - expected).max() <= 1e-13 * max(1.0, abs(expected).max())
                         assert abs(o_mag - expected_mag).max() <= 1e-13 * max(1.0, expected_mag.max())
+            assert reached == set(rows)
     finally:
         bisa._povm_parts.cache_clear()
     rng = np.random.default_rng(14)
@@ -1064,3 +1072,69 @@ def test_a_phase_on_input_bv_turns_alices_x_into_y(monkeypatch, kw):
             table = got[(ab, bb, setting)]
             assert np.array_equal(table > 0.0, expected > 0.0)
             assert np.abs(table - expected).max() <= 1e-15
+
+
+def _einsum_tables(cfg, pulled, pulled_mag):
+    """The tables of ``cfg`` from Victor's pulled-back POVMs ``pulled`` and
+    their magnitude form ``pulled_mag``, traced with two-operand np.einsum
+    calls: the parties' POVMs per basis from their clicks, the flip folded
+    in, and the trace, Bob's side then Alice's."""
+    sectors = ex._source_sectors(cfg.tau, cfg.spdc_order)
+    amp = np.concatenate([a for _, a in sectors.values()])
+    pos, ia, ib = ex._pair_index(cfg.spdc_order)
+    q = 2.0 * (1.0 - cfg.fiber_polarization_fidelity) / 3.0
+    flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
+    clicks = [np.einsum("io,op->ip", ex._party_clicks(n, cfg.detector_efficiency), flip)
+              for n in range(cfg.spdc_order + 1)]
+
+    def povms(bases, form):
+        # [X, o, q] over q1 or q4, as FockEngine lays a party's POVMs out.
+        return np.concatenate([np.stack([
+            np.einsum("jo,jik->oik", c, ex._rotation_outers(axis, n)[form]).reshape(c.shape[1], -1)
+            for axis in bases]) for n, c in enumerate(clicks)], axis=2)
+
+    def trace(amp, pulled, form):
+        alice, bob = povms(cfg.alice_bases, form), povms(cfg.bob_bases, form)
+        gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in pulled])[pos]
+        gram *= (amp[ia] * amp[ib])[:, None]
+        traced = np.einsum("Ybq,qr->Ybr", bob, gram.reshape(bob.shape[2], -1))
+        return np.einsum("Xaq,Ybqsp->sXYabp", alice, traced.reshape(
+            *traced.shape[:2], alice.shape[2], len(BisaSetting), len(bisa.PATTERNS)))
+
+    cat = trace(amp, pulled, 0).real
+    cat[cat <= ex.CANCELLATION_TOL * trace(abs(amp), pulled_mag, 1)] = 0.0
+    dist = {}
+    for setting, tables in zip(BisaSetting, cat):
+        keys = itertools.product(cfg.alice_bases, cfg.bob_bases, [setting])
+        dist.update(zip(keys, tables.reshape(-1, len(ex._CATEGORIES))[:, ex._CATEGORY_ORDER]))
+    return dist
+
+
+@pytest.mark.parametrize("kw, phases", [(dict(), False),
+                                        (dict(alice_bases=("x", "z"), bob_bases=("z",)), False),
+                                        (dict(), True)], ids=["default", "xz-z", "phased"])
+def test_tables_equal_an_einsum_trace(monkeypatch, kw, phases):
+    # The engine's matmul trace against the same trace in np.einsum, on the
+    # POVMs the build pulled back; random unit phases on the analyzer's
+    # outputs make T, and so Victor's POVM and the Gram entries, complex.
+    calls = []
+    pull = ex.pull_back_loss
+    monkeypatch.setattr(ex, "pull_back_loss", lambda *a: calls.append(pull(*a)) or calls[-1])
+    cfg = ex.ExperimentConfig(mode="fock", **kw)
+    if phases:
+        rng = np.random.default_rng(28)
+        view = bisa._detector_view
+
+        def phased(*args):
+            transfer, counts = view(*args)
+            return transfer * np.exp(2j * np.pi * rng.random(transfer.shape[1])), counts
+
+        got = _build_through(monkeypatch, phased, cfg)
+        assert any(e.dtype == complex and e.imag.any() for e in calls[0])
+    else:
+        got = ex.build_engine(cfg)._dist
+    expected = _einsum_tables(cfg, *calls)
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert np.array_equal(got[key] > 0.0, expected[key] > 0.0)
+        assert np.abs(got[key] - expected[key]).max() <= 1e-15
