@@ -16,9 +16,10 @@ distinguishable one, in which the b and c photons pass separate copies of
 the analyzer, so its map is the product of two coherent passes and each
 detector counts the photons of both.  One click model
 (:func:`pattern_probabilities`) reads out the four threshold detectors,
-and one POVM (:func:`victor_povm`), those clicks against the passes'
-outer-product sums per detector count vector (fock.detector_povm), serves
-the fock engine and :func:`verify_evolution` alike.
+and one POVM (:func:`victor_povm`), the input loss inside, serves the fock
+engine and :func:`verify_evolution` alike: those clicks, weighted by the
+loss, against the passes' outer-product sums per photons lost and detector
+count vector (fock.detector_povm).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from math import sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -98,12 +99,13 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int):
     as sum_ij psi_i T[i, j] |outputs[j]>.
 
     The optics keep the photon number n, so the inputs of n photons pass
-    the n-photon lifts of the steps (:func:`_lifted_steps`), run on every
-    occupation of n photons.  Every step drops the occupations with a mode
-    above ``n_max``: the H and V splitters, and the two plates, act on
-    disjoint modes and the cap is per mode, so this is the cap after each
-    2x2 step of fock.apply_pair_matrix.  The products stay np.einsum calls,
-    as the BLAS note in experiment.py lists.
+    the n-photon lifts of the steps (:func:`_lifted_steps`), run on their
+    columns of the identity on the occupations of n photons.  Every step
+    drops the occupations with a mode above ``n_max``: the H and V
+    splitters, and the two plates, act on disjoint modes and the cap is per
+    mode, so this is the cap after each 2x2 step of fock.apply_pair_matrix.
+    The products stay np.einsum calls, as the BLAS note in experiment.py
+    lists.
     """
     inputs = [tuple(occ) for occ in inputs]
     outputs: list = []
@@ -111,13 +113,13 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int):
     for n in sorted({sum(occ) for occ in inputs}):
         occs = occupations(4, n)
         capped = (np.array(occs) > n_max).any(axis=1)
-        psi = np.eye(len(occs), dtype=complex)
+        rows = [r for r, occ in enumerate(inputs) if sum(occ) == n]
+        psi = np.eye(len(occs), dtype=complex)[:, [occs.index(inputs[r]) for r in rows]]
         for step in _lifted_steps(setting, n):
             psi = np.einsum("ij,jk->ik", step, psi)
             psi[capped] = 0.0
-        rows = [r for r, occ in enumerate(inputs) if sum(occ) == n]
         block = np.zeros((len(inputs), len(occs) - capped.sum()), dtype=complex)
-        block[rows] = psi[~capped][:, [occs.index(inputs[r]) for r in rows]].T
+        block[rows] = psi[~capped].T
         blocks.append(block)
         outputs += itertools.compress(occs, ~capped)
     transfer = np.concatenate(blocks, axis=1)
@@ -187,38 +189,68 @@ def _detector_view(setting: BisaSetting, inputs: tuple, n_max: int, distinguisha
 _POVM_BLOCK = 1 << 18
 
 
-@functools.cache  # structure only: every efficiency and visibility shares it
+@functools.cache  # structure only: every efficiency, visibility and transmission shares it
 def _povm_parts(inputs: tuple, n_max: int):
-    """Victor's POVM on ``inputs`` before detection, summed per analyzer
-    part, detector count vector and setting: ``(parts, counts, O, O_mag)``.
-    Row r holds the outputs of analyzer part ``parts[r]`` (0 the coherent
-    one) with detector counts ``counts[r]``; the rows are the (part, count
-    vector) pairs some output of :func:`_detector_view` has at either
-    setting, sorted.  ``O[r, s]`` is the sum of T[:, j] T[:, j]^dagger over
-    those outputs j at BisaSetting s, and ``O_mag`` the same sum on |T|.
-    All are read-only.  The clicks depend on an output only through its
-    counts, so :func:`victor_povm` reads no output of its own.  O is real
-    where T is, as the analyzer's T is.  Every output is reached, so the
-    sums of each row are nonzero at one setting at least.
+    """Victor's POVM on ``inputs`` before detection, the input loss
+    included, summed per analyzer part, photons lost, detector count vector
+    and setting: ``(parts, lost, counts, O, O_mag)``.
 
-    The outputs of every pass are sorted by (row, setting), and their outer
-    products formed a block at a time and summed per run of equal keys;
-    |T[i, j]| |T[i', j]| is the magnitude of the outer product.
+    Loss on the inputs leaves a record k, the photons each input mode lost:
+    input x passes the analyzer as x - k, with amplitude sqrt(prod_i C(x_i,
+    k_i)).  Outputs of different k never interfere, so each (k, output j)
+    of :func:`_detector_view` on the inputs x - k is an output of its own,
+    A[x, (k, j)] = sqrt(prod_i C(x_i, k_i)) T[x - k, j].  Row r holds the
+    outputs of analyzer part ``parts[r]`` (0 the coherent one) with
+    ``lost[r]`` = |k| and detector counts ``counts[r]``; the rows are the
+    (part, lost, count vector) triples some output has at either setting,
+    sorted.  ``lost`` is no function of the counts where the inputs mix
+    photon numbers.  ``O[r, s]`` is the sum of A[:, c] A[:, c]^dagger over
+    those outputs c at BisaSetting s, and ``O_mag`` the same sum on |A|.
+    All are read-only.  The clicks and the loss weight depend on an output
+    only through its row, so :func:`victor_povm` reads no output of its own.
+    O is real where T is, as the analyzer's T is.  Every output is reached,
+    so the sums of each row are nonzero at one setting at least.
+
+    Each pass runs once, on every x - k, and each k reads its rows of it,
+    its unreached outputs dropped.  The outputs of every pass are sorted by
+    (row, setting), and their outer products formed a block at a time and
+    summed per run of equal keys; |A[x, c]| |A[x', c]| is the magnitude of
+    the outer product.
     """
     settings = list(BisaSetting)
-    passes = [(part, s) for part in (0, 1) for s in range(len(settings))]
-    views = [_detector_view(settings[s], inputs, n_max, bool(part)) for part, s in passes]
-    transfer = np.concatenate([t for t, _ in views], axis=1)
-    if not transfer.imag.any():
-        transfer = transfer.real
-    counts = np.concatenate([c for _, c in views])
-    part, s = np.repeat(np.array(passes), [len(c) for _, c in views], axis=0).T
-    pairs, ids = np.unique(np.column_stack((part, counts)), axis=0, return_inverse=True)
-    parts, counts = pairs[:, 0], pairs[:, 1:]
+    # Per loss k: the inputs x that can lose it, x - k, and the amplitude.
+    moves: dict = {}
+    for i, occ in enumerate(inputs):
+        for k in itertools.product(*(range(x + 1) for x in occ)):
+            left = tuple(x - lost for x, lost in zip(occ, k))
+            moves.setdefault(k, []).append((i, left, sqrt(prod(map(comb, occ, k)))))
+    reduced = sorted({left for move in moves.values() for _, left, _ in move})
+    where = {occ: r for r, occ in enumerate(reduced)}
+    losses = []
+    for k, move in moves.items():
+        xs, left, coef = zip(*move)
+        losses.append((sum(k), list(xs), [where[occ] for occ in left], np.array(coef)[:, None]))
+    outputs, keys = [], []
+    for part, s in itertools.product((0, 1), range(len(settings))):
+        transfer, counts = _detector_view(settings[s], tuple(reduced), n_max, bool(part))
+        if not transfer.imag.any():
+            transfer = transfer.real
+        for lost, xs, left, coef in losses:
+            sub = transfer[left] * coef
+            reached = sub.any(axis=0)
+            # The outputs of this k as rows A[:, c] over every input.
+            out = np.zeros((reached.sum(), len(inputs)), sub.dtype)
+            out[:, xs] = sub[:, reached].T
+            outputs.append(out)
+            n = len(out)
+            keys.append(np.column_stack(([part] * n, [lost] * n, counts[reached], [s] * n)))
+    keys = np.concatenate(keys)
+    triples, ids = np.unique(keys[:, :-1], axis=0, return_inverse=True)
+    parts, lost, counts = triples[:, 0], triples[:, 1], triples[:, 2:]
     # Each output's place in O flattened: (row, setting).
-    ids = ids.reshape(-1) * len(settings) + s
+    ids = ids.reshape(-1) * len(settings) + keys[:, -1]
     order = np.argsort(ids, kind="stable")
-    rows, ids = transfer.T[order], ids[order]
+    rows, ids = np.concatenate(outputs)[order], ids[order]
     shape = (len(counts) * len(settings), len(inputs), len(inputs))
     povm, povm_mag = np.zeros(shape, rows.dtype), np.zeros(shape)
     step = max(1, _POVM_BLOCK // len(inputs) ** 2)
@@ -230,9 +262,9 @@ def _povm_parts(inputs: tuple, n_max: int):
         povm_mag[keys[starts]] += np.add.reduceat(abs(outer), starts)
     shape = (len(counts), len(settings), *shape[1:])
     povm, povm_mag = povm.reshape(shape), povm_mag.reshape(shape)
-    for a in (parts, counts, povm, povm_mag):
+    for a in (parts, lost, counts, povm, povm_mag):
         a.flags.writeable = False
-    return parts, counts, povm, povm_mag
+    return parts, lost, counts, povm, povm_mag
 
 
 def pattern_probabilities(counts: np.ndarray, eta: float) -> np.ndarray:
@@ -243,20 +275,27 @@ def pattern_probabilities(counts: np.ndarray, eta: float) -> np.ndarray:
     return np.where(_MASKS, click[:, None], silent[:, None]).prod(axis=-1)
 
 
-def victor_povm(inputs, n_max: int, visibility: float, eta: float):
+def victor_povm(inputs, n_max: int, visibility: float, eta: float, transmission: float):
     """Victor's POVM on the analyzer inputs ``inputs`` (occupations of
-    INPUT_REGISTER) at ``visibility``, per setting: ``(E, E_mag)``,
-    ``E[s, k, i, i']`` = sum_j T[i, j] P(PATTERNS[k] | j) conj(T[i', j])
-    over the outputs j of both analyzer parts (:func:`_detector_view`) at
-    BisaSetting s, P weighted by ``visibility`` for the coherent part and
-    ``1 - visibility`` for the distinguishable one, each detector a
-    threshold detector of efficiency ``eta``; ``E_mag`` is the same sum on
-    |T|, which bounds |E| entry by entry.  fock.detector_povm of the clicks
-    per (part, count vector) row against the sums of :func:`_povm_parts`."""
+    INPUT_REGISTER) at ``visibility``, each input mode transmitting each
+    photon with probability t = ``transmission``, per setting: ``(E,
+    E_mag)``, ``E[s, k, i, i']`` = sum_c A[i, c] P(PATTERNS[k] | c)
+    conj(A[i', c]) over the outputs c of the loss and both analyzer parts
+    (:func:`_povm_parts`) at BisaSetting s, P weighted by ``visibility`` for
+    the coherent part and ``1 - visibility`` for the distinguishable one and
+    by the loss, t^kept (1 - t)^lost, each detector a threshold detector of
+    efficiency ``eta``; ``E_mag`` is the same sum on |A|, which bounds |E|
+    entry by entry.  The analyzer keeps the photon number, so E is block
+    diagonal in it, and an output of x - k counts the photons x kept.
+    fock.detector_povm of the clicks per (part, lost, count vector) row
+    against the sums of :func:`_povm_parts`."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    parts, counts, povm, povm_mag = _povm_parts(tuple(map(tuple, inputs)), n_max)
-    weights = np.array([visibility, 1.0 - visibility])[parts]
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
+    parts, lost, counts, povm, povm_mag = _povm_parts(tuple(map(tuple, inputs)), n_max)
+    weights = (np.array([visibility, 1.0 - visibility])[parts]
+               * transmission ** counts.sum(axis=1) * (1.0 - transmission) ** lost)
     clicks = weights[:, None] * pattern_probabilities(counts, eta)
     return [detector_povm(clicks, sums).swapaxes(0, 1) for sums in (povm, povm_mag)]
 
@@ -270,7 +309,7 @@ def verify_evolution(kind: str, setting: BisaSetting, visibility: float = 1.0) -
     # Basis state |pq> of the Bell state: polarization p on b, q on c (H = 0).
     inputs = [(1 - p, p, 1 - q, q) for p in (0, 1) for q in (0, 1)]
     # Two photons never exceed a cap of 2.
-    povm, _ = victor_povm(inputs, 2, visibility, 1.0)
+    povm, _ = victor_povm(inputs, 2, visibility, 1.0, 1.0)
     probs = np.einsum("i,kij,j->k", psi.conj(), povm[list(BisaSetting).index(setting)], psi).real
     out: dict[BisaOutcome, float] = {}
     for pattern, p in zip(PATTERNS, probs):

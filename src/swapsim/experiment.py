@@ -13,8 +13,8 @@ VICTOR_OUTCOMES index of Victor's class).
   product projector needs no measurement order.  ``ordering_joint``, the
   sequential projections in either order, remains criterion 8's check.
 * fock mode: two truncated SPDC sources at the bosonic-mode level, fiber
-  depolarization, input loss (pulled back onto Victor's measurement), the
-  analyzer at finite visibility, and threshold detector patterns.
+  depolarization, input loss (inside Victor's measurement), the analyzer
+  at finite visibility, and threshold detector patterns.
 
 Trial i reads the fixed block of _UNIFORMS_PER_TRIAL uniforms at offset
 i * _UNIFORMS_PER_TRIAL of one Philox stream keyed by the master seed, and
@@ -37,8 +37,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 import numpy as np
 
 from . import states
-from .bisa import INPUT_REGISTER, PATTERNS, BisaOutcome, BisaSetting, classify, victor_povm
-from .fock import click_probability, detector_povm, lift, occupations, pull_back_loss
+from .bisa import PATTERNS, BisaOutcome, BisaSetting, classify, victor_povm
+from .fock import click_probability, detector_povm, lift, occupations
 from .qrng import QrngConfig, QrngSimulator
 from .timeline import (DelayBudget, EventTimes, _check_field_types, _field_types, _is_a,
                        _KIND_NAMES, check_delayed_choice, event_times)
@@ -156,27 +156,16 @@ def _axis_rotation(axis: str) -> np.ndarray:
     return np.array([plus.conj(), minus.conj()])
 
 
-@functools.cache  # three axes and a few n per process, shared by every build
-def _rotation_outers(axis: str, n: int) -> tuple:
-    """The outer products conj(R[j]) x R[j] of the rows j of R, the lift of
-    ``_axis_rotation(axis)`` to ``n`` photons, as [j, i, i'], and the same
-    products of |R|, both read-only: a party's POVM is fock.detector_povm of
-    its clicks per row against them."""
-    rotation = lift(_axis_rotation(axis), n)
-    outers = tuple(np.multiply(r.conj()[:, :, None], r[:, None, :], order="C")
-                   for r in (rotation, abs(rotation)))
-    for outer in outers:
-        outer.flags.writeable = False
-    return outers
-
-
 @functools.cache  # one bases tuple or two per process, shared by every build
 def _bases_outers(bases: tuple, n: int) -> tuple:
-    """``_rotation_outers(axis, n)`` of each axis of ``bases``, stacked as
-    [j, X, i, i'], both forms read-only: a party's POVMs of all its bases
-    are one fock.detector_povm per photon number."""
-    outers = tuple(np.stack(form, axis=1)
-                   for form in zip(*(_rotation_outers(axis, n) for axis in bases)))
+    """The outer products conj(R[j]) x R[j] of the rows j of R, the lift of
+    ``_axis_rotation(axis)`` to ``n`` photons, for each axis of ``bases``,
+    as [j, X, i, i'], and the same products of |R|, both read-only: a
+    party's POVMs of all its bases are one fock.detector_povm of its clicks
+    per row against them, per photon number."""
+    rotations = lift(np.stack([_axis_rotation(axis) for axis in bases]), n).swapaxes(0, 1)
+    outers = tuple(np.multiply(r.conj()[..., :, None], r[..., None, :], order="C")
+                   for r in (rotations, abs(rotations)))
     for outer in outers:
         outer.flags.writeable = False
     return outers
@@ -245,14 +234,14 @@ _CATEGORY_COLUMNS = _category_columns(_CATEGORY_KEYS, classify)
 # rotation entries alike, each times its click probabilities) is the
 # rounding residue of an exact cancellation, and counts as absent.  That sum
 # is the table's own trace run on the magnitudes |amp| and |R| of the
-# amplitudes and rotation lifts, and on Victor's POVM summed on |T|, the
-# magnitudes of the transfer maps (bisa.victor_povm's E_mag): every other
-# factor (click probabilities, loss weights) is nonnegative already.  In
-# exact arithmetic an entry is a sum of nonnegative probabilities, one per
-# photon-number sector and analyzer part, so no cancellation happens between
-# them and one test per entry suffices.  Rounding leaves at most a few
-# machine epsilons of that sum, so true entries smaller than 1e-12 of it are
-# the only ones lost.
+# amplitudes and rotation lifts, and on Victor's POVM summed on |A|, the
+# magnitudes of the loss and analyzer amplitudes (bisa.victor_povm's
+# E_mag): every other factor (click probabilities, loss weights) is
+# nonnegative already.  In exact arithmetic an entry is a sum of
+# nonnegative probabilities, one per photon-number sector, loss record and
+# analyzer part, so no cancellation happens between them and one test per
+# entry suffices.  Rounding leaves at most a few machine epsilons of that
+# sum, so true entries smaller than 1e-12 of it are the only ones lost.
 CANCELLATION_TOL = 1e-12
 # The build's two-operand contractions are np.matmul on 2-D views, which
 # calls BLAS (np.einsum without optimize never does, and ran the trace 4-5
@@ -278,10 +267,8 @@ def _source_sectors(tau: float, order: int) -> dict:
     occupations(2, n4), meets exactly one analyzer input occupation occs[a]
     = (n1 - h1, h1, n4 - h4, h4) on (bH, bV, cH, cV), with the real
     amplitude amp[a].  Blocks between sectors are never needed: the basis
-    rotations keep n1 and n4, and the analyzer keeps n = n1 + n4.  Every
-    occupation below an emitted one is emitted too, so the inputs are closed
-    under loss.  (``fock.spdc_source`` builds the same state with creation
-    operators.)
+    rotations keep n1 and n4, and the analyzer keeps n = n1 + n4.
+    (``fock.spdc_source`` builds the same state with creation operators.)
     """
     norm = sum((n + 1) * (tau * tau / 2.0) ** n for n in range(order + 1))
     out = {}
@@ -347,35 +334,33 @@ class FockEngine:
 
     * Alice's and Bob's F_o = R^dagger diag(P(o | H, V counts)) R on the n
       photons of mode 1 or 4, R the lift of the axis rotation to them
-      (``_rotation_outers``, stacked over a party's bases by
-      ``_bases_outers``); fiber depolarization folds into P as a flip of
-      +1/-1.
-    * Victor's E_p = T diag(P(p | output counts)) T^dagger, T the analyzer's
-      transfer map on the b/c input occupations with the outputs of both
-      analyzer parts as columns, and P weighted by each output's part, then
-      pulled back through the input loss: Tr[loss(rho) E_p] = Tr[rho
-      loss^dagger(E_p)] (fock.pull_back_loss).  P depends on an output
-      only through its detector counts, so E_p is read from the sums of
-      T[:, j] T[:, j]^dagger per part and count vector, which depend on the
-      structure alone and are built once per process (bisa.victor_povm).
+      (``_bases_outers``, stacked over a party's bases); fiber
+      depolarization folds into P as a flip of +1/-1.
+    * Victor's E_p = A diag(P(p | output)) A^dagger, A the input loss and
+      then the analyzer on the b/c input occupations: each record k of the
+      photons lost and each output of both analyzer parts on x - k is a
+      column, and P weighted by the column's part and loss.  P depends on a
+      column only through its part, photons lost and detector counts, so
+      E_p is read from the sums of A[:, c] A[:, c]^dagger per such row,
+      which depend on the structure alone and are built once per process
+      (bisa.victor_povm).
 
     The state enters in closed form (``_source_sectors``): per (n1, n4)
     sector each occupation a of modes 1 and 4 meets one analyzer input
     occupation occs[a], with the real amplitude amp[a]; rho is never
-    formed.  E_p is formed per n on the emitted occupations, which the loss
-    maps into themselves, with both settings on a leading axis, and pulled
-    back at once onto the occupations of each sector, in the order of a.
-    Victor's side is traced first, leaving the Gram entries G_p[a, a'] =
-    Tr_bc[rho E_p] = amp[a] E_p[a, a'] amp[a'] of both settings.  Every
-    (n1, n4) up to ``spdc_order`` is a sector, so the pairs (a, a') of all
-    sectors factor into the pairs of modes 1 and 4 (``_pair_index``): the
+    formed.  E_p is formed on the occupations of each sector, in the order
+    of a, with both settings on a leading axis.  Victor's side is traced
+    first, leaving the Gram entries G_p[a, a'] = Tr_bc[rho E_p] = amp[a]
+    E_p[a, a'] amp[a'] of both settings.  Every (n1, n4) up to
+    ``spdc_order`` is a sector, so the pairs (a, a') of all sectors factor
+    into the pairs of modes 1 and 4 (``_pair_index``): the
     Gram entries of every sector, gathered into one array, meet F_b of
     every Bob basis and then F_a of every Alice basis in two matrix
     products, [Y b, q4] x [q4, q1 s p] and then, q1-major, [X a, q1] x
     [q1, Y b s p], and the tables are split per setting at the end.  That
     contraction is written once, as ``trace(amp, povms, parties)``, and run
     twice: on amp, E_p and the F_o from R for the tables, and on |amp|, the
-    same sums on |T| and the F_o from |R| for the bound that
+    same sums on |A| and the F_o from |R| for the bound that
     CANCELLATION_TOL scales.
     Every POVM is the one contraction fock.detector_povm.
     """
@@ -399,15 +384,11 @@ class FockEngine:
         flip = np.array([[1.0 - q, q, 0.0], [q, 1.0 - q, 0.0], [0.0, 0.0, 1.0]])
         ns = range(config.spdc_order + 1)
         party_clicks = {n: _party_clicks(n, eta) @ flip for n in ns}
-        # The emitted input occupations, closed under loss, per photon number
-        # n, and Victor's E_p on them and its bound, both [s, p, i, i'].
-        inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
-        victor, victor_mag = [], []
-        for n in range(2 * config.spdc_order + 1):
-            occs = [occ for occ in inputs if sum(occ) == n]
-            povm, povm_mag = victor_povm(occs, n_max, config.visibility, eta)
-            victor.append((occs, povm))
-            victor_mag.append((occs, povm_mag))
+        # Victor's E_p on each sector's input occupations, the input loss
+        # included, and its bound, both [s, p, a, a'].
+        victor, victor_mag = zip(*(victor_povm(occs, n_max, config.visibility, eta,
+                                               config.input_transmission)
+                                   for occs, _ in sectors.values()))
         pos, ia, ib = _pair_index(config.spdc_order)
         amp = np.concatenate([amp for _, amp in sectors.values()])
         pair_bases = (config.alice_bases, config.bob_bases)
@@ -426,10 +407,8 @@ class FockEngine:
             """The tables [s, X, Y, a, b, p] for Alice's basis X and Bob's basis
             Y, from the amplitudes ``amp``, Victor's POVMs ``povms`` and
             Alice's and Bob's, ``parties`` (party_povms)."""
-            pulled = pull_back_loss(povms, [occs for occs, _ in sectors.values()],
-                                    range(len(INPUT_REGISTER)), config.input_transmission)
             # The Gram entries of every sector, [q4, q1, s, p].
-            gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in pulled])[pos]
+            gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in povms])[pos]
             gram *= (amp[ia] * amp[ib])[:, None]
             alice, bob = (parties[bases] for bases in pair_bases)
             (x, a, q1), (y, b, q4) = alice.shape, bob.shape

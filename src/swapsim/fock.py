@@ -6,17 +6,15 @@ noise model; amplitudes pushed past the cap are dropped.
 
 Mixed states (after loss channels) are represented as lists of
 unnormalized FockVectors; the weight of a branch is its squared norm.
-:func:`pull_back_loss` moves the loss onto a measurement instead, so a
-pure state meets it (the Heisenberg picture).
 Linear optics on n photons is the n-photon block of its mode matrix
 (:func:`lift`); threshold detectors click with :func:`click_probability`
 given the photons they see, and every detector's POVM is those click
 probabilities against outer-product sums of the optics
 (:func:`detector_povm`).
 
-The engines use only those matrix forms, with :func:`occupations` and
-:func:`pull_back_loss`; ``experiment._source_sectors`` writes the sources'
-state in closed form.  The FockVector layer (creation operators,
+The engines use only those matrix forms, with :func:`occupations`;
+``experiment._source_sectors`` writes the sources' state in closed form,
+and ``bisa.victor_povm`` takes the input loss into Victor's POVM.  The FockVector layer (creation operators,
 :func:`spdc_source`, :func:`attenuate`, beam splitters and wave plates) is
 the reference the tests build states with, criterion 10's property suites
 and the fock engine's branch-enumeration oracle among them.
@@ -25,8 +23,6 @@ and the fock engine's branch-enumeration oracle among them.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -336,96 +332,6 @@ def attenuate(state: FockVector, mode: Mode, eta: float) -> list[FockVector]:
         if branch.amp:
             branches.append(branch)
     return branches
-
-
-@functools.cache  # occupations only, shared by every build on these registers
-def _loss_terms(outers: tuple, inners: tuple, modes: tuple) -> tuple:
-    """The terms of :func:`pull_back_loss` from the occupation lists
-    ``inners`` onto the lists ``outers``: one per loss k on ``modes`` and
-    pair (x, x') of one outer list that k takes into one inner list.
-    Returns read-only arrays, sorted by the first: the position of (x, x')
-    in the outer blocks flattened end to end, that of (x - k, x' - k) in
-    the inner ones, prod_i sqrt(C(x_i, k_i) C(x'_i, k_i)), the photons of
-    ``modes`` kept, on average over x and x', and those lost, sum_i k_i."""
-
-    # Each inner occupation -> (offset of its list's flat block, index, list length).
-    inner, offset = {}, 0
-    for occs in inners:
-        inner.update({occ: (offset, i, len(occs)) for i, occ in enumerate(occs)})
-        offset += len(occs) ** 2
-    if len(inner) != sum(map(len, inners)):
-        raise ValueError("the blocks of a direct sum must hold disjoint occupations")
-    terms: list = []
-    base = 0
-    for occs in outers:
-        # Per occupation of the list, each loss k that takes it into an inner
-        # list: k -> (its place there, sqrt C(x, k), photons of modes kept).
-        moves = []
-        for occ in occs:
-            move = {}
-            for k in itertools.product(*(range(occ[i] + 1) for i in modes)):
-                left = list(occ)
-                for i, lost in zip(modes, k):
-                    left[i] -= lost
-                if tuple(left) in inner:
-                    c = sqrt(math.prod(comb(occ[i], lost) for i, lost in zip(modes, k)))
-                    move[k] = (inner[tuple(left)], c, sum(occ[i] for i in modes) - sum(k))
-            moves.append(move)
-        # Pairs in row-major order, so the outer positions come out sorted.
-        for x, x_moves in enumerate(moves):
-            for x2, x2_moves in enumerate(moves):
-                for k, ((start, y, size), c, kept) in x_moves.items():
-                    if k in x2_moves and x2_moves[k][0][0] == start:
-                        (_, y2, _), c2, kept2 = x2_moves[k]
-                        terms.append((base + x * len(occs) + x2, start + y * size + y2,
-                                      c * c2, (kept + kept2) / 2.0, sum(k)))
-        base += len(occs) ** 2
-    terms = np.array(terms, dtype=float).reshape(-1, 5).T
-    out = (*terms[:2].astype(np.intp), *np.ascontiguousarray(terms[2:]))
-    for array in out:
-        array.flags.writeable = False
-    return out
-
-
-def pull_back_loss(blocks, outers, modes, eta: float) -> list[np.ndarray]:
-    """The adjoint of :func:`attenuate` on each of ``modes`` (indices into
-    the occupation tuples), in the Heisenberg picture: an operator E becomes
-    sum_k K_k^dagger E K_k, with K_k the Kraus operator that loses k_i
-    photons of each mode i, K_k |x> = prod_i sqrt(C(x_i, k_i))
-    eta^((x_i - k_i)/2) (1 - eta)^(k_i/2) |x - k>.  So Tr[rho' E] =
-    Tr[rho E'] for rho' the ensemble that attenuate leaves of rho, and
-    nonnegative entries of E stay nonnegative.
-
-    E is the direct sum of ``blocks``, pairs ``(occs, ops)`` of an
-    occupation list and a stack of matrices ops[..., i, i'] on it, all of
-    one leading shape; the lists are disjoint, and E is zero on every
-    occupation none of them holds.
-    Returns the blocks E'[..., x, x'] on each occupation list of
-    ``outers``; entries between two lists are not formed.  Terms of zero
-    weight (every loss at eta 1, every kept photon at eta 0) are skipped.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    inners, ops = zip(*blocks)
-    outers = tuple(map(tuple, outers))
-    dst, src, coef, kept, lost = _loss_terms(outers, tuple(map(tuple, inners)), tuple(modes))
-    weight = coef * eta**kept * (1.0 - eta) ** lost
-    live = np.flatnonzero(weight)
-    dst, src, weight = dst[live], src[live], weight[live]
-    # Entries along the first axis, the stacks along the second, so a term
-    # and a block of E' are contiguous rows.
-    lead = ops[0].shape[:-2]
-    terms = np.concatenate([op.reshape(-1, op.shape[-2] * op.shape[-1]).T for op in ops])[src]
-    terms *= weight[:, None]
-    out = np.zeros((sum(len(occs) ** 2 for occs in outers), terms.shape[1]), dtype=terms.dtype)
-    if len(dst):
-        starts = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
-        out[dst[starts]] = np.add.reduceat(terms, starts)
-    pulled, lo = [], 0
-    for occs in outers:
-        pulled.append(out[lo:lo + len(occs) ** 2].T.reshape(*lead, len(occs), len(occs)))
-        lo += len(occs) ** 2
-    return pulled
 
 
 def attenuate_sample(state: FockVector, mode: Mode, eta: float, rng: np.random.Generator) -> FockVector:

@@ -223,7 +223,7 @@ def test_victor_povm_equals_step_oracle(setting, n_max):
         state = fock.FockVector(bisa.INPUT_REGISTER, n_max, dict(zip(inputs, psi)))
         passes = [analyzer_pass(state, setting, tagged) for tagged in (False, True)]
         for visibility, eta in itertools.product((0.0, 0.7, 1.0), (0.6, 1.0)):
-            povm, _ = bisa.victor_povm(inputs, n_max, visibility, eta)
+            povm, _ = bisa.victor_povm(inputs, n_max, visibility, eta, 1.0)
             got = np.einsum("i,kij,j->k", psi.conj(), povm[s], psi)
             expected = np.zeros(len(bisa.PATTERNS))
             for out, bank, weight in zip(passes, (VICTOR_BANK, VICTOR_BANK_TAGGED),

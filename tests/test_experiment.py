@@ -809,7 +809,8 @@ def test_fock_engine_equals_branch_enumeration_clean(clean_fock_engine):
 
 def test_fock_engine_equals_branch_enumeration_where_the_cap_binds():
     # At cap 2 a pair of order 2 on each input fills the analyzer past the
-    # cap, which it drops after the loss: the pulled-back POVM must keep it.
+    # cap, which it drops after the loss: Victor's POVM, the loss inside,
+    # must keep it.
     cfg = ex.ExperimentConfig(mode="fock", spdc_order=2, n_max=2, input_transmission=0.5)
     _assert_tables_match(ex.build_engine(cfg), [("z", "x")])
 
@@ -825,35 +826,51 @@ def test_fock_engine_depolarization_equals_pauli_branches():
 def test_povm_equals_its_definition(monkeypatch, block):
     # fock.detector_povm, the one contraction of every detector's POVM,
     # against its definition E[k] = sum_c clicks[c, k] outers[c]; and the
-    # outers of Victor's POVM, bisa._povm_parts, against theirs: the sum of
-    # T[:, j] T[:, j]^dagger over the outputs j of _detector_view with counts
-    # c, one sorted row for each (part, counts) that an output has at either
-    # setting.  Small blocks split the outputs into several outer-product
-    # blocks.
+    # outers of Victor's POVM, bisa._povm_parts, against theirs: for a row
+    # (part, lost, counts c), the sum over the losses k with |k| = lost of
+    # C_k[x] C_k[x'] T[x - k, j] conj(T[x' - k, j]) over the outputs j of
+    # _detector_view with counts c, C_k[x] = sqrt(prod_i C(x_i, k_i)), one
+    # sorted row for each (part, lost, counts) that an output has at either
+    # setting.  The inputs are a source sector, the inputs of one photon
+    # number and inputs of mixed photon number.  Small blocks split the
+    # outputs into several outer-product blocks.
     monkeypatch.setattr(bisa, "_POVM_BLOCK", block)
     bisa._povm_parts.cache_clear()
     try:
         cfg = ex.ExperimentConfig(mode="fock", spdc_order=2, n_max=3)
         sectors = ex._source_sectors(cfg.tau, cfg.spdc_order)
         inputs = sorted(occ for occs, _ in sectors.values() for occ in occs)
-        for n in (2, 4):
-            occs = tuple(occ for occ in inputs if sum(occ) == n)
-            parts, counts, outers, outers_mag = bisa._povm_parts(occs, cfg.n_max)
-            rows = [(part, tuple(c)) for part, c in zip(parts, counts)]
+        for occs in (sectors[(1, 2)][0], [occ for occ in inputs if sum(occ) == 4],
+                     [occ for occ in inputs if sum(occ) <= 2]):
+            occs = tuple(map(tuple, occs))
+            parts, lost, counts, outers, outers_mag = bisa._povm_parts(occs, cfg.n_max)
+            rows = [(part, k, tuple(c)) for part, k, c in zip(parts, lost, counts)]
             assert rows == sorted(set(rows))
-            reached = set()
-            for part in (0, 1):
-                for s, setting in enumerate(BisaSetting):
-                    t, out_counts = bisa._detector_view(setting, occs, cfg.n_max, bool(part))
-                    reached.update((part, tuple(c)) for c in out_counts)
-                    mine = [r for r, (p, _) in enumerate(rows) if p == part]
-                    for c, o, o_mag in zip(counts[mine], outers[mine, s], outers_mag[mine, s]):
+            ks = list(np.ndindex(*np.max(occs, axis=0) + 1))
+            reduced = sorted({tuple(np.subtract(x, k).tolist()) for x in occs for k in ks
+                              if min(np.subtract(x, k)) >= 0})
+            expected = {}
+            for part, (s, setting) in itertools.product((0, 1), enumerate(BisaSetting)):
+                t, out_counts = bisa._detector_view(setting, tuple(reduced), cfg.n_max, bool(part))
+                for k in ks:
+                    # A_k[x, j] = C_k[x] T[x - k, j], zero where x cannot lose k.
+                    a = np.zeros((len(occs), t.shape[1]), t.dtype)
+                    for i, x in enumerate(occs):
+                        left = np.subtract(x, k)
+                        if min(left) >= 0:
+                            a[i] = math.sqrt(math.prod(map(math.comb, x, k))) * t[
+                                reduced.index(tuple(left.tolist()))]
+                    for c in np.unique(out_counts[a.any(axis=0)], axis=0):
                         j = (out_counts == c).all(axis=1)
-                        expected = np.einsum("ij,lj->il", t[:, j], t[:, j].conj())
-                        expected_mag = np.einsum("ij,lj->il", abs(t[:, j]), abs(t[:, j]))
-                        assert abs(o - expected).max() <= 1e-13 * max(1.0, abs(expected).max())
-                        assert abs(o_mag - expected_mag).max() <= 1e-13 * max(1.0, expected_mag.max())
-            assert reached == set(rows)
+                        o, o_mag = expected.setdefault((part, sum(k), tuple(c)), np.zeros(
+                            (2, len(BisaSetting), len(occs), len(occs)), complex))
+                        o[s] += np.einsum("ij,lj->il", a[:, j], a[:, j].conj())
+                        o_mag[s] += np.einsum("ij,lj->il", abs(a[:, j]), abs(a[:, j]))
+            assert set(expected) == set(rows)
+            for row, o, o_mag in zip(rows, outers, outers_mag):
+                want, want_mag = expected[row]
+                assert abs(o - want).max() <= 1e-13 * max(1.0, abs(want).max())
+                assert abs(o_mag - want_mag).max() <= 1e-13 * max(1.0, abs(want_mag).max())
     finally:
         bisa._povm_parts.cache_clear()
     rng = np.random.default_rng(14)
@@ -888,7 +905,7 @@ def test_victor_povm_equals_the_povm_of_each_output(monkeypatch, order, cap, blo
     try:
         for n in range(2 * order + 1):
             occs = [occ for occ in inputs if sum(occ) == n]
-            povm, povm_mag = bisa.victor_povm(occs, cap, visibility, eta)
+            povm, povm_mag = bisa.victor_povm(occs, cap, visibility, eta, 1.0)
             assert povm.shape == povm_mag.shape == (2, len(bisa.PATTERNS), len(occs), len(occs))
             for e, e_mag, setting in zip(povm, povm_mag, BisaSetting):
                 expected = expected_mag = 0.0
@@ -916,17 +933,19 @@ def test_pair_index_holds_each_pair_of_each_sector_once(order):
 
 
 def test_rotation_lift_is_a_fresh_lift_and_read_only():
-    # The cache holds the outer products of the rows of a fresh lift and of
-    # its magnitudes, read-only.
-    for axis in states.PAULI_AXES:
+    # The cache holds, per axis of the bases, the outer products of the rows
+    # of a fresh lift and of its magnitudes, read-only.
+    for bases in (states.PAULI_AXES, ("x", "z"), ("z",)):
         for n in range(5):
-            cached = ex._rotation_outers(axis, n)
-            assert cached is ex._rotation_outers(axis, n)
-            lifted = fock.lift(ex._axis_rotation(axis), n)
-            for outer, rows in zip(cached, (lifted, abs(lifted)), strict=True):
-                assert np.array_equal(outer, np.einsum("ji,jk->jik", rows.conj(), rows))
+            cached = ex._bases_outers(bases, n)
+            assert cached is ex._bases_outers(bases, n)
+            for x, axis in enumerate(bases):
+                lifted = fock.lift(ex._axis_rotation(axis), n)
+                for outer, rows in zip(cached, (lifted, abs(lifted)), strict=True):
+                    assert np.array_equal(outer[:, x], np.einsum("ji,jk->jik", rows.conj(), rows))
+            for outer in cached:
                 with pytest.raises(ValueError):
-                    outer[0, 0, 0] = 0.0
+                    outer[0, 0, 0, 0] = 0.0
 
 
 def _per_process_caches():
@@ -994,18 +1013,17 @@ def test_build_caches_hold_structure_only(monkeypatch):
 @pytest.mark.parametrize("kw", [dict(), dict(spdc_order=2, n_max=2, input_transmission=0.5)])
 def test_magnitude_gram_bounds_the_gram(monkeypatch, kw):
     # The cancellation cut compares each entry with the same contraction on
-    # magnitudes.  The engine pulls Victor's E and its magnitudes E_mag back
-    # onto each sector; E_mag is real, nonnegative and bounds |E| entry by
-    # entry, so |amp| E_mag |amp| bounds the Gram amp E amp.
+    # magnitudes.  The engine forms Victor's E and its magnitudes E_mag, the
+    # input loss inside, on each sector; E_mag is real, nonnegative and
+    # bounds |E| entry by entry, so |amp| E_mag |amp| bounds the Gram amp E amp.
     calls = []
-    pull = ex.pull_back_loss
-    monkeypatch.setattr(ex, "pull_back_loss", lambda *a: calls.append(pull(*a)) or calls[-1])
+    povm = ex.victor_povm
+    monkeypatch.setattr(ex, "victor_povm", lambda *a: calls.append(povm(*a)) or calls[-1])
     cfg = ex.ExperimentConfig(mode="fock", **kw)
     ex.build_engine(cfg)
-    assert len(calls) == 2
     sectors = ex._source_sectors(cfg.tau, cfg.spdc_order)
-    assert len(calls[0]) == len(calls[1]) == len(sectors)
-    for e, e_mag, (occs, _) in zip(*calls, sectors.values()):
+    assert len(calls) == len(sectors)
+    for (e, e_mag), (occs, _) in zip(calls, sectors.values()):
         assert e.shape == e_mag.shape == (2, len(bisa.PATTERNS), len(occs), len(occs))
         assert e_mag.dtype == float and (e_mag >= 0.0).all()
         assert (abs(e) <= e_mag * (1.0 + 1e-12)).all()
@@ -1074,9 +1092,9 @@ def test_a_phase_on_input_bv_turns_alices_x_into_y(monkeypatch, kw):
             assert np.abs(table - expected).max() <= 1e-15
 
 
-def _einsum_tables(cfg, pulled, pulled_mag):
-    """The tables of ``cfg`` from Victor's pulled-back POVMs ``pulled`` and
-    their magnitude form ``pulled_mag``, traced with two-operand np.einsum
+def _einsum_tables(cfg, povms, povms_mag):
+    """The tables of ``cfg`` from Victor's POVMs on each sector ``povms`` and
+    their magnitude form ``povms_mag``, traced with two-operand np.einsum
     calls: the parties' POVMs per basis from their clicks, the flip folded
     in, and the trace, Bob's side then Alice's."""
     sectors = ex._source_sectors(cfg.tau, cfg.spdc_order)
@@ -1087,22 +1105,22 @@ def _einsum_tables(cfg, pulled, pulled_mag):
     clicks = [np.einsum("io,op->ip", ex._party_clicks(n, cfg.detector_efficiency), flip)
               for n in range(cfg.spdc_order + 1)]
 
-    def povms(bases, form):
+    def parties(bases, form):
         # [X, o, q] over q1 or q4, as FockEngine lays a party's POVMs out.
-        return np.concatenate([np.stack([
-            np.einsum("jo,jik->oik", c, ex._rotation_outers(axis, n)[form]).reshape(c.shape[1], -1)
-            for axis in bases]) for n, c in enumerate(clicks)], axis=2)
+        return np.concatenate([
+            np.einsum("jo,jXik->Xoik", c, ex._bases_outers(bases, n)[form]).reshape(
+                len(bases), c.shape[1], -1) for n, c in enumerate(clicks)], axis=2)
 
-    def trace(amp, pulled, form):
-        alice, bob = povms(cfg.alice_bases, form), povms(cfg.bob_bases, form)
-        gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in pulled])[pos]
+    def trace(amp, victor, form):
+        alice, bob = parties(cfg.alice_bases, form), parties(cfg.bob_bases, form)
+        gram = np.concatenate([e.reshape(-1, e.shape[-1] ** 2).T for e in victor])[pos]
         gram *= (amp[ia] * amp[ib])[:, None]
         traced = np.einsum("Ybq,qr->Ybr", bob, gram.reshape(bob.shape[2], -1))
         return np.einsum("Xaq,Ybqsp->sXYabp", alice, traced.reshape(
             *traced.shape[:2], alice.shape[2], len(BisaSetting), len(bisa.PATTERNS)))
 
-    cat = trace(amp, pulled, 0).real
-    cat[cat <= ex.CANCELLATION_TOL * trace(abs(amp), pulled_mag, 1)] = 0.0
+    cat = trace(amp, povms, 0).real
+    cat[cat <= ex.CANCELLATION_TOL * trace(abs(amp), povms_mag, 1)] = 0.0
     dist = {}
     for setting, tables in zip(BisaSetting, cat):
         keys = itertools.product(cfg.alice_bases, cfg.bob_bases, [setting])
@@ -1114,12 +1132,12 @@ def _einsum_tables(cfg, pulled, pulled_mag):
                                         (dict(alice_bases=("x", "z"), bob_bases=("z",)), False),
                                         (dict(), True)], ids=["default", "xz-z", "phased"])
 def test_tables_equal_an_einsum_trace(monkeypatch, kw, phases):
-    # The engine's matmul trace against the same trace in np.einsum, on the
-    # POVMs the build pulled back; random unit phases on the analyzer's
+    # The engine's matmul trace against the same trace in np.einsum, on
+    # Victor's POVMs the build formed; random unit phases on the analyzer's
     # outputs make T, and so Victor's POVM and the Gram entries, complex.
     calls = []
-    pull = ex.pull_back_loss
-    monkeypatch.setattr(ex, "pull_back_loss", lambda *a: calls.append(pull(*a)) or calls[-1])
+    povm = ex.victor_povm
+    monkeypatch.setattr(ex, "victor_povm", lambda *a: calls.append(povm(*a)) or calls[-1])
     cfg = ex.ExperimentConfig(mode="fock", **kw)
     if phases:
         rng = np.random.default_rng(28)
@@ -1130,10 +1148,10 @@ def test_tables_equal_an_einsum_trace(monkeypatch, kw, phases):
             return transfer * np.exp(2j * np.pi * rng.random(transfer.shape[1])), counts
 
         got = _build_through(monkeypatch, phased, cfg)
-        assert any(e.dtype == complex and e.imag.any() for e in calls[0])
+        assert any(e.dtype == complex and e.imag.any() for e, _ in calls)
     else:
         got = ex.build_engine(cfg)._dist
-    expected = _einsum_tables(cfg, *calls)
+    expected = _einsum_tables(cfg, *zip(*calls))
     assert got.keys() == expected.keys()
     for key in expected:
         assert np.array_equal(got[key] > 0.0, expected[key] > 0.0)

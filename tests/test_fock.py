@@ -160,98 +160,72 @@ def _lossy_trace(state, lossy, eta, blocks):
     return total
 
 
-def _pulled_trace(state, pulled, outers):
-    """Tr[rho E'] for the pure ``state`` and the blocks ``pulled`` of E' on ``outers``."""
-    total = 0.0
-    for occs, ops in zip(outers, pulled):
-        psi = np.array([state.amp.get(occ, 0.0) for occ in occs])
-        total = total + np.einsum("i,...ij,j->...", psi.conj(), ops, psi)
-    return total
+def _trace(state, occs, ops):
+    """Tr[rho E] for the pure ``state`` and E[..., i, i'] on the occupations ``occs``."""
+    psi = np.array([state.amp.get(occ, 0.0) for occ in occs])
+    return np.einsum("i,...ij,j->...", psi.conj(), ops, psi)
 
 
-def _random_hermitian(shape, rng):
-    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return (m + np.swapaxes(m, -1, -2).conj()) / (2.0 * shape[-1])
-
-
-REGISTER3 = (("b", "H"), ("b", "V"), ("c", "H"))
-# Every occupation of REGISTER3 at a cap of 2: closed under loss.
-CAPPED3 = list(np.ndindex(3, 3, 3))
-
-
-@pytest.mark.parametrize("eta", [0.0, 0.21, 0.5, 1.0])
-@pytest.mark.parametrize("lossy", [(0,), (2,), (0, 2), (0, 1, 2)])
-def test_pull_back_loss_is_the_adjoint_of_attenuate(eta, lossy):
-    # A random Hermitian stack E on every occupation, coherences between
-    # photon numbers included, against random states that fill the cap.
-    rng = np.random.default_rng(18)
-    ops = _random_hermitian((2, len(CAPPED3), len(CAPPED3)), rng)
-    (pulled,) = fock.pull_back_loss([(CAPPED3, ops)], [CAPPED3], lossy, eta)
-    assert pulled.shape == ops.shape
-    assert np.abs(pulled - np.swapaxes(pulled, -1, -2).conj()).max() <= 1e-15
-    for _ in range(3):
-        state = _random_state(REGISTER3, CAPPED3, 2, rng)
-        expected = _lossy_trace(state, [REGISTER3[i] for i in lossy], eta, [(CAPPED3, ops)])
-        assert np.abs(_pulled_trace(state, [pulled], [CAPPED3]) - expected).max() <= 1e-14
+# Up to 2 photons per analyzer input mode and 4 in all, of mixed photon
+# number: closed under loss.
+CAPPED4 = [occ for occ in np.ndindex(3, 3, 3, 3) if sum(occ) <= 4]
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.21, 0.5, 1.0])
 @pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
 def test_pull_back_loss_of_victor_povm_where_the_cap_binds(eta, setting):
-    # Victor's E_p, a direct sum over the photon number n at the analyzer
-    # inputs, on inputs of up to 2 photons per mode and 4 in all: at a cap
-    # of 2 the analyzer drops every output with 3 or 4 photons in one mode.
+    # Victor's POVM with the input loss inside, on inputs of mixed photon
+    # number, against the ensemble that attenuate leaves on each input mode
+    # measured by his lossless POVM, a direct sum over the photon number n
+    # at the inputs: at a cap of 2 the analyzer drops every output with 3 or
+    # 4 photons in one mode.
     rng = np.random.default_rng(81)
-    inputs = [occ for occ in np.ndindex(3, 3, 3, 3) if sum(occ) <= 4]
-    by_n = [[occ for occ in inputs if sum(occ) == n] for n in range(5)]
+    by_n = [[occ for occ in CAPPED4 if sum(occ) == n] for n in range(5)]
     s = list(BisaSetting).index(setting)
-    blocks = [(occs, bisa.victor_povm(occs, 2, 0.7, 0.6)[0][s]) for occs in by_n]
+    blocks = [(occs, bisa.victor_povm(occs, 2, 0.7, 0.6, 1.0)[0][s]) for occs in by_n]
     # The cap drops weight: E summed over the patterns is not the identity.
     assert max(abs(ops.sum(axis=0) - np.eye(len(occs))).max() for occs, ops in blocks) > 0.1
-    pulled = fock.pull_back_loss(blocks, by_n, range(4), eta)
+    lossy = bisa.victor_povm(CAPPED4, 2, 0.7, 0.6, eta)[0][s]
     for _ in range(3):
-        state = _random_state(bisa.INPUT_REGISTER, inputs, 2, rng)
+        state = _random_state(bisa.INPUT_REGISTER, CAPPED4, 2, rng)
         expected = _lossy_trace(state, bisa.INPUT_REGISTER, eta, blocks)
-        got = _pulled_trace(state, pulled, by_n)
+        got = _trace(state, CAPPED4, lossy)
         assert np.abs(got - expected).max() <= 1e-14
         assert (got.real >= -1e-15).all() and got.sum().real <= 1.0 + 1e-14
 
 
 def test_pull_backs_of_loss_compose():
-    # Transmission t1 then t2 is transmission t1 * t2.
+    # Transmission t2 before Victor's POVM at transmission t1 is his POVM at
+    # t1 * t2.
     rng = np.random.default_rng(7)
-    ops = _random_hermitian((len(CAPPED3), len(CAPPED3)), rng)
     for t1, t2 in ((0.21, 0.5), (0.5, 0.9), (0.3, 0.0)):
-        (once,) = fock.pull_back_loss([(CAPPED3, ops)], [CAPPED3], (0, 2), t1)
-        (twice,) = fock.pull_back_loss([(CAPPED3, once)], [CAPPED3], (0, 2), t2)
-        (direct,) = fock.pull_back_loss([(CAPPED3, ops)], [CAPPED3], (0, 2), t1 * t2)
-        assert np.abs(twice - direct).max() <= 1e-14
+        once = bisa.victor_povm(CAPPED4, 2, 0.7, 0.6, t1)[0]
+        direct = bisa.victor_povm(CAPPED4, 2, 0.7, 0.6, t1 * t2)[0]
+        state = _random_state(bisa.INPUT_REGISTER, CAPPED4, 2, rng)
+        twice = _lossy_trace(state, bisa.INPUT_REGISTER, t2, [(CAPPED4, once)])
+        assert np.abs(twice - _trace(state, CAPPED4, direct)).max() <= 1e-14
 
 
 def test_pull_back_loss_rejects_bad_input():
-    identity = np.eye(len(CAPPED3))
-    with pytest.raises(ValueError, match="eta"):
-        fock.pull_back_loss([(CAPPED3, identity)], [CAPPED3], (0,), 1.5)
-    # Blocks that share an occupation are no direct sum.
-    with pytest.raises(ValueError, match="disjoint"):
-        fock.pull_back_loss([(CAPPED3, identity), (CAPPED3[:1], identity[:1, :1])],
-                            [CAPPED3], (0,), 0.5)
+    with pytest.raises(ValueError, match="transmission"):
+        bisa.victor_povm(CAPPED4, 2, 0.7, 0.6, 1.5)
 
 
 def test_pattern_distribution_normalized():
     # Victor's pattern distribution of a pair source on the analyzer inputs,
-    # psi^dagger E_p psi through both parts of the analyzer mixture, keeps
-    # the source's weight.
+    # psi^dagger E_p psi through the input loss and both parts of the
+    # analyzer mixture, keeps the source's weight.
     s = fock.spdc_source(0.4, order=2, spatial=("b", "c"))
     assert s.modes == bisa.INPUT_REGISTER
     inputs = list(s.amp)
     psi = np.array([s.amp[occ] for occ in inputs])
-    # A cap of 4 keeps every output of the two pairs.
-    povm, _ = bisa.victor_povm(inputs, 4, 0.7, 0.6)
-    for e in povm:
-        dist = np.einsum("i,kij,j->k", psi.conj(), e, psi).real
-        assert abs(dist.sum() - s.norm_sq()) < 1e-12
-        assert (dist >= 0).all()
+    for t in (0.0, 0.21, 0.5, 1.0):
+        # A cap of 4 keeps every output of the two pairs.
+        povm, _ = bisa.victor_povm(inputs, 4, 0.7, 0.6, t)
+        for e in povm:
+            dist = np.einsum("i,kij,j->k", psi.conj(), e, psi).real
+            assert abs(dist.sum() - s.norm_sq()) < 1e-12
+            assert (dist >= 0).all()
 
 
 @pytest.mark.parametrize("eta", [0.25, 1.0])
@@ -262,7 +236,7 @@ def test_victor_clicks_sum_to_part_weight(setting, eta):
     # patterns is each part's T T^dagger times the part's weight.
     split = [(h, n - h) for n in range(3) for h in range(n + 1)]
     inputs = [b + c for b in split for c in split]
-    povm, _ = bisa.victor_povm(inputs, 3, 0.7, eta)
+    povm, _ = bisa.victor_povm(inputs, 3, 0.7, eta, 1.0)
     expected = 0.0
     for distinguishable, weight in ((False, 0.7), (True, 0.3)):
         transfer, counts = bisa._detector_view(setting, tuple(inputs), 3, distinguishable)
