@@ -243,7 +243,8 @@ def _povm_parts(inputs: tuple, n_max: int):
             out[:, xs] = sub[:, reached].T
             outputs.append(out)
             n = len(out)
-            keys.append(np.column_stack(([part] * n, [lost] * n, counts[reached], [s] * n)))
+            keys.append(np.column_stack((np.full(n, part), np.full(n, lost), counts[reached],
+                                         np.full(n, s))))
     keys = np.concatenate(keys)
     triples, ids = np.unique(keys[:, :-1], axis=0, return_inverse=True)
     parts, lost, counts = triples[:, 0], triples[:, 1], triples[:, 2:]

@@ -678,9 +678,11 @@ def simulate_counts(config: ExperimentConfig, trials: int, seed: int) -> dict:
 
     Draws the per-category counts for ``trials`` iid trials directly from
     the fock-mode category distribution instead of looping, one multinomial
-    per commanded setting and basis pair over the ``_joint`` array's reached
-    categories.  Returns counts keyed (commanded setting, victor outcome
-    class, basis, alice outcome, bob outcome) for basis-matched fourfold events.
+    per commanded setting and basis both parties measure, in alice_bases
+    order, over the ``_joint`` array's reached categories; each basis pair
+    gets its share of the trials.  Returns counts keyed (commanded setting,
+    victor outcome class, basis, alice outcome, bob outcome) for
+    basis-matched fourfold events.
     """
     if config.mode != "fock":
         raise ValueError("simulate_counts requires fock mode")
@@ -692,17 +694,14 @@ def simulate_counts(config: ExperimentConfig, trials: int, seed: int) -> dict:
         a, b, classes = engine.columns[commanded]
         victor = classes[int(commanded is BisaSetting.BSM)]
         fourfold = (a != 0) & (b != 0) & (victor != _DISCARD)
-        for ab in config.alice_bases:
-            for bb in config.bob_bases:
-                joint, reached = engine._joint(ab, bb, commanded)
-                probs = joint[reached]
-                draw = rng.multinomial(rng.poisson(share), probs / probs.sum())
-                if ab != bb:
-                    continue
-                hit = fourfold[reached] & (draw > 0)
-                for c, n in zip(np.flatnonzero(reached)[hit], draw[hit].tolist()):
-                    ck = (commanded, VICTOR_OUTCOMES[victor[c]], ab, int(a[c]), int(b[c]))
-                    counts[ck] = counts.get(ck, 0) + n
+        for basis in filter(config.bob_bases.__contains__, config.alice_bases):
+            joint, reached = engine._joint(basis, basis, commanded)
+            probs = joint[reached]
+            draw = rng.multinomial(rng.poisson(share), probs / probs.sum())
+            hit = fourfold[reached] & (draw > 0)
+            for c, n in zip(np.flatnonzero(reached)[hit], draw[hit].tolist()):
+                ck = (commanded, VICTOR_OUTCOMES[victor[c]], basis, int(a[c]), int(b[c]))
+                counts[ck] = counts.get(ck, 0) + n
     return counts
 
 
@@ -727,16 +726,18 @@ def _column_codes(config: ExperimentConfig) -> dict:
     }
 
 
-def _code_texts(codes: dict) -> list[list[str]]:
-    """The JSON text of each code's value, one list per coded column; the
-    outcome code -1 indexes the last entry."""
-    texts = []
-    for lut in codes.values():
+def _row_tails(codes: dict) -> list[str]:
+    """Every row tail, the text after ``"[" + trial index``: a comma and
+    the JSON text of each value of the columns of ``codes``, then ``"]\\n"``,
+    in mixed-radix key order over those columns.  A column's code c is its
+    digit modulo the column's size, so the outcome code -1 comes last."""
+    tails = ["]\n"]
+    for lut in reversed(codes.values()):
         text = [""] * len(lut)
         for value, code in lut.items():
             text[code] = json.dumps(value)
-        texts.append(text)
-    return texts
+        tails = ["," + t + tail for t in text for tail in tails]
+    return tails
 
 
 def write_log(path, log: TrialLog) -> None:
@@ -744,8 +745,9 @@ def write_log(path, log: TrialLog) -> None:
     times of its delay budget, column names), then one array of the COLUMNS
     values per trial, written without spaces.
 
-    A row is ``"[" + trial index + tail``, where the tail holds the coded
-    columns; each chunk renders each distinct tail once.
+    A row is ``"[" + trial index`` and its tail, looked up by the row's
+    mixed-radix key in the one table of tails (:func:`_row_tails`) that
+    read_log reads rows from.
     """
     header = {
         "kind": "swapsim-trial-log",
@@ -755,25 +757,19 @@ def write_log(path, log: TrialLog) -> None:
         "columns": list(COLUMNS),
     }
     codes = _column_codes(log.config)
-    texts = _code_texts(codes)
-    sizes = [len(text) for text in texts]
-    # "wrap" takes the outcome code -1 to the last entry.
+    tails = _row_tails(codes)
+    sizes = [len(lut) for lut in codes.values()]
+    # "wrap" takes the outcome code -1 to the last digit.
     modes = ["wrap" if -1 in lut.values() else "raise" for lut in codes.values()]
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for lo in range(0, len(log), CHUNK_TRIALS):
             hi = lo + CHUNK_TRIALS
-            # One mixed-radix key per row over the coded columns.
             key = np.ravel_multi_index([log.columns[name][lo:hi].astype(np.intp) for name in codes],
                                        sizes, mode=modes)
-            keys, inverse = np.unique(key, return_inverse=True)
-            # Each tail ends in the next row's "[", so the chunk is one join.
-            tails = ["," + ",".join(map(list.__getitem__, texts, k)) + "]\n["
-                     for k in zip(*np.unravel_index(keys, sizes))]
             parts = [""] * (2 * len(key))
-            parts[0::2] = map(str, log.columns["trial_index"][lo:hi].tolist())
-            parts[1::2] = map(tails.__getitem__, inverse.tolist())
-            parts[0], parts[-1] = "[" + parts[0], parts[-1][:-1]
+            parts[0::2] = [f"[{i}" for i in log.columns["trial_index"][lo:hi].tolist()]
+            parts[1::2] = map(tails.__getitem__, key.tolist())
             fh.write("".join(parts))
 
 
@@ -781,10 +777,10 @@ def read_log(path) -> TrialLog:
     """The run a write_log file holds.  Raises ValueError unless its rows
     are trials 0, 1, ..., config.trials - 1 in turn.
 
-    Rows written as ``"[" + trial index`` and one of the tails write_log
-    renders are gathered from a table of every such tail and its codes.
-    Any other valid JSON spacing is accepted too; a chunk holding such a row
-    is decoded row by row.
+    Rows written as ``"[" + trial index`` and one of the tails of
+    :func:`_row_tails`, the table write_log renders rows from, are gathered
+    from that table.  Any other valid JSON spacing is accepted too; a chunk
+    holding such a row is decoded line by line (:func:`_decode_rows`).
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -800,15 +796,10 @@ def read_log(path) -> TrialLog:
         if header.get("columns") != list(COLUMNS):
             raise ValueError(f"unsupported trial log columns {header.get('columns')!r}")
         codes = _column_codes(config)
-        texts = _code_texts(codes)
-        # Every tail write_log can render, in mixed-radix key order, and the
-        # codes of each key; a column's codes sort as its texts do, modulo
-        # their count, which puts the outcome code -1 last.
-        tails = ["]\n"]
-        for text in reversed(texts):
-            tails = ["," + t + tail for t in text for tail in tails]
-        tails = {tail: key for key, tail in enumerate(tails)}
-        keys = np.unravel_index(np.arange(len(tails)), list(map(len, texts)))
+        # Every tail write_log can render and the codes of its key; a
+        # column's digit is its code modulo its size (_row_tails).
+        tails = {tail: key for key, tail in enumerate(_row_tails(codes))}
+        keys = np.unravel_index(np.arange(len(tails)), [len(lut) for lut in codes.values()])
         table = {name: np.array(sorted(lut.values(), key=lambda c: c % len(lut)), COLUMNS[name])[k]
                  for (name, lut), k in zip(codes.items(), keys)}
         parts = []
@@ -843,24 +834,18 @@ def read_log(path) -> TrialLog:
 
 def _decode_rows(lines: list[str], first_line: int, codes: dict) -> dict:
     """Columns of the log rows ``lines``, the first of them line
-    ``first_line`` of the file, with one JSON decode for all of them.
+    ``first_line`` of the file, each line decoded as JSON on its own.
     Raises ValueError naming the first line that is not a valid row."""
-    try:
-        # Each line in a list of its own, so that no row spans two lines.
-        rows = [row for [row] in json.loads("[[" + "],[".join(lines) + "]]")]
-    except (TypeError, ValueError):
-        rows = None
-    if (rows is None or len(rows) != len(lines) or not set(map(type, rows)) <= {list}
-            or not set(map(len, rows)) <= {len(COLUMNS)}):
-        rows = []
-        for n, line in enumerate(lines, first_line):
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                rows.append(None)
-            if type(rows[-1]) is not list or len(rows[-1]) != len(COLUMNS):
-                raise ValueError(f"line {n}: expected an array of the {len(COLUMNS)} "
-                                 f"values {', '.join(COLUMNS)}")
+    rows = []
+    for n, line in enumerate(lines, first_line):
+        try:
+            row = json.loads(line)
+        except ValueError:
+            row = None
+        if type(row) is not list or len(row) != len(COLUMNS):
+            raise ValueError(f"line {n}: expected an array of the {len(COLUMNS)} "
+                             f"values {', '.join(COLUMNS)}")
+        rows.append(row)
     columns = {}
     for (name, dtype), values in zip(COLUMNS.items(), list(zip(*rows)) or [()] * len(COLUMNS)):
         lut = codes.get(name)

@@ -376,15 +376,42 @@ def _log_rows(log):
              for name, col in zip(ex.COLUMNS, row)] for row in zip(*columns)]
 
 
-@pytest.mark.parametrize("trials", [1, ex.CHUNK_TRIALS, ex.CHUNK_TRIALS + 1])
-@pytest.mark.parametrize("kw", [
-    dict(mode="ideal"),
-    FOCK_TRIALS,
-    dict(mode="ideal", alice_bases=("z",), bob_bases=("x", "y")),
-], ids=["ideal", "fock_trials", "basis_subset"])
-def test_write_log_equals_its_definition(tmp_path, kw, trials):
+# (config keywords, rows) of the logs with one row per combination of
+# column codes.
+EVERY_CODE_CASES = {
+    "full_bases": (dict(), 1944),
+    "basis_subset": (dict(alice_bases=("z",), bob_bases=("x", "z")), 432),
+}
+
+
+def _every_code_log(cfg):
+    """A log of ``cfg`` with one row per combination of column codes, the
+    outcome code -1 and Victor's void stage 0 among them."""
+    codes = ex._column_codes(cfg)
+    combos = np.array(list(itertools.product(*(list(lut.values()) for lut in codes.values()))))
+    assert len(combos) == cfg.trials
+    columns = {"trial_index": np.arange(cfg.trials, dtype=np.int64)}
+    columns.update({name: combos[:, k].astype(ex.COLUMNS[name]) for k, name in enumerate(codes)})
+    return ex.TrialLog(cfg, columns)
+
+
+RUN_CASES = {
+    "ideal": dict(mode="ideal"),
+    "fock_trials": FOCK_TRIALS,
+    "basis_subset": dict(mode="ideal", alice_bases=("z",), bob_bases=("x", "y")),
+}
+
+
+@pytest.mark.parametrize("make, kw, trials", [
+    *(pytest.param(ex.run_trials, kw, trials, id=f"{name}-{trials}")
+      for name, kw in RUN_CASES.items() for trials in (1, ex.CHUNK_TRIALS, ex.CHUNK_TRIALS + 1)),
+    # Every tail the writer can render.
+    *(pytest.param(_every_code_log, kw, rows, id=f"every_code-{name}")
+      for name, (kw, rows) in EVERY_CODE_CASES.items()),
+])
+def test_write_log_equals_its_definition(tmp_path, make, kw, trials):
     cfg = ex.ExperimentConfig(trials=trials, **kw)
-    log = ex.run_trials(cfg)
+    log = make(cfg)
     path = tmp_path / "log.jsonl"
     ex.write_log(path, log)
     header = {
@@ -413,20 +440,9 @@ def test_log_roundtrip_across_chunks_with_new_tails(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no_final_newline"])
-@pytest.mark.parametrize("kw, rows", [
-    (dict(), 1944),
-    (dict(alice_bases=("z",), bob_bases=("x", "z")), 432),
-], ids=["full_bases", "basis_subset"])
+@pytest.mark.parametrize("kw, rows", list(EVERY_CODE_CASES.values()), ids=list(EVERY_CODE_CASES))
 def test_every_tail_is_read_from_the_table(tmp_path, monkeypatch, kw, rows, final_newline):
-    # One row per combination of column codes, the outcome code -1 and
-    # Victor's void stage 0 among them.
-    cfg = ex.ExperimentConfig(trials=rows, **kw)
-    codes = ex._column_codes(cfg)
-    combos = np.array(list(itertools.product(*(list(lut.values()) for lut in codes.values()))))
-    assert len(combos) == rows
-    columns = {"trial_index": np.arange(rows, dtype=np.int64)}
-    columns.update({name: combos[:, k].astype(ex.COLUMNS[name]) for k, name in enumerate(codes)})
-    log = ex.TrialLog(cfg, columns)
+    log = _every_code_log(ex.ExperimentConfig(trials=rows, **kw))
     path = tmp_path / "log.jsonl"
     ex.write_log(path, log)
     if not final_newline:
@@ -625,28 +641,28 @@ def _reference_correlation(engine, commanded, outcomes, basis):
 
 def _reference_counts(engine, trials, seed):
     """simulate_counts by its definition: one multinomial per commanded
-    setting and basis pair over the sorted keys of the joint distribution."""
+    setting and basis both parties measure, in alice_bases order, over the
+    sorted keys of the joint distribution, with the share of one basis pair."""
     config = engine.config
     rng = np.random.default_rng(seed)
     n_basis = len(config.alice_bases) * len(config.bob_bases)
     counts = {}
     for commanded in BisaSetting:
-        for ab in config.alice_bases:
-            for bb in config.bob_bases:
-                dist = _reference_joint(engine, ab, bb, commanded)
-                keys = sorted(dist)
-                probs = np.array([dist[k] for k in keys])
-                probs = probs / probs.sum()
-                share = trials * config.duty_cycle * 0.5 / n_basis
-                draw = rng.multinomial(rng.poisson(share), probs)
-                if ab != bb:
+        for basis in config.alice_bases:
+            if basis not in config.bob_bases:
+                continue
+            dist = _reference_joint(engine, basis, basis, commanded)
+            keys = sorted(dist)
+            probs = np.array([dist[k] for k in keys])
+            probs = probs / probs.sum()
+            share = trials * config.duty_cycle * 0.5 / n_basis
+            draw = rng.multinomial(rng.poisson(share), probs)
+            for (a, b, victor), n in zip(keys, draw):
+                outcome = classify(victor, commanded)
+                if n == 0 or a == 0 or b == 0 or outcome is BisaOutcome.DISCARD:
                     continue
-                for (a, b, victor), n in zip(keys, draw):
-                    outcome = classify(victor, commanded)
-                    if n == 0 or a == 0 or b == 0 or outcome is BisaOutcome.DISCARD:
-                        continue
-                    ck = (commanded, outcome, ab, a, b)
-                    counts[ck] = counts.get(ck, 0) + int(n)
+                ck = (commanded, outcome, basis, a, b)
+                counts[ck] = counts.get(ck, 0) + int(n)
     return counts
 
 
@@ -813,6 +829,13 @@ def test_fock_engine_equals_branch_enumeration_where_the_cap_binds():
     # must keep it.
     cfg = ex.ExperimentConfig(mode="fock", spdc_order=2, n_max=2, input_transmission=0.5)
     _assert_tables_match(ex.build_engine(cfg), [("z", "x")])
+
+
+def test_fock_engine_equals_branch_enumeration_at_cap_one():
+    # Order 1 at cap 1: the coherent BSM pass of the two-photon inputs,
+    # no photon lost, reaches no output within the cap.
+    cfg = ex.ExperimentConfig(mode="fock", spdc_order=1, n_max=1)
+    _assert_tables_match(ex.build_engine(cfg), ALL_BASIS_PAIRS)
 
 
 def test_fock_engine_depolarization_equals_pauli_branches():
