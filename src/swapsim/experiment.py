@@ -26,7 +26,6 @@ row per trial under a header (log version 2).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -777,10 +776,10 @@ def read_log(path) -> TrialLog:
     """The run a write_log file holds.  Raises ValueError unless its rows
     are trials 0, 1, ..., config.trials - 1 in turn.
 
-    Rows written as ``"[" + trial index`` and one of the tails of
-    :func:`_row_tails`, the table write_log renders rows from, are gathered
-    from that table.  Any other valid JSON spacing is accepted too; a chunk
-    holding such a row is decoded line by line (:func:`_decode_rows`).
+    Each row is read as its trial's head ``"[" + trial index`` and one of
+    the tails of :func:`_row_tails`, the table write_log renders rows
+    from.  A row in any other valid JSON spacing is rendered again as
+    write_log renders it and looked up in the same table (:func:`_row_key`).
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
@@ -796,69 +795,58 @@ def read_log(path) -> TrialLog:
         if header.get("columns") != list(COLUMNS):
             raise ValueError(f"unsupported trial log columns {header.get('columns')!r}")
         codes = _column_codes(config)
-        # Every tail write_log can render and the codes of its key; a
-        # column's digit is its code modulo its size (_row_tails).
         tails = {tail: key for key, tail in enumerate(_row_tails(codes))}
-        keys = np.unravel_index(np.arange(len(tails)), [len(lut) for lut in codes.values()])
-        table = {name: np.array(sorted(lut.values(), key=lambda c: c % len(lut)), COLUMNS[name])[k]
-                 for (name, lut), k in zip(codes.items(), keys)}
-        parts = []
+        keys = []
         for lo in itertools.count(0, CHUNK_TRIALS):
             lines = list(itertools.islice(fh, CHUNK_TRIALS))
             if lines and not lines[-1].endswith("\n"):
                 lines[-1] += "\n"  # the file's last line
-            heads = list(map("[{}".format, range(lo, lo + len(lines))))
-            rest = list(map(str.removeprefix, lines, heads))
-            rows = None
-            # Each line loses its whole head or nothing, so the lengths add
-            # up only if every line had its head.
-            if sum(map(len, lines)) - sum(map(len, rest)) == sum(map(len, heads)):
-                with contextlib.suppress(KeyError):
-                    rows = np.fromiter(map(tails.__getitem__, rest), np.intp, len(rest))
-            # Row lo is line lo + 2 of the file.
-            parts.append(_decode_rows(lines, lo + 2, codes) if rows is None else
-                         {"trial_index": np.arange(lo, lo + len(lines), dtype=np.int64),
-                          **{name: col[rows] for name, col in table.items()}})
+            heads = [f"[{i}" for i in range(lo, lo + len(lines))]
+            key = np.fromiter(map(tails.get, map(str.removeprefix, lines, heads),
+                                  itertools.repeat(-1)), np.intp, len(lines))
+            # A line without its head may itself be a tail.
+            key[~np.fromiter(map(str.startswith, lines, heads), bool, len(lines))] = -1
+            for k in np.flatnonzero(key < 0).tolist():
+                key[k] = _row_key(lines[k], lo + k, tails, codes)
+            keys.append(key)
             if len(lines) < CHUNK_TRIALS:
                 break
-    columns = {name: np.concatenate([p[name] for p in parts]) for name in COLUMNS}
-    index = columns["trial_index"]
-    wrong = np.flatnonzero(index != np.arange(len(index)))
-    if len(wrong):
-        k = wrong[0]
-        raise ValueError(f"line {k + 2}: trial_index {index[k]}, expected {k}")
-    if len(index) != config.trials:
-        raise ValueError(f"{len(index)} trial rows, but config.trials is {config.trials}")
-    return TrialLog(config, columns)
+    key = np.concatenate(keys)
+    if len(key) != config.trials:
+        raise ValueError(f"{len(key)} trial rows, but config.trials is {config.trials}")
+    # The codes of every key; a column's digit is its code modulo its size
+    # (_row_tails).
+    digits = np.unravel_index(np.arange(len(tails)), [len(lut) for lut in codes.values()])
+    table = {name: np.array(sorted(lut.values(), key=lambda c: c % len(lut)), COLUMNS[name])[d]
+             for (name, lut), d in zip(codes.items(), digits)}
+    return TrialLog(config, {"trial_index": np.arange(len(key), dtype=np.int64),
+                             **{name: col[key] for name, col in table.items()}})
 
 
-def _decode_rows(lines: list[str], first_line: int, codes: dict) -> dict:
-    """Columns of the log rows ``lines``, the first of them line
-    ``first_line`` of the file, each line decoded as JSON on its own.
-    Raises ValueError naming the first line that is not a valid row."""
-    rows = []
-    for n, line in enumerate(lines, first_line):
-        try:
-            row = json.loads(line)
-        except ValueError:
-            row = None
-        if type(row) is not list or len(row) != len(COLUMNS):
-            raise ValueError(f"line {n}: expected an array of the {len(COLUMNS)} "
-                             f"values {', '.join(COLUMNS)}")
-        rows.append(row)
-    columns = {}
-    for (name, dtype), values in zip(COLUMNS.items(), list(zip(*rows)) or [()] * len(COLUMNS)):
-        lut = codes.get(name)
-        types, allowed = ({int}, range(2**63)) if lut is None else ({type(v) for v in lut}, lut)
-        if not (set(map(type, values)) <= types and all(map(allowed.__contains__, values))):
-            n, v = next((n, v) for n, v in enumerate(values, first_line)
-                        if type(v) not in types or v not in allowed)
-            expected = ("a trial index" if lut is None
-                        else f"one of {', '.join(map(json.dumps, lut))}")
-            raise ValueError(f"line {n}: {name} {json.dumps(v)} is not {expected}")
-        columns[name] = np.array(values if lut is None else list(map(lut.__getitem__, values)),
-                                 dtype=dtype)
-    return columns
+def _row_key(line: str, trial: int, tails: dict, codes: dict) -> int:
+    """The key in ``tails`` of the log row of trial ``trial``, written in
+    any JSON spacing.  Raises ValueError naming the row's line and its
+    first value that write_log cannot have written."""
+    try:
+        row = json.loads(line)
+    except ValueError:
+        row = None
+    if type(row) is not list or len(row) != len(COLUMNS):
+        raise ValueError(f"line {trial + 2}: expected an array of the {len(COLUMNS)} "
+                         f"values {', '.join(COLUMNS)}")
+    index, *values = row
+    if type(index) is not int or index < 0:
+        raise ValueError(f"line {trial + 2}: trial_index {json.dumps(index)} is not a trial index")
+    key = tails.get("," + json.dumps(values, separators=(",", ":"))[1:] + "\n")
+    if key is None:
+        for (name, lut), value in zip(codes.items(), values):
+            texts = list(map(json.dumps, lut))
+            if json.dumps(value) not in texts:
+                raise ValueError(f"line {trial + 2}: {name} {json.dumps(value)} "
+                                 f"is not one of {', '.join(texts)}")
+    if index != trial:
+        raise ValueError(f"line {trial + 2}: trial_index {index}, expected {trial}")
+    return key
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

@@ -249,12 +249,33 @@ def test_failed_analyze_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+BAD_ROWS = {
+    "short_row": ('[1,"z",1,"x",-1,"BSM"]',
+                  "error: line 3: expected an array of the 8 values trial_index, alice_basis, "
+                  "alice_outcome, bob_basis, bob_outcome, victor_choice, victor_outcome, kept\n"),
+    "bad_basis": ('[1,"q",1,"x",-1,"BSM","phi-23",true]',
+                  'error: line 3: alice_basis "q" is not one of "z", "x", "y"\n'),
+    "bad_outcome": ('[1,"z",1,"x",true,"BSM","phi-23",true]',
+                    "error: line 3: bob_outcome true is not one of 1, -1, null\n"),
+    "renumbered": ('[5,"z",1,"x",-1,"BSM","phi-23",true]',
+                   "error: line 3: trial_index 5, expected 1\n"),
+    "int_kept": ('[1,"z",1,"x",-1,"BSM","phi-23",1]',
+                 "error: line 3: kept 1 is not one of false, true\n"),
+    "float_outcome": ('[1,"z",1.0,"x",-1,"BSM","phi-23",true]',
+                      "error: line 3: alice_outcome 1.0 is not one of 1, -1, null\n"),
+    "bool_index": ('[true,"z",1,"x",-1,"BSM","phi-23",true]',
+                   "error: line 3: trial_index true is not a trial index\n"),
+    "negative_index": ('[-1,"z",1,"x",-1,"BSM","phi-23",true]',
+                       "error: line 3: trial_index -1 is not a trial index\n"),
+}
+
+
+# Each row also in default json.dumps spacing: the same message.
 @pytest.mark.parametrize("row, error", [
-    ('[1,"z",1,"x",-1,"BSM"]', "error: line 3: expected an array of the 8 values"),
-    ('[1,"q",1,"x",-1,"BSM","phi-23",true]', 'error: line 3: alice_basis "q" is not one of'),
-    ('[1,"z",1,"x",true,"BSM","phi-23",true]', "error: line 3: bob_outcome true is not one of"),
-    ('[5,"z",1,"x",-1,"BSM","phi-23",true]', "error: line 3: trial_index 5, expected 1"),
-], ids=["short_row", "bad_basis", "bad_outcome", "renumbered"])
+    *(pytest.param(row, error, id=name) for name, (row, error) in BAD_ROWS.items()),
+    *(pytest.param(json.dumps(json.loads(row)), error, id=f"{name}-spaced")
+      for name, (row, error) in BAD_ROWS.items()),
+])
 def test_analyze_rejects_bad_row(tmp_path, capsys, row, error):
     out = tmp_path / "run"
     assert cli.main(["simulate", "--mode", "ideal", "--trials", "20", "--out", str(out)]) == 0
@@ -265,7 +286,7 @@ def test_analyze_rejects_bad_row(tmp_path, capsys, row, error):
     capsys.readouterr()
     rc = cli.main(["analyze", str(log_path), "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err.startswith(error)
+    assert capsys.readouterr().err == error
 
 
 @pytest.mark.parametrize("edit, error", [

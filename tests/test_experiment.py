@@ -426,13 +426,13 @@ def test_write_log_equals_its_definition(tmp_path, make, kw, trials):
     assert path.read_text() == "\n".join(expected) + "\n"
 
 
-def test_log_roundtrip_across_chunks_with_new_tails(tmp_path, monkeypatch):
+def test_log_roundtrip_across_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(ex, "CHUNK_TRIALS", 64)
     log = ex.run_trials(ex.ExperimentConfig(trials=2 * 64 + 1, master_seed=8, **FOCK_TRIALS))
     path = tmp_path / "log.jsonl"
     ex.write_log(path, log)
-    # The second chunk brings row tails the first did not have; the last
-    # row's tail is one of the first chunk's.
+    # The second chunk holds row tails the first lacks and the last row a
+    # tail of the first chunk; every chunk is read from the same one table.
     tails = [line.split(",", 1)[1] for line in path.read_text().splitlines()[1:]]
     assert set(tails[64:128]) - set(tails[:64])
     assert tails[128] in tails[:64]
@@ -451,7 +451,7 @@ def test_every_tail_is_read_from_the_table(tmp_path, monkeypatch, kw, rows, fina
     def no_decode(*args):
         raise AssertionError("a row was decoded as JSON")
 
-    monkeypatch.setattr(ex, "_decode_rows", no_decode)
+    monkeypatch.setattr(ex, "_row_key", no_decode)
     assert_same_trials(ex.read_log(path), log)
 
 
@@ -460,38 +460,51 @@ def _spaced(line: str) -> str:
     return json.dumps(json.loads(line)) + "\n"
 
 
-@pytest.mark.parametrize("edit", [
-    lambda lines: list(map(_spaced, lines)),
-    lambda lines: lines[:-1] + [lines[-1].rstrip("\n")],
-    lambda lines: lines[:1002] + [_spaced(lines[1002])] + lines[1003:],
+# Each edit with the trials whose rows read_log renders again.
+@pytest.mark.parametrize("edit, rendered", [
+    (lambda lines: list(map(_spaced, lines)), range(2000)),
+    (lambda lines: lines[:-1] + [lines[-1].rstrip("\n")], []),
+    (lambda lines: lines[:1002] + [_spaced(lines[1002])] + lines[1003:], [1001]),
 ], ids=["spaced", "no_final_newline", "row_1001_spaced"])
 @pytest.mark.parametrize("chunk", [500, ex.CHUNK_TRIALS])
-def test_read_log_accepts_any_json_spacing(tmp_path, monkeypatch, edit, chunk):
+def test_read_log_accepts_any_json_spacing(tmp_path, monkeypatch, edit, rendered, chunk):
     monkeypatch.setattr(ex, "CHUNK_TRIALS", chunk)
     log = ex.run_trials(ex.ExperimentConfig(trials=2000, **FOCK_TRIALS))
     path = tmp_path / "log.jsonl"
     ex.write_log(path, log)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(edit(lines)))
+    calls = []
+    row_key = ex._row_key
+
+    def counted(line, trial, *args):
+        calls.append(trial)
+        return row_key(line, trial, *args)
+
+    monkeypatch.setattr(ex, "_row_key", counted)
     assert_same_trials(ex.read_log(path), log)
+    assert calls == list(rendered)
+
+
+NOT_AN_ARRAY = ("expected an array of the 8 values trial_index, alice_basis, alice_outcome, "
+                "bob_basis, bob_outcome, victor_choice, victor_outcome, kept")
 
 
 @pytest.mark.parametrize("edit, error", [
-    (lambda rows: {9: rows[9].rstrip() + "," + rows[10]},
-     "line 11: expected an array of the 8 values"),
-    (lambda rows: {9: "[09" + rows[9][2:]}, "line 11: expected an array of the 8 values"),
+    (lambda rows: {9: rows[9].rstrip() + "," + rows[10]}, f"line 11: {NOT_AN_ARRAY}"),
+    (lambda rows: {9: "[09" + rows[9][2:]}, f"line 11: {NOT_AN_ARRAY}"),
     (lambda rows: {9: "[9.0" + rows[9][2:]}, "line 11: trial_index 9.0 is not a trial index"),
-    (lambda rows: {9: rows[9][2:]}, "line 11: expected an array of the 8 values"),
+    (lambda rows: {9: rows[9][2:]}, f"line 11: {NOT_AN_ARRAY}"),
     # As rows "[0" + tail the two tails join into valid JSON: [0,...,[0,[0,true]].
     (lambda rows: {9: rows[9][:rows[9].rindex(",") + 1] + "[0\n",
                    10: "[10," + rows[9][rows[9].rindex(",") + 1:-2] + "]]\n"},
-     "line 11: expected an array of the 8 values"),
+     f"line 11: {NOT_AN_ARRAY}"),
     # Rows 1 and 2 re-split: line 3 ends in the first three values of row 2.
     (lambda rows: {1: rows[1].rstrip() + "," + ",".join(rows[2].split(",")[:3]) + "\n",
                    2: ",".join(rows[2].split(",")[3:])},
-     "line 3: expected an array of the 8 values"),
+     f"line 3: {NOT_AN_ARRAY}"),
 ], ids=["two_arrays", "leading_zero", "float_index", "no_head", "tails_join", "rows_resplit"])
-def test_read_log_rejects_bad_rows_as_decode_rows_does(tmp_path, monkeypatch, edit, error):
+def test_read_log_rejects_bad_rows(tmp_path, monkeypatch, edit, error):
     monkeypatch.setattr(ex, "CHUNK_TRIALS", 8)
     log = ex.run_trials(ex.ExperimentConfig(trials=20, **FOCK_TRIALS))
     path = tmp_path / "log.jsonl"
@@ -500,12 +513,9 @@ def test_read_log_rejects_bad_rows_as_decode_rows_does(tmp_path, monkeypatch, ed
     for k, line in edit(rows).items():
         rows[k] = line
     path.write_text("".join([header, *rows]))
-    with pytest.raises(ValueError) as decoded:
-        ex._decode_rows(rows, 2, ex._column_codes(log.config))
-    assert str(decoded.value).startswith(error)
     with pytest.raises(ValueError) as read:
         ex.read_log(path)
-    assert str(read.value) == str(decoded.value)
+    assert str(read.value) == error
 
 
 @pytest.mark.parametrize("edit, message", [
