@@ -67,11 +67,12 @@ _MASKS = np.array(list(itertools.product((False, True), repeat=len(VICTOR_DETECT
 PATTERNS = tuple(tuple(d for d, bit in zip(VICTOR_DETECTORS, mask) if bit) for mask in _MASKS)
 
 # The analyzer's steps as mode matrices on INPUT_REGISTER order: the
-# symmetric 50:50 splitter (factor i on reflection, as fock.beam_splitter
-# builds it) between b and c on the H pair and on the V pair, the +EV/-EV
-# drive as quarter-wave plates at +-45 degrees on b and c, and the second
-# splitter after the locking phase pi on b.  With symmetric splitters the
-# locking phase closes the interferometer into the b -> b'' mirror at SSM.
+# symmetric 50:50 splitter (factor i on reflection; creation operators go
+# as a_i -> sum_j mat[j, i] a_j) between b and c on the H pair and on the
+# V pair, the +EV/-EV drive as quarter-wave plates at +-45 degrees on b
+# and c, and the second splitter after the locking phase pi on b.  With
+# symmetric splitters the locking phase closes the interferometer into the
+# b -> b'' mirror at SSM.
 _SPLITTERS = np.kron(np.array([[1.0, 1.0j], [1.0j, 1.0]]) * sqrt(0.5), np.eye(2))
 _PLATES = np.block([[JONES_QWP_P45, np.zeros((2, 2))], [np.zeros((2, 2)), JONES_QWP_M45]])
 _CLOSING = _SPLITTERS * np.array([-1.0, -1.0, 1.0, 1.0])
@@ -103,7 +104,7 @@ def transfer_map(setting: BisaSetting, inputs, n_max: int):
     columns of the identity on the occupations of n photons.  Every step
     drops the occupations with a mode above ``n_max``: the H and V
     splitters, and the two plates, act on disjoint modes and the cap is per
-    mode, so this is the cap after each 2x2 step of fock.apply_pair_matrix.
+    mode, so this is the cap after each 2x2 step on one pair of modes.
     The products stay np.einsum calls, as the BLAS note in experiment.py
     lists.
     """

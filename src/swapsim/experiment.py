@@ -259,15 +259,16 @@ def _source_sectors(tau: float, order: int) -> dict:
     """The two singlet sources' pure state in closed form, per photon numbers
     (n1, n4) of modes 1 and 4: ``{(n1, n4): (occs, amp)}``.
 
-    Source 1's N-pair term is (tau/sqrt2)^N sum_h (-1)^(N-h) |h, N-h>_1
-    |N-h, h>_b on (H, V), divided by the norm sqrt(sum_N (N+1) (tau^2/2)^N),
-    and likewise source 2's on (4, c).  So each H, V occupation (h1, h4) of
-    modes 1 and 4, indexed a = h1 (n4 + 1) + h4 as in occupations(2, n1) x
-    occupations(2, n4), meets exactly one analyzer input occupation occs[a]
-    = (n1 - h1, h1, n4 - h4, h4) on (bH, bV, cH, cV), with the real
+    Source 1's state is exp[tau (a1H+ abV+ - a1V+ abH+)/sqrt2] |vac> up to
+    ``order`` pairs: its N-pair term is (tau/sqrt2)^N sum_h (-1)^(N-h)
+    |h, N-h>_1 |N-h, h>_b on (H, V), divided by the norm
+    sqrt(sum_N (N+1) (tau^2/2)^N), and likewise source 2's on (4, c).  So
+    each H, V occupation (h1, h4) of modes 1 and 4, indexed
+    a = h1 (n4 + 1) + h4 as in occupations(2, n1) x occupations(2, n4),
+    meets exactly one analyzer input occupation
+    occs[a] = (n1 - h1, h1, n4 - h4, h4) on (bH, bV, cH, cV), with the real
     amplitude amp[a].  Blocks between sectors are never needed: the basis
     rotations keep n1 and n4, and the analyzer keeps n = n1 + n4.
-    (``fock.spdc_source`` builds the same state with creation operators.)
     """
     norm = sum((n + 1) * (tau * tau / 2.0) ** n for n in range(order + 1))
     out = {}
@@ -782,7 +783,10 @@ def read_log(path) -> TrialLog:
     write_log renders it and looked up in the same table (:func:`_row_key`).
     """
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            header = None
         if not isinstance(header, dict) or header.get("kind") != "swapsim-trial-log":
             raise ValueError("not a swapsim trial log")
         if header.get("version") != LOG_VERSION:

@@ -1,6 +1,6 @@
-"""Reference optics for the tests, built only from fock's FockVector steps.
+"""Reference optics for the tests, built only from fock_reference's FockVector steps.
 
-The analyzer is applied step by step with fock.beam_splitter, wave_plate
+The analyzer is applied step by step with fock_reference.beam_splitter, wave_plate
 and phase_shift, and threshold detection is expanded detector by detector,
 and the detectors' modes are spelled out here, so none of it shares code
 with bisa.transfer_map or bisa.victor_povm.
@@ -8,8 +8,9 @@ with bisa.transfer_map or bisa.victor_povm.
 
 import numpy as np
 
-from swapsim import fock
 from swapsim.bisa import BisaSetting
+
+import fock_reference as ref
 
 # The modes each of Victor's detectors watches after analyzer_pass: the
 # output, and in the distinguishable pass also its tagged twin.
@@ -31,12 +32,12 @@ def interferometer(state, setting, arms=("b", "c")):
     """The analyzer's optics as FockVector steps between the input labels
     ``arms``; the outputs keep the labels."""
     b, c = arms
-    state = fock.beam_splitter(state, b, c, 0.5)
+    state = ref.beam_splitter(state, b, c, 0.5)
     if setting is BisaSetting.BSM:
-        state = fock.wave_plate(state, b, "qwp+45")
-        state = fock.wave_plate(state, c, "qwp-45")
-    state = fock.phase_shift(state, b, np.pi)
-    return fock.beam_splitter(state, b, c, 0.5)
+        state = ref.wave_plate(state, b, "qwp+45")
+        state = ref.wave_plate(state, c, "qwp-45")
+    state = ref.phase_shift(state, b, np.pi)
+    return ref.beam_splitter(state, b, c, 0.5)
 
 
 def analyzer_pass(state, setting, distinguishable):

@@ -5,6 +5,7 @@ import pytest
 
 from swapsim import bisa, fock, states
 from swapsim.bisa import BisaOutcome, BisaSetting
+import fock_reference as ref
 from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass, click_patterns
 
 
@@ -131,7 +132,7 @@ def test_distinguishable_phi_minus_leaks_into_phi_plus():
     assert full.get(BisaOutcome.PHI_PLUS_23, 0.0) < 1e-9
 
 
-def test_apply_requires_inputs():
+def test_verify_evolution_rejects_unknown_bell_state():
     with pytest.raises(ValueError, match="unknown Bell state"):
         bisa.verify_evolution("nope", BisaSetting.BSM)
 
@@ -160,7 +161,7 @@ def test_transfer_map_equals_step_oracle(n_max, setting, distinguishable):
     # oracle's outputs and its detector banks.
     inputs = _engine_inputs(min(3, n_max))
     transfer, counts = bisa._detector_view(setting, tuple(inputs), n_max, distinguishable)
-    passed = [analyzer_pass(fock.FockVector(bisa.INPUT_REGISTER, n_max, {occ: 1.0}),
+    passed = [analyzer_pass(ref.FockVector(bisa.INPUT_REGISTER, n_max, {occ: 1.0}),
                            setting, distinguishable) for occ in inputs]
     bank = VICTOR_BANK_TAGGED if distinguishable else VICTOR_BANK
     assert list(bank) == list(bisa.VICTOR_DETECTORS)
@@ -197,7 +198,7 @@ def test_transfer_map_truncates_at_the_cap(setting):
     # (Hong-Ou-Mandel), and the cap of 3 drops the 4-photon terms.
     inputs = [(2, 0, 2, 0)]
     _, transfer = bisa.transfer_map(setting, inputs, 3)
-    state = fock.FockVector(bisa.INPUT_REGISTER, 3, {inputs[0]: 1.0})
+    state = ref.FockVector(bisa.INPUT_REGISTER, 3, {inputs[0]: 1.0})
     oracle = analyzer_pass(state, setting, False)
     lost = 1.0 - (np.abs(transfer) ** 2).sum()
     assert lost > 0.1
@@ -220,7 +221,7 @@ def test_victor_povm_equals_step_oracle(setting, n_max):
     for _ in range(2):
         psi = rng.normal(size=len(inputs)) + 1j * rng.normal(size=len(inputs))
         psi /= np.linalg.norm(psi)
-        state = fock.FockVector(bisa.INPUT_REGISTER, n_max, dict(zip(inputs, psi)))
+        state = ref.FockVector(bisa.INPUT_REGISTER, n_max, dict(zip(inputs, psi)))
         passes = [analyzer_pass(state, setting, tagged) for tagged in (False, True)]
         for visibility, eta in itertools.product((0.0, 0.7, 1.0), (0.6, 1.0)):
             povm, _ = bisa.victor_povm(inputs, n_max, visibility, eta, 1.0)

@@ -14,6 +14,7 @@ from swapsim.analysis import coincidence_counts
 from swapsim.bisa import VICTOR_DETECTORS, BisaOutcome, BisaSetting, classify
 from swapsim.qrng import QrngConfig, QrngSimulator
 from swapsim.timeline import event_times
+import fock_reference as ref
 from step_oracle import VICTOR_BANK, VICTOR_BANK_TAGGED, analyzer_pass, click_patterns
 
 
@@ -294,7 +295,7 @@ def test_imperfection_product():
 def test_calibrate_tau_roundtrip():
     tau = 0.35
     p = {1: 0.0, 2: 0.0}
-    for occ, a in fock.spdc_source(tau, 2, normalize=False).amp.items():
+    for occ, a in ref.spdc_source(tau, 2, normalize=False).amp.items():
         pairs = sum(occ) // 2
         if pairs in p:
             p[pairs] += abs(a) ** 2
@@ -319,8 +320,8 @@ def test_source_sectors_match_the_creation_operator_source(tau, order):
     # and 4, and the analyzer input occupation.  FockVector.add prunes
     # amplitudes at or below PRUNE_TOL, which the closed form keeps, so a
     # term missing on either side counts as 0.
-    state = fock.spdc_source(tau, order, ("1", "b"), order).tensor(
-        fock.spdc_source(tau, order, ("c", "4"), order))
+    state = ref.spdc_source(tau, order, ("1", "b"), order).tensor(
+        ref.spdc_source(tau, order, ("c", "4"), order))
     assert [s for s, _ in state.modes] == ["1", "1", "b", "b", "c", "c", "4", "4"]
     reference = {}
     for (h1, v1, b_h, b_v, c_h, c_v, h4, v4), amp in state.amp.items():
@@ -536,6 +537,25 @@ def test_read_log_rejects_bad_header(tmp_path, edit, message):
     path.write_text("\n".join([json.dumps(header), *records]) + "\n")
     with pytest.raises(ValueError, match=message):
         ex.read_log(path)
+
+
+@pytest.mark.parametrize("text", [
+    lambda log: "",
+    lambda log: "not a log\n",
+    lambda log: "\n" + log,
+    lambda log: "[]\n" + log.split("\n", 1)[1],
+], ids=["empty", "text_line", "blank_first_line", "json_array_header"])
+def test_read_log_rejects_a_header_that_is_not_a_json_object(tmp_path, capsys, text):
+    path = tmp_path / "log.jsonl"
+    ex.write_log(path, ex.run_trials(small_config(trials=10)))
+    path.write_text(text(path.read_text()))
+    with pytest.raises(ValueError) as read:
+        ex.read_log(path)
+    assert str(read.value) == "not a swapsim trial log"
+    out = tmp_path / "out"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: not a swapsim trial log\n"
+    assert not out.exists()
 
 
 def test_run_summary_contents():
@@ -758,8 +778,8 @@ def _pattern_category(pattern: frozenset):
 def _noise_branches(cfg):
     """The two sources' ensemble after fiber depolarization, as all 16 Pauli
     branches on the delay fibers b and c, and input loss."""
-    src1 = fock.spdc_source(cfg.tau, cfg.spdc_order, ("1", "b"), cfg.n_max)
-    src2 = fock.spdc_source(cfg.tau, cfg.spdc_order, ("c", "4"), cfg.n_max)
+    src1 = ref.spdc_source(cfg.tau, cfg.spdc_order, ("1", "b"), cfg.n_max)
+    src2 = ref.spdc_source(cfg.tau, cfg.spdc_order, ("c", "4"), cfg.n_max)
     branches = [src1.tensor(src2)]
     p = 1.0 - cfg.fiber_polarization_fidelity
     if p > 0.0:
@@ -768,11 +788,11 @@ def _noise_branches(cfg):
             for b in branches:
                 nxt.append(b.scaled(np.sqrt(1.0 - p)))
                 for pauli in ("x", "y", "z"):
-                    flipped = fock.wave_plate(b, spatial, states.PAULI[pauli])
+                    flipped = ref.wave_plate(b, spatial, states.PAULI[pauli])
                     nxt.append(flipped.scaled(np.sqrt(p / 3.0)))
             branches = nxt
     for mode in (("b", "H"), ("b", "V"), ("c", "H"), ("c", "V")):
-        branches = [lost for b in branches for lost in fock.attenuate(b, mode, cfg.input_transmission)]
+        branches = [lost for b in branches for lost in ref.attenuate(b, mode, cfg.input_transmission)]
         branches = [b for b in branches if b.norm_sq() > 1e-24]
     return [b for b in branches if b.norm_sq() > 1e-18]
 
@@ -798,8 +818,8 @@ def _enumerated_tables(engine, pairs):
             cat = {}
             for weight, passed, bank in passes:
                 rotated = [
-                    fock.wave_plate(
-                        fock.wave_plate(b, "1", ex._axis_rotation(ab)),
+                    ref.wave_plate(
+                        ref.wave_plate(b, "1", ex._axis_rotation(ab)),
                         "4", ex._axis_rotation(bb),
                     )
                     for b in passed

@@ -6,18 +6,20 @@ from swapsim import bisa, fock
 from swapsim.bisa import BisaSetting
 from swapsim.experiment import _axis_rotation
 
+import fock_reference as ref
+
 
 def single_photon(mode, modes=(("a", "H"), ("a", "V"), ("b", "H"), ("b", "V")), n_max=3):
-    return fock.FockVector.vacuum(modes, n_max).create(mode)
+    return ref.FockVector.vacuum(modes, n_max).create(mode)
 
 
 def test_vacuum_norm():
-    vac = fock.FockVector.vacuum((("a", "H"),), 3)
+    vac = ref.FockVector.vacuum((("a", "H"),), 3)
     assert abs(vac.norm() - 1.0) < 1e-14
 
 
 def test_create_and_truncate():
-    vac = fock.FockVector.vacuum((("a", "H"),), 2)
+    vac = ref.FockVector.vacuum((("a", "H"),), 2)
     s = vac.create(("a", "H")).create(("a", "H"))
     assert abs(s.norm_sq() - 2.0) < 1e-12  # sqrt(1)*sqrt(2) amplitude
     capped = s.create(("a", "H"))
@@ -26,14 +28,14 @@ def test_create_and_truncate():
 
 def test_beam_splitter_unitarity():
     s = single_photon(("a", "H"))
-    out = fock.beam_splitter(s, "a", "b", 0.5)
+    out = ref.beam_splitter(s, "a", "b", 0.5)
     assert abs(out.norm_sq() - s.norm_sq()) < 1e-12
 
 
 def test_beam_splitter_single_photon_amplitudes():
     # Symmetric convention: transmit amplitude sqrt(T), reflect i sqrt(1-T).
     s = single_photon(("a", "H"))
-    out = fock.beam_splitter(s, ("a", "H"), ("b", "H"), 0.5)
+    out = ref.beam_splitter(s, ("a", "H"), ("b", "H"), 0.5)
     amps = {occ: a for occ, a in out.amp.items()}
     t = amps[(1, 0, 0, 0)]
     r = amps[(0, 0, 1, 0)]
@@ -44,8 +46,8 @@ def test_beam_splitter_single_photon_amplitudes():
 def test_hom_null():
     # Two indistinguishable photons on a 50:50 splitter never exit separately.
     modes = (("a", "H"), ("b", "H"))
-    s = fock.FockVector.vacuum(modes, 3).create(("a", "H")).create(("b", "H"))
-    out = fock.beam_splitter(s, ("a", "H"), ("b", "H"), 0.5)
+    s = ref.FockVector.vacuum(modes, 3).create(("a", "H")).create(("b", "H"))
+    out = ref.beam_splitter(s, ("a", "H"), ("b", "H"), 0.5)
     assert abs(out.amp.get((1, 1), 0.0)) < 1e-12
     assert abs(out.norm_sq() - s.norm_sq()) < 1e-12
 
@@ -58,9 +60,9 @@ def test_mz_closure_is_mirror_up_to_sign():
         ((("b", "H"), (0, 0, 1, 0)), (0, 0, 1, 0), 1.0),
     ):
         s = single_photon(mode[0])
-        out = fock.beam_splitter(s, "a", "b", 0.5)
-        out = fock.phase_shift(out, "a", np.pi)
-        out = fock.beam_splitter(out, "a", "b", 0.5)
+        out = ref.beam_splitter(s, "a", "b", 0.5)
+        out = ref.phase_shift(out, "a", np.pi)
+        out = ref.beam_splitter(out, "a", "b", 0.5)
         amps = dict(out.amp)
         assert abs(amps.pop(target) - sign) < 1e-12
         assert all(abs(a) < 1e-12 for a in amps.values())
@@ -68,7 +70,7 @@ def test_mz_closure_is_mirror_up_to_sign():
 
 def test_wave_plate_acts_as_single_photon_jones():
     s = single_photon(("a", "H"))
-    out = fock.wave_plate(s, "a", "qwp+45")
+    out = ref.wave_plate(s, "a", "qwp+45")
     h = out.amp.get((1, 0, 0, 0), 0.0)
     v = out.amp.get((0, 1, 0, 0), 0.0)
     assert np.allclose([h, v], fock.JONES_QWP_P45[:, 0], atol=1e-12)
@@ -76,7 +78,7 @@ def test_wave_plate_acts_as_single_photon_jones():
 
 def test_spdc_one_pair_term_is_singlet():
     tau = 0.1
-    s = fock.spdc_source(tau, order=1, spatial=("a", "b"), normalize=False)
+    s = ref.spdc_source(tau, order=1, spatial=("a", "b"), normalize=False)
     # Occupations ordered (aH, aV, bH, bV).
     hv = s.amp[(1, 0, 0, 1)]
     vh = s.amp[(0, 1, 1, 0)]
@@ -94,7 +96,7 @@ def pair_probabilities(state):
 
 def test_spdc_pair_ratio():
     tau = 0.2
-    s = fock.spdc_source(tau, order=2, normalize=False)
+    s = ref.spdc_source(tau, order=2, normalize=False)
     p = pair_probabilities(s)
     assert abs(p[2] / p[1] - 3 * tau**2 / 4) < 1e-10
 
@@ -127,7 +129,7 @@ def test_spdc_against_exponential_oracle():
     vec[0] = 1.0
     oracle = expm(tau * gen) @ vec
 
-    s = fock.spdc_source(tau, order=3, normalize=False)
+    s = ref.spdc_source(tau, order=3, normalize=False)
     for occ, a in s.amp.items():
         # The series construction truncates at 3 pairs; the exponential also
         # contains them, so low orders must agree closely.
@@ -136,15 +138,15 @@ def test_spdc_against_exponential_oracle():
 
 
 def test_attenuate_preserves_weight():
-    s = fock.spdc_source(0.3, order=2)
-    branches = fock.attenuate(s, ("b", "H"), 0.4)
+    s = ref.spdc_source(0.3, order=2)
+    branches = ref.attenuate(s, ("b", "H"), 0.4)
     total = sum(b.norm_sq() for b in branches)
     assert abs(total - s.norm_sq()) < 1e-12
 
 
 def _random_state(modes, occs, n_max, rng):
     amp = rng.normal(size=len(occs)) + 1j * rng.normal(size=len(occs))
-    return fock.FockVector(modes, n_max, zip(occs, amp / np.linalg.norm(amp)))
+    return ref.FockVector(modes, n_max, zip(occs, amp / np.linalg.norm(amp)))
 
 
 def _lossy_trace(state, lossy, eta, blocks):
@@ -152,7 +154,7 @@ def _lossy_trace(state, lossy, eta, blocks):
     modes ``lossy`` against E, the direct sum of ``blocks`` (zero elsewhere)."""
     branches = [state]
     for mode in lossy:
-        branches = [lost for b in branches for lost in fock.attenuate(b, mode, eta)]
+        branches = [lost for b in branches for lost in ref.attenuate(b, mode, eta)]
     total = 0.0
     for occs, ops in blocks:
         psi = np.array([[b.amp.get(occ, 0.0) for occ in occs] for b in branches])
@@ -173,7 +175,7 @@ CAPPED4 = [occ for occ in np.ndindex(3, 3, 3, 3) if sum(occ) <= 4]
 
 @pytest.mark.parametrize("eta", [0.0, 0.21, 0.5, 1.0])
 @pytest.mark.parametrize("setting", list(BisaSetting), ids=lambda s: s.value)
-def test_pull_back_loss_of_victor_povm_where_the_cap_binds(eta, setting):
+def test_input_loss_of_victor_povm_where_the_cap_binds(eta, setting):
     # Victor's POVM with the input loss inside, on inputs of mixed photon
     # number, against the ensemble that attenuate leaves on each input mode
     # measured by his lossless POVM, a direct sum over the photon number n
@@ -194,7 +196,7 @@ def test_pull_back_loss_of_victor_povm_where_the_cap_binds(eta, setting):
         assert (got.real >= -1e-15).all() and got.sum().real <= 1.0 + 1e-14
 
 
-def test_pull_backs_of_loss_compose():
+def test_input_losses_of_victor_povm_compose():
     # Transmission t2 before Victor's POVM at transmission t1 is his POVM at
     # t1 * t2.
     rng = np.random.default_rng(7)
@@ -206,7 +208,7 @@ def test_pull_backs_of_loss_compose():
         assert np.abs(twice - _trace(state, CAPPED4, direct)).max() <= 1e-14
 
 
-def test_pull_back_loss_rejects_bad_input():
+def test_victor_povm_rejects_bad_transmission():
     with pytest.raises(ValueError, match="transmission"):
         bisa.victor_povm(CAPPED4, 2, 0.7, 0.6, 1.5)
 
@@ -215,7 +217,7 @@ def test_pattern_distribution_normalized():
     # Victor's pattern distribution of a pair source on the analyzer inputs,
     # psi^dagger E_p psi through the input loss and both parts of the
     # analyzer mixture, keeps the source's weight.
-    s = fock.spdc_source(0.4, order=2, spatial=("b", "c"))
+    s = ref.spdc_source(0.4, order=2, spatial=("b", "c"))
     assert s.modes == bisa.INPUT_REGISTER
     inputs = list(s.amp)
     psi = np.array([s.amp[occ] for occ in inputs])
@@ -261,7 +263,7 @@ def test_relabel_and_tensor():
     s = single_photon(("a", "H"), modes=(("a", "H"), ("a", "V")))
     t = s.relabel({"a": "c"})
     assert t.modes == (("c", "H"), ("c", "V"))
-    u = s.tensor(fock.FockVector.vacuum((("b", "H"),), 3))
+    u = s.tensor(ref.FockVector.vacuum((("b", "H"),), 3))
     assert u.modes == (("a", "H"), ("a", "V"), ("b", "H"))
     assert abs(u.norm_sq() - 1.0) < 1e-14
 
@@ -303,7 +305,7 @@ def test_lift_of_axis_rotation_equals_wave_plate():
             occs = fock.occupations(2, n)
             block = fock.lift(jones, n)
             for i, occ in enumerate(occs):
-                out = fock.wave_plate(fock.FockVector(modes, 3, {occ: 1.0}), "p", jones)
+                out = ref.wave_plate(ref.FockVector(modes, 3, {occ: 1.0}), "p", jones)
                 column = np.array([out.amp.get(o, 0.0) for o in occs])
                 assert set(out.amp) <= set(occs)
                 assert abs(block[:, i] - column).max() < 1e-14
